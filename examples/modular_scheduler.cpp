@@ -15,6 +15,7 @@
 // while the core guarantees the work-conserving invariant — the suggestion
 // is vetoed exactly when it would leave an idle core unused.
 #include <cstdio>
+#include <memory>
 
 #include "src/modsched/modules.h"
 #include "src/sim/simulator.h"
@@ -34,16 +35,14 @@ struct RunResult {
   uint64_t violations = 0;
 };
 
-RunResult Run(WakePolicy* policy, bool fixed_wakeup) {
+RunResult Run(ModularPolicy* policy, bool fixed_wakeup) {
   Topology topo = Topology::Bulldozer8x8();
   Simulator::Options options;
   options.features.autogroup_enabled = false;
   options.features.fix_overload_wakeup = fixed_wakeup;
   options.seed = 31337;
+  options.policy = policy;  // Null: the monolithic CFS scheduler.
   Simulator sim(topo, options);
-  if (policy != nullptr) {
-    sim.sched().set_wake_policy(policy);
-  }
   TpchConfig config;
   config.queries = {TpchQuery18(4.0)};
   TpchWorkload db(&sim, config);
@@ -58,8 +57,10 @@ RunResult Run(WakePolicy* policy, bool fixed_wakeup) {
   sim.Run(Seconds(60));
   RunResult result;
   result.total_s = ToSeconds(db.TotalTime());
-  result.suggestions = sim.sched().stats().wake_policy_suggestions;
-  result.vetoes = sim.sched().stats().wake_policy_vetoes;
+  if (policy != nullptr) {
+    result.suggestions = policy->suggestions();
+    result.vetoes = policy->vetoes();
+  }
   result.violations = checker.violations().size();
   return result;
 }
@@ -79,12 +80,10 @@ int main() {
               "   Q18 %.3fs, %llu violations\n\n",
               fixed.total_s, static_cast<unsigned long long>(fixed.violations));
 
-  CacheAffinityModule cache;
-  NumaLocalityModule numa;
-  ModuleChain chain;
-  chain.Add(&cache);
-  chain.Add(&numa);
-  RunResult modular = Run(&chain, /*fixed_wakeup=*/false);
+  ModularPolicy policy;
+  policy.Add(std::make_unique<CacheAffinityModule>());
+  policy.Add(std::make_unique<NumaLocalityModule>());
+  RunResult modular = Run(&policy, /*fixed_wakeup=*/false);
   std::printf("3) modular core + cache-affinity & numa-locality modules:\n"
               "   Q18 %.3fs, %llu violations\n"
               "   module suggestions honored %llu, vetoed by the core %llu\n\n",

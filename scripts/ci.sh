@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # CI gate, staged:
 #
-#   1. lint    - build wc-lint and run it over src/ and bench/. Any
-#                error-severity finding or reason-less suppression fails the
-#                gate before we spend time on the build matrix. Then build
-#                wc-analyze and run the interprocedural pass (A1 taint to
-#                trace sinks, A2 hot-path allocation, A3 policy confinement,
-#                A4 fold-order drift) over the same tree, emitting SARIF.
-#                The whole analysis is budgeted at <5s wall so it stays a
-#                pre-matrix gate, not a build-matrix peer.
+#   1. analyze - build wc-analyze and run it over src/ and bench/: the
+#                token rules (D1-D4) on every file and the interprocedural
+#                rules (A1 taint to trace sinks, A2 hot-path allocation, A3
+#                policy confinement, A4 fold-order drift) over the whole
+#                tree, in one report written as SARIF. Any error-severity
+#                finding, reason-less or unknown-rule suppression, or
+#                unknown policy rule fails the gate before we spend time on
+#                the build matrix. The run is budgeted at <5s wall so it
+#                stays a pre-matrix gate, not a build-matrix peer.
 #   2. matrix  - build and test the Release and ASan+UBSan configurations.
 #                The sanitizer run is what gives the determinism goldens and
 #                the randomized invariant fuzzer their teeth: an optimization
@@ -56,15 +57,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==== [lint] build wc-lint ===="
-cmake --preset release
-cmake --build --preset release -j "$JOBS" --target wc-lint
-echo "==== [lint] wc-lint src bench ===="
-./build-release/src/tools/wc-lint src bench
-
 echo "==== [analyze] build wc-analyze ===="
+cmake --preset release
 cmake --build --preset release -j "$JOBS" --target wc-analyze
-echo "==== [analyze] wc-analyze src bench (interprocedural A1-A4) ===="
+echo "==== [analyze] wc-analyze src bench (D1-D4, A1-A4) ===="
 ANALYZE_SARIF="$(mktemp --suffix=.sarif)"
 ANALYZE_T0="$(date +%s%3N)"
 ./build-release/src/tools/wc-analyze --root=. --sarif="$ANALYZE_SARIF" src bench
@@ -177,4 +173,4 @@ if "$SWEEP" --threads=bogus 2>/dev/null; then
   exit 1
 fi
 
-echo "CI OK: lint + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill all green."
+echo "CI OK: analyze + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill all green."

@@ -3,14 +3,14 @@
 //
 // The paper envisions a scheduler split into a core module that maintains
 // the basic invariants and policy modules that decide placement and
-// ordering. src/core/wake_policy.h is the small version of that idea — an
-// optimization module *suggests* a wakeup target and the core arbitrates.
-// SchedPolicy is the full version: a policy owns every decision point of
-// the scheduler — wakeup placement, fork placement, pick-next, tick and
-// wakeup preemption, and all three balancing triggers — while the core
-// keeps the mechanism: runqueues, vruntime accounting, migration plumbing,
-// idle bookkeeping, tracing, and the conservation invariants the
-// conformance suite (tests/modsched/) checks for every registered policy.
+// ordering. A policy owns every decision point of the scheduler — wakeup
+// placement, fork placement, pick-next, tick and wakeup preemption, and all
+// three balancing triggers — while the core keeps the mechanism: runqueues,
+// vruntime accounting, migration plumbing, idle bookkeeping, tracing, and
+// the conservation invariants the conformance suite (tests/modsched/)
+// checks for every registered policy. This is the only extension seam:
+// the paper's optimization modules plug in through ModularPolicy
+// (src/modsched/modules.h), which overrides wakeup placement alone.
 //
 // Division of responsibility:
 //   - The *core* guarantees: thread census (nothing lost or duplicated),
@@ -36,8 +36,8 @@
 //
 // Determinism contract: a policy must be a pure function of scheduler state
 // and its own deterministically-updated state — no wall clock, no
-// unseeded randomness, no pointer-keyed iteration (wc-lint's rules apply to
-// policy code like any other scheduler code). The per-policy golden trace
+// unseeded randomness, no pointer-keyed iteration (wc-analyze's rules apply
+// to policy code like any other scheduler code). The per-policy golden trace
 // hashes in tests/modsched/ enforce this the same way the CFS goldens do.
 #ifndef SRC_CORE_SCHED_POLICY_H_
 #define SRC_CORE_SCHED_POLICY_H_
@@ -68,10 +68,9 @@ class SchedPolicy : public RqObserver {
 
   // ---- Decision hooks (defaults = CFS) ------------------------------------
 
-  // Wakeup placement for `se` (select_task_rq). Must return an online cpu
-  // allowed by se.affinity (or any online cpu when the affinity set has no
-  // online member); the core WC_CHECKs this. `considered` feeds the
-  // kWakeup OnConsidered trace record.
+  // Wakeup placement for `se` (select_task_rq). Must return a cpu of
+  // Scheduler::WakeAllowed(se); the core WC_CHECKs this. `considered` feeds
+  // the kWakeup OnConsidered trace record.
   virtual CpuId SelectWakeCpu(Time now, const SchedEntity& se, CpuId waker_cpu,
                               CpuSet* considered);
 

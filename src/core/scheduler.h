@@ -29,7 +29,6 @@
 #include "src/core/features.h"
 #include "src/core/stats.h"
 #include "src/core/trace.h"
-#include "src/core/wake_policy.h"
 #include "src/simkit/cpuset.h"
 #include "src/simkit/time.h"
 #include "src/topo/domains.h"
@@ -185,6 +184,14 @@ class Scheduler {
   // The longest-idle online cpu within `allowed`, or kInvalidCpu.
   CpuId LongestIdleCpu(const CpuSet& allowed) const;
 
+  // The cpus a wakeup of `se` may land on: its affinity intersected with the
+  // online set, or every online cpu when hotplug left that intersection
+  // empty (the affinity is broken rather than the wakeup stranded).
+  CpuSet WakeAllowed(const SchedEntity& se) const {
+    CpuSet allowed = se.affinity & online_;
+    return allowed.Empty() ? online_ : allowed;
+  }
+
   // Re-resolves the autogroup divisor for load computations.
   double AutogroupDivisor(AutogroupId id) const;
 
@@ -200,15 +207,6 @@ class Scheduler {
   // Renices a thread mid-run; routes through its runqueue when runnable so
   // the load-version machinery sees the weight change.
   void SetNice(Time now, ThreadId tid, int nice);
-
-  // ---- Modular scheduling (§5's vision; see src/modsched/) ------------------
-
-  // Attaches an optimization module for wakeup placement. Suggestions are
-  // honored only when they keep the work-conserving invariant: a busy
-  // suggestion while an allowed core sits idle is overridden to the
-  // longest-idle core (counted in stats().wake_policy_vetoes).
-  void set_wake_policy(WakePolicy* policy) { wake_policy_ = policy; }
-  WakePolicy* wake_policy() const { return wake_policy_; }
 
   // ---- Policy arena (src/core/sched_policy.h) -------------------------------
 
@@ -338,7 +336,7 @@ class Scheduler {
   // The group cache accessor: serves `cpus`' stats from group_cache_ when a
   // live entry exists (GroupEntryLive), refilling the entry otherwise. The
   // only sanctioned way for balancing code to aggregate per-entity loads;
-  // wc-lint rule D6 flags direct per-entity reads in scheduler_balance.cc.
+  // wc-analyze rule A4 flags direct per-entity reads reachable from balancing.
   // `slot_hint` (SchedGroup::stats_slot) caches the entry index across
   // passes; pass nullptr to force a key scan.
   GroupLoadStats GroupStats(Time now, const CpuSet& cpus, int* slot_hint = nullptr);
@@ -356,8 +354,10 @@ class Scheduler {
   CpuId SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu, CpuSet* considered);
 
   // Stock path: wake_affine between prev/waker node + select_idle_sibling
-  // within that node only (the Overload-on-Wakeup bug, §3.3).
-  CpuId SelectTaskRqStock(Time now, const SchedEntity& se, CpuId waker_cpu, CpuSet* considered);
+  // within that node only (the Overload-on-Wakeup bug, §3.3). `allowed` is
+  // WakeAllowed(se).
+  CpuId SelectTaskRqStock(Time now, const SchedEntity& se, CpuId waker_cpu,
+                          const CpuSet& allowed, CpuSet* considered);
 
   // One Algorithm-1 body for (cpu, domain). Returns #threads moved.
   int BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind);
@@ -419,7 +419,6 @@ class Scheduler {
   SchedTunables tunables_;
   SchedClient* client_;
   TraceSink* trace_;  // Never null; defaults to a no-op sink.
-  WakePolicy* wake_policy_ = nullptr;
   SchedPolicy* policy_ = nullptr;              // Never null after construction.
   std::unique_ptr<SchedPolicy> owned_policy_;  // Set iff no policy was passed in.
 

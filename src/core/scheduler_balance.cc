@@ -381,7 +381,7 @@ int Scheduler::MoveTasks(Time now, CpuId src_cpu, CpuId dst_cpu, double max_load
     if (nr_running_[src_cpu] <= 1) {
       break;
     }
-    // wc-lint: allow(D6 single-entity pick; aggregates still come from GroupStats) allow(A4 one-entity read to debit moved load; not a rq-sum fold)
+    // wc-lint: allow(A4 one-entity read to debit moved load; not a rq-sum fold)
     double load = CfsRunqueue::EntityLoad(*se, now, AutogroupDivisor(se->autogroup));
     src.rq.DequeueQueued(se, now);
     Time rel = se->vruntime > src.rq.min_vruntime() ? se->vruntime - src.rq.min_vruntime() : 0;

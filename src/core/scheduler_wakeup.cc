@@ -24,40 +24,7 @@ double NodeLoad(const Scheduler& sched, const Topology& topo, Time now, NodeId n
 
 CpuId Scheduler::SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu,
                               CpuSet* considered) {
-  CpuSet allowed = se.affinity & online_;
-  if (allowed.Empty()) {
-    allowed = online_;  // Affinity became unsatisfiable (hotplug); break it.
-  }
-
-  // Modular scheduling (§5): an attached optimization module suggests the
-  // placement, and the core arbitrates — the suggestion is taken verbatim
-  // unless it breaks the work-conserving invariant (busy target while an
-  // allowed core is idle), in which case the core overrides it with the
-  // longest-idle core.
-  if (wake_policy_ != nullptr) {
-    WakeContext ctx;
-    ctx.sched = this;
-    ctx.entity = &se;
-    ctx.waker_cpu = waker_cpu;
-    ctx.now = now;
-    ctx.allowed = allowed;
-    CpuId suggested = wake_policy_->Suggest(ctx);
-    if (suggested != kInvalidCpu && allowed.Test(suggested)) {
-      considered->Set(suggested);
-      if (nr_running_[suggested] != 0) {
-        CpuId idle = LongestIdleCpu(allowed);
-        if (idle != kInvalidCpu) {
-          stats_.wake_policy_vetoes += 1;
-          considered->Set(idle);
-          return idle;
-        }
-      }
-      stats_.wake_policy_suggestions += 1;
-      return suggested;
-    }
-    // Module abstained: fall through to the built-in paths.
-  }
-
+  CpuSet allowed = WakeAllowed(se);
   if (features_.fix_overload_wakeup) {
     // The paper's fix: wake on the local core — where the thread ran last —
     // if idle; otherwise on the core that has been idle the longest (the
@@ -82,16 +49,11 @@ CpuId Scheduler::SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu,
       return longest;
     }
   }
-  return SelectTaskRqStock(now, se, waker_cpu, considered);
+  return SelectTaskRqStock(now, se, waker_cpu, allowed, considered);
 }
 
 CpuId Scheduler::SelectTaskRqStock(Time now, const SchedEntity& se, CpuId waker_cpu,
-                                   CpuSet* considered) {
-  CpuSet allowed = se.affinity & online_;
-  if (allowed.Empty()) {
-    allowed = online_;
-  }
-
+                                   const CpuSet& allowed, CpuSet* considered) {
   CpuId prev = se.cpu;
   if (prev == kInvalidCpu || !online_.Test(prev)) {
     prev = allowed.First();

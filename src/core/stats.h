@@ -30,9 +30,6 @@ struct SchedStats {
   uint64_t migrations_hotplug = 0;
   uint64_t nohz_kicks = 0;
   uint64_t ticks = 0;
-  uint64_t wake_policy_suggestions = 0;  // Modular wakeups taken as suggested.
-  uint64_t wake_policy_vetoes = 0;       // Suggestions overridden by the core
-                                         // to preserve work conservation.
 
   uint64_t TotalMigrations() const {
     return migrations_periodic + migrations_idle + migrations_nohz + migrations_hotplug;

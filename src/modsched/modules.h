@@ -5,8 +5,8 @@
 // envision a scheduler that is a collection of modules: the core module and
 // optimization modules."
 //
-// Each class here is one such optimization module, expressed as a WakePolicy
-// (src/core/wake_policy.h). The Scheduler core arbitrates: it takes a
+// Each WakeModule here is one such optimization module for wakeup placement.
+// ModularPolicy is the core module, expressed as a SchedPolicy: it takes a
 // module's suggestion whenever feasible and overrides it when it would leave
 // an allowed core idle while placing the thread on a busy one — the basic
 // invariant the paper says the core must always maintain. The demonstration
@@ -16,24 +16,39 @@
 #ifndef SRC_MODSCHED_MODULES_H_
 #define SRC_MODSCHED_MODULES_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/core/sched_policy.h"
 #include "src/core/scheduler.h"
-#include "src/core/wake_policy.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
 
+// An optimization module for the wakeup path. `allowed` is the wakee's
+// Scheduler::WakeAllowed set.
+class WakeModule {
+ public:
+  virtual ~WakeModule() = default;
+
+  // Returns the suggested cpu, or kInvalidCpu to abstain (the next module,
+  // or the CFS path, then decides).
+  virtual CpuId Suggest(const Scheduler& sched, const SchedEntity& se,
+                        const CpuSet& allowed) const = 0;
+
+  virtual const char* name() const = 0;
+};
+
 // Maximal cache reuse: always suggest the core the thread last ran on,
 // whatever its load. Unchecked, this is worse than the Overload-on-Wakeup
 // bug; under the core's arbitration it is safe.
-class CacheAffinityModule : public WakePolicy {
+class CacheAffinityModule : public WakeModule {
  public:
-  CpuId Suggest(const WakeContext& ctx) override {
-    CpuId prev = ctx.entity->cpu;
-    if (prev != kInvalidCpu && ctx.allowed.Test(prev)) {
-      return prev;
+  CpuId Suggest(const Scheduler&, const SchedEntity& se, const CpuSet& allowed) const override {
+    if (se.cpu != kInvalidCpu && allowed.Test(se.cpu)) {
+      return se.cpu;
     }
     return kInvalidCpu;
   }
@@ -43,22 +58,22 @@ class CacheAffinityModule : public WakePolicy {
 // Keep the thread on the NUMA node of its memory (approximated by the node
 // it last ran on): suggest an idle core of that node, else the least-loaded
 // core of that node.
-class NumaLocalityModule : public WakePolicy {
+class NumaLocalityModule : public WakeModule {
  public:
-  CpuId Suggest(const WakeContext& ctx) override {
-    CpuId prev = ctx.entity->cpu;
-    if (prev == kInvalidCpu) {
+  CpuId Suggest(const Scheduler& sched, const SchedEntity& se,
+                const CpuSet& allowed) const override {
+    if (se.cpu == kInvalidCpu) {
       return kInvalidCpu;
     }
-    const Topology& topo = ctx.sched->topology();
-    CpuSet node_cpus = topo.CpusOfNode(topo.NodeOf(prev)) & ctx.allowed;
+    const Topology& topo = sched.topology();
+    CpuSet node_cpus = topo.CpusOfNode(topo.NodeOf(se.cpu)) & allowed;
     if (node_cpus.Empty()) {
       return kInvalidCpu;
     }
     CpuId best = kInvalidCpu;
     int best_nr = 0;
     for (CpuId c : node_cpus) {
-      int nr = ctx.sched->NrRunning(c);
+      int nr = sched.NrRunning(c);
       if (nr == 0) {
         return c;
       }
@@ -76,50 +91,67 @@ class NumaLocalityModule : public WakePolicy {
 // Overload-on-Wakeup fix, as a module). Cheap to consult on every wake:
 // LongestIdleCpu reads the scheduler's incremental per-node idle index,
 // O(nodes) on a busy machine rather than a full-machine scan.
-class LoadSpreadModule : public WakePolicy {
+class LoadSpreadModule : public WakeModule {
  public:
-  CpuId Suggest(const WakeContext& ctx) override {
-    return ctx.sched->LongestIdleCpu(ctx.allowed);
+  CpuId Suggest(const Scheduler& sched, const SchedEntity&,
+                const CpuSet& allowed) const override {
+    return sched.LongestIdleCpu(allowed);
   }
   const char* name() const override { return "load-spread"; }
 };
 
-// Combines modules by priority: the first non-abstaining suggestion wins
-// (the core still arbitrates the final answer). This is the "how to combine
-// multiple optimizations" question §5 leaves open, answered the simplest
-// defensible way: a strict priority order.
-class ModuleChain : public WakePolicy {
+// The core module: CFS in every hook but wakeup placement, where it
+// consults its modules in priority order. The first suggestion inside the
+// allowed set wins — the "how to combine multiple optimizations" question
+// §5 leaves open, answered the simplest defensible way — unless it names a
+// busy core while an allowed core sits idle; then the core vetoes it in
+// favour of the longest-idle core. When every module abstains, placement
+// falls through to CFS. Not registered in the policy registry: a module set
+// is a configuration, not a named policy.
+class ModularPolicy : public SchedPolicy {
  public:
-  // Borrow a module. The caller keeps ownership and must keep it alive for
-  // the chain's lifetime (the usual shape: module and chain on one stack
-  // frame, chain declared last).
-  void Add(WakePolicy* module) { modules_.push_back(module); }
+  const char* name() const override { return "modular"; }
 
-  // Own a module: it lives exactly as long as the chain. Prefer this when
-  // the chain is long-lived or handed across scopes.
-  void Add(std::unique_ptr<WakePolicy> module) {
-    modules_.push_back(module.get());
-    owned_.push_back(std::move(module));
-  }
+  // Appends `module` below every module added before it.
+  void Add(std::unique_ptr<WakeModule> module) { modules_.push_back(std::move(module)); }
 
-  CpuId Suggest(const WakeContext& ctx) override {
-    for (WakePolicy* module : modules_) {
-      CpuId cpu = module->Suggest(ctx);
-      if (cpu != kInvalidCpu) {
-        last_winner_ = module->name();
-        return cpu;
+  CpuId SelectWakeCpu(Time now, const SchedEntity& se, CpuId waker_cpu,
+                      CpuSet* considered) override {
+    CpuSet allowed = sched_->WakeAllowed(se);
+    for (const std::unique_ptr<WakeModule>& module : modules_) {
+      CpuId cpu = module->Suggest(*sched_, se, allowed);
+      if (cpu == kInvalidCpu || !allowed.Test(cpu)) {
+        continue;
       }
+      last_winner_ = module->name();
+      considered->Set(cpu);
+      if (!sched_->IsIdleCpu(cpu)) {
+        CpuId idle = sched_->LongestIdleCpu(allowed);
+        if (idle != kInvalidCpu) {
+          vetoes_ += 1;
+          considered->Set(idle);
+          return idle;
+        }
+      }
+      suggestions_ += 1;
+      return cpu;
     }
     last_winner_ = nullptr;
-    return kInvalidCpu;
+    return SchedPolicy::SelectWakeCpu(now, se, waker_cpu, considered);
   }
 
-  const char* name() const override { return "chain"; }
+  // Wakeups placed where a module suggested, and suggestions the core
+  // overrode to keep work conservation.
+  uint64_t suggestions() const { return suggestions_; }
+  uint64_t vetoes() const { return vetoes_; }
+  // The module whose suggestion decided the last wakeup (vetoed or not);
+  // null when every module abstained.
   const char* last_winner() const { return last_winner_; }
 
  private:
-  std::vector<WakePolicy*> modules_;            // Priority order; borrowed or owned below.
-  std::vector<std::unique_ptr<WakePolicy>> owned_;
+  std::vector<std::unique_ptr<WakeModule>> modules_;  // Priority order.
+  uint64_t suggestions_ = 0;
+  uint64_t vetoes_ = 0;
   const char* last_winner_ = nullptr;
 };
 

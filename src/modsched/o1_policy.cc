@@ -54,10 +54,7 @@ CpuId O1Policy::SelectWakeCpu(Time now, const SchedEntity& se, CpuId waker_cpu,
                               CpuSet* considered) {
   (void)now;
   (void)waker_cpu;
-  CpuSet allowed = se.affinity & sched_->OnlineCpus();
-  if (allowed.Empty()) {
-    allowed = sched_->OnlineCpus();
-  }
+  CpuSet allowed = sched_->WakeAllowed(se);
   // 2.6.8 try_to_wake_up: run where you last ran; balancing is somebody
   // else's job. This is the design point that stacks wakeups.
   if (se.cpu != kInvalidCpu && allowed.Test(se.cpu)) {

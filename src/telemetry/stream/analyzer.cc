@@ -29,6 +29,7 @@ StreamAnalyzer::StreamAnalyzer(Options opts) : opts_(std::move(opts)) {
 
 StreamAnalyzer::TaskStats& StreamAnalyzer::Slot(ThreadId tid) {
   if (tid >= static_cast<ThreadId>(tasks_.size())) {
+    // wc-lint: allow(A2 grows only to the highest tid seen — O(tasks) by contract)
     tasks_.resize(tid + 1);
     UpdatePeak();
   }
@@ -165,7 +166,7 @@ bool StreamAnalyzer::HeapOrder(const Deadline& a, const Deadline& b) {
 }
 
 void StreamAnalyzer::PushDeadline(Time at, ThreadId tid, uint32_t epoch) {
-  // wc-lint: allow(D7 deadline heap holds at most one live entry per task — O(tasks) by contract)
+  // wc-lint: allow(A2 deadline heap holds at most one live entry per task — O(tasks) by contract)
   heap_.push_back(Deadline{at, tid, epoch});
   std::push_heap(heap_.begin(), heap_.end(), HeapOrder);
   UpdatePeak();
@@ -213,7 +214,7 @@ void StreamAnalyzer::RaiseFinding(ThreadId tid, Time since, Time detected_at, Ti
     if (opts_.snapshot) {
       f.digest = opts_.snapshot();
     }
-    // wc-lint: allow(D7 findings are capped at max_stored_findings and reserved at construction)
+    // wc-lint: allow(A2 findings are capped at max_stored_findings and reserved at construction)
     findings_.push_back(std::move(f));
     UpdatePeak();
   }

@@ -1,15 +1,19 @@
 // wc-analyze command line driver.
 //
-//   wc-analyze [--root=DIR] [--json=FILE] [--sarif=FILE] [--verbose] PATH...
+//   wc-analyze [--root=DIR] [--sarif=FILE] [--verbose] PATH...
 //
-// Parses every .h/.hpp/.cc/.cpp under the given paths into one symbol
-// table, builds the cross-file call graph, and runs the interprocedural
-// rules A1..A4 (see flow_rules.h). Severities come from the same
-// .wc-lint.policy files wc-lint reads — A rules are configured next to the
-// D rules — and the same inline allow() grammar suppresses findings.
+// PATHs are files or directories (directories are walked recursively for
+// .h/.hpp/.cc/.cpp, in sorted order so output is stable). Each file gets the
+// token rules D1..D4 (rules.h); all files together are parsed into one
+// symbol table and cross-file call graph for the flow rules A1..A4
+// (flow_rules.h). Severities come from the .wc-lint.policy files found
+// between --root (default: the current directory) and each source file; see
+// policy.h for the format and the rule catalogue. One report covers every
+// rule; --sarif writes it as SARIF 2.1.0.
 //
-// Exit status: 1 if any unsuppressed error-severity finding was emitted,
-// 2 on IO/flag errors, else 0.
+// Exit status: 1 if any unsuppressed error-severity finding (including the
+// SUPPRESS meta-rule guarding malformed annotations) was emitted, 2 on
+// IO/flag/policy errors, else 0.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -22,6 +26,7 @@
 #include "src/tools/lint/driver.h"
 #include "src/tools/lint/flow_rules.h"
 #include "src/tools/lint/policy.h"
+#include "src/tools/lint/rules.h"
 #include "src/tools/lint/symtab.h"
 
 namespace wcores::lint {
@@ -29,27 +34,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// A1/A3/A4 guard the determinism and layering contracts everywhere; A2 is
-// opt-in per hot-path directory (the simulation core turns it on in its
-// .wc-lint.policy, test/bench scaffolding stays quiet).
-std::map<std::string, Severity> AnalyzeDefaults() {
-  return {{"A1", Severity::kError},
-          {"A2", Severity::kOff},
-          {"A3", Severity::kError},
-          {"A4", Severity::kError}};
-}
-
 int Main(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::string json_path;
   std::string sarif_path;
   std::string root = ".";
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--sarif=", 0) == 0) {
+    if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
     } else if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
@@ -57,10 +49,9 @@ int Main(int argc, char** argv) {
       verbose = true;
     } else if (arg == "--help") {
       std::fprintf(stderr,
-                   "usage: wc-analyze [--root=DIR] [--json=FILE] [--sarif=FILE] [--verbose] "
-                   "PATH...\n"
+                   "usage: wc-analyze [--root=DIR] [--sarif=FILE] [--verbose] PATH...\n"
                    "Rules:\n");
-      for (const RuleInfo& r : AnalyzeRuleCatalog()) {
+      for (const RuleInfo& r : RuleCatalog()) {
         std::fprintf(stderr, "  %s  %s\n", r.id, r.summary);
       }
       return 0;
@@ -91,8 +82,10 @@ int Main(int argc, char** argv) {
   });
 
   PolicyCache policies;
-  std::map<std::string, Severity> defaults = AnalyzeDefaults();
+  const std::map<std::string, Severity> defaults = DefaultSeverities();
   std::map<std::string, std::map<std::string, Severity>> severities_for;
+  std::vector<Finding> findings;
+  int errors = 0, warnings = 0, suppressed = 0;
   SymbolTable syms;
   for (const fs::path& file : files) {
     bool ok = false;
@@ -103,14 +96,33 @@ int Main(int argc, char** argv) {
     }
     std::string name = file.generic_string();
     std::vector<const Policy*> chain = PolicyChainFor(file, root, &policies, &io_errors);
-    severities_for[name] = ResolveSeverities(chain, defaults, file.filename().string());
+    std::map<std::string, Severity>& sev = severities_for[name];
+    sev = ResolveSeverities(chain, defaults, file.filename().string());
+    FileLintResult tokens = LintSource(name, source, sev);
+    errors += tokens.errors;
+    warnings += tokens.warnings;
+    suppressed += tokens.suppressed;
+    findings.insert(findings.end(), tokens.findings.begin(), tokens.findings.end());
     syms.AddUnit(ParseUnit(name, source));
   }
   syms.Finalize();
   CallGraph graph(syms);
-  AnalyzeResult result = RunAnalysis(syms, graph, AnalyzeConfig{}, severities_for);
+  AnalyzeResult flow = RunAnalysis(syms, graph, AnalyzeConfig{}, severities_for);
+  errors += flow.errors;
+  warnings += flow.warnings;
+  suppressed += flow.suppressed;
+  findings.insert(findings.end(), flow.findings.begin(), flow.findings.end());
+  std::stable_sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
+    if (a.file != b.file) {
+      return a.file < b.file;
+    }
+    if (a.line != b.line) {
+      return a.line < b.line;
+    }
+    return a.rule < b.rule;
+  });
 
-  for (const Finding& f : result.findings) {
+  for (const Finding& f : findings) {
     if (!f.suppressed || verbose) {
       std::printf("%s\n", FormatFinding(f).c_str());
     }
@@ -118,25 +130,18 @@ int Main(int argc, char** argv) {
   for (const std::string& e : io_errors) {
     std::fprintf(stderr, "wc-analyze: %s\n", e.c_str());
   }
-  if (!json_path.empty() && !WriteSarifReport(json_path, "wc-analyze", AnalyzeRuleCatalog(),
-                                              result.findings, /*with_schema=*/false)) {
-    std::fprintf(stderr, "wc-analyze: cannot write %s\n", json_path.c_str());
-    return 2;
-  }
-  if (!sarif_path.empty() && !WriteSarifReport(sarif_path, "wc-analyze", AnalyzeRuleCatalog(),
-                                               result.findings, /*with_schema=*/true)) {
+  if (!sarif_path.empty() && !WriteSarifReport(sarif_path, findings)) {
     std::fprintf(stderr, "wc-analyze: cannot write %s\n", sarif_path.c_str());
     return 2;
   }
   std::printf(
       "wc-analyze: %zu files, %d functions, %d hot-reachable, %d errors, %d warnings, "
       "%d suppressed\n",
-      files.size(), result.functions, result.hot_reachable, result.errors, result.warnings,
-      result.suppressed);
+      files.size(), flow.functions, flow.hot_reachable, errors, warnings, suppressed);
   if (!io_errors.empty()) {
     return 2;
   }
-  return result.errors > 0 ? 1 : 0;
+  return errors > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// A lightweight declaration/definition parser on top of the wc-lint lexer.
+// A lightweight declaration/definition parser on top of the lint lexer.
 //
 // This is deliberately not a C++ front end: no preprocessor, no overload
 // resolution, no types. It recovers exactly the structure the

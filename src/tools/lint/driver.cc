@@ -39,7 +39,7 @@ void CollectFiles(const fs::path& p, std::vector<fs::path>* out,
       return;
     }
     // directory_iterator order is unspecified; sort so diagnostics, reports,
-    // and the golden tests are stable (the linters practice what D1/D2
+    // and the golden tests are stable (the analyzer practices what D1/D2
     // preach).
     std::sort(entries.begin(), entries.end());
     for (const fs::path& e : entries) {
@@ -134,20 +134,16 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-bool WriteSarifReport(const std::string& path, const std::string& tool_name,
-                      const std::vector<RuleInfo>& rules, const std::vector<Finding>& findings,
-                      bool with_schema) {
+bool WriteSarifReport(const std::string& path, const std::vector<Finding>& findings) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     return false;
   }
   out << "{\n";
-  if (with_schema) {
-    out << "  \"$schema\": "
-           "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  }
+  out << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
   out << "  \"version\": \"2.1.0\",\n  \"runs\": [{\n";
-  out << "    \"tool\": {\"driver\": {\"name\": \"" << tool_name << "\", \"rules\": [\n";
+  out << "    \"tool\": {\"driver\": {\"name\": \"wc-analyze\", \"rules\": [\n";
+  const std::vector<RuleInfo>& rules = RuleCatalog();
   for (size_t i = 0; i < rules.size(); ++i) {
     out << "      {\"id\": \"" << rules[i].id << "\", \"shortDescription\": {\"text\": \""
         << JsonEscape(rules[i].summary) << "\"}}" << (i + 1 < rules.size() ? "," : "") << "\n";

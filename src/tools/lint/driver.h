@@ -1,7 +1,6 @@
-// Shared command-line plumbing for wc-lint and wc-analyze: file collection,
-// policy-chain resolution, and the SARIF report writer. Keeping it in one
-// place guarantees the two tools walk the same files, resolve the same
-// .wc-lint.policy chains, and emit byte-compatible reports.
+// Command-line plumbing for wc-analyze: file collection, policy-chain
+// resolution, and the SARIF report writer. Kept out of the binary so the
+// tests walk the same files and resolve the same .wc-lint.policy chains.
 #ifndef SRC_TOOLS_LINT_DRIVER_H_
 #define SRC_TOOLS_LINT_DRIVER_H_
 
@@ -45,13 +44,10 @@ std::vector<const Policy*> PolicyChainFor(const std::filesystem::path& file,
 
 std::string JsonEscape(const std::string& s);
 
-// SARIF 2.1.0 report: tool.driver.{name,rules} + one result per finding.
-// Suppressed findings carry a suppressions[] entry, as SARIF models them.
-// `with_schema` adds the "$schema" member (the strict form --sarif emits;
-// --json keeps the historical schema-less shape byte-for-byte).
-bool WriteSarifReport(const std::string& path, const std::string& tool_name,
-                      const std::vector<RuleInfo>& rules, const std::vector<Finding>& findings,
-                      bool with_schema);
+// SARIF 2.1.0 report: "$schema", tool.driver.{name,rules} (wc-analyze and
+// RuleCatalog()) + one result per finding. Suppressed findings carry a
+// suppressions[] entry, as SARIF models them.
+bool WriteSarifReport(const std::string& path, const std::vector<Finding>& findings);
 
 }  // namespace wcores::lint
 

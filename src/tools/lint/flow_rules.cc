@@ -301,16 +301,6 @@ void RunA4(const SymbolTable& syms, const CallGraph& graph, const Reach& balance
 
 }  // namespace
 
-const std::vector<RuleInfo>& AnalyzeRuleCatalog() {
-  static const std::vector<RuleInfo> kRules = {
-      {"A1", "nondeterminism source can reach a trace sink (interprocedural D3)"},
-      {"A2", "heap allocation / container growth reachable from the event-dispatch hot path"},
-      {"A3", "policy code reaches mechanism internals bypassing the public API"},
-      {"A4", "fold-order-sensitive float accumulation reachable from balancing"},
-  };
-  return kRules;
-}
-
 AnalyzeResult RunAnalysis(const SymbolTable& syms, const CallGraph& graph,
                           const AnalyzeConfig& config,
                           const std::map<std::string, std::map<std::string, Severity>>&

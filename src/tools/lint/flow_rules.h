@@ -1,4 +1,4 @@
-// The interprocedural rules of wc-analyze, over SymbolTable + CallGraph.
+// The flow rules of wc-analyze, over SymbolTable + CallGraph.
 //
 //   A1  nondeterminism taint: a banned-source use (rand/clocks/getenv, or a
 //       pointer-to-integer cast) inside any function from which a trace sink
@@ -9,7 +9,9 @@
 //       unannotated container growth (push_back/emplace_back/resize/reserve)
 //       in functions reachable from the event-dispatch roots (Simulator
 //       handlers, EventQueue::RunUntil, SchedPolicy hooks). Off by default;
-//       .wc-lint.policy turns it on for the simulation core.
+//       .wc-lint.policy turns it on for the simulation core and for the
+//       bounded-memory streaming telemetry, whose per-event sinks are
+//       reachable through the trace-sink virtual calls.
 //   A3  policy confinement: SchedPolicy subclasses may use the mechanism
 //       (Scheduler / CfsRunqueue) only through its public API. Flags calls
 //       that resolve to non-public mechanism members and direct reads of
@@ -17,14 +19,14 @@
 //       helpers. Friendship is deliberately not modelled: a friend backdoor
 //       is exactly the drift this rule exists to catch.
 //   A4  fold-order-sensitive float accumulation: per-entity decayed-load
-//       reads (interprocedural D6) reachable from the balancing entry
-//       points, and rq-tree mutations (tree_.Insert/Erase) in such functions
+//       reads (ValueAt / EntityLoad / LoadAt / RqLoadRecomputed) reachable
+//       from the balancing entry points, and rq-tree mutations (tree_.Insert/Erase) in such functions
 //       without a load_version bump in the same body — the PR 7
 //       PickSpecific bug class.
 //
-// Findings reuse wc-lint's Finding struct, severity policy files, and
-// allow() suppression grammar, so one annotation vocabulary covers both
-// tools.
+// Findings share the token rules' Finding struct, severity policy files, and
+// allow() suppression grammar, so one annotation vocabulary covers every
+// rule.
 #ifndef SRC_TOOLS_LINT_FLOW_RULES_H_
 #define SRC_TOOLS_LINT_FLOW_RULES_H_
 
@@ -37,9 +39,6 @@
 #include "src/tools/lint/symtab.h"
 
 namespace wcores::lint {
-
-// The A-rule catalogue, in report order (mirrors RuleCatalog for D rules).
-const std::vector<RuleInfo>& AnalyzeRuleCatalog();
 
 // Everything the rules treat as a fixed point of the codebase. Defaults
 // describe this repo; tests override fields to build directed scenarios.
@@ -104,7 +103,7 @@ struct AnalyzeConfig {
   std::vector<std::string> balance_hooks = {
       "PeriodicBalance", "NewIdleBalance", "NohzBalance", "PickNextEntity",
   };
-  // Per-entity decayed-load accessors (the D6 vocabulary).
+  // Per-entity decayed-load accessors.
   std::vector<std::string> entity_load_calls = {
       "ValueAt", "EntityLoad", "LoadAt", "RqLoadRecomputed",
   };

@@ -1,4 +1,4 @@
-// A small, dependency-free C++ tokenizer for wc-lint.
+// A small, dependency-free C++ tokenizer for wc-analyze.
 //
 // This is not a compiler front end: it has no preprocessor, no symbol table,
 // and no types. It only needs to be exact about the four things that make

@@ -16,6 +16,40 @@ const char* SeverityName(Severity s) {
   return "?";
 }
 
+const std::vector<RuleInfo>& RuleCatalog() {
+  static const std::vector<RuleInfo> kRules = {
+      {"D1", Severity::kError,
+       "pointer-valued key in an ordered container (ASLR-dependent iteration order)"},
+      {"D2", Severity::kWarn,
+       "unordered container in trace-affecting code (hash-dependent iteration order)"},
+      {"D3", Severity::kWarn, "nondeterminism source outside the seeded-RNG / host-timing seams"},
+      {"D4", Severity::kWarn, "floating-point == / != comparison in scheduler decision code"},
+      {"A1", Severity::kError, "nondeterminism source can reach a trace sink (interprocedural D3)"},
+      {"A2", Severity::kOff,
+       "heap allocation / container growth reachable from the event-dispatch hot path"},
+      {"A3", Severity::kError, "policy code reaches mechanism internals bypassing the public API"},
+      {"A4", Severity::kError, "fold-order-sensitive float accumulation reachable from balancing"},
+  };
+  return kRules;
+}
+
+bool IsKnownRule(const std::string& id) {
+  for (const RuleInfo& r : RuleCatalog()) {
+    if (id == r.id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::map<std::string, Severity> DefaultSeverities() {
+  std::map<std::string, Severity> out;
+  for (const RuleInfo& r : RuleCatalog()) {
+    out[r.id] = r.default_severity;
+  }
+  return out;
+}
+
 namespace {
 
 std::optional<Severity> ParseSeverity(std::string_view word) {
@@ -48,6 +82,11 @@ Policy ParsePolicy(std::string_view text) {
     std::string rule, sev_word, glob, extra;
     if (!(fields >> rule)) {
       continue;  // Blank / comment-only line.
+    }
+    if (!IsKnownRule(rule)) {
+      policy.errors.push_back("line " + std::to_string(lineno) + ": unknown rule '" + rule +
+                              "' (see wc-analyze --help)");
+      continue;
     }
     if (!(fields >> sev_word)) {
       policy.errors.push_back("line " + std::to_string(lineno) + ": missing severity for " + rule);

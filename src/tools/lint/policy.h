@@ -1,19 +1,20 @@
-// Per-directory severity policy for wc-lint rules.
+// The rule catalogue and the per-directory severity policy of wc-analyze.
 //
 // A `.wc-lint.policy` file in a directory applies to every source file in it
-// and below. Policies nest: the chain is built from the lint root down to the
-// file's directory, and the innermost file that mentions a rule wins. Within
-// one file, later lines override earlier ones.
+// and below. Policies nest: the chain is built from the analysis root down
+// to the file's directory, and the innermost file that mentions a rule wins.
+// Within one file, later lines override earlier ones.
 //
 // Grammar (one directive per line, '#' starts a comment):
 //
 //   RULE  error|warn|off  [basename-glob]
 //
-// The optional glob (with '*' wildcards, matched against the file's basename)
-// scopes a directive to specific files — that is how "designated hot-path
-// files" are expressed for D5, e.g.:
+// RULE must name a rule of RuleCatalog(); anything else is a parse error, so
+// a directive for a retired or misspelled rule cannot silently do nothing.
+// The optional glob (with '*' wildcards, matched against the file's
+// basename) scopes a directive to specific files, e.g.:
 //
-//   D5 warn event_queue.h
+//   A2 warn event_queue.h
 #ifndef SRC_TOOLS_LINT_POLICY_H_
 #define SRC_TOOLS_LINT_POLICY_H_
 
@@ -28,6 +29,22 @@ enum class Severity { kOff, kWarn, kError };
 
 const char* SeverityName(Severity s);
 
+struct RuleInfo {
+  const char* id;
+  Severity default_severity;  // Where no policy file mentions the rule.
+  const char* summary;
+};
+
+// Every rule, in report order: the token rules D1..D4 (rules.h), then the
+// flow rules A1..A4 (flow_rules.h). SUPPRESS is not listed: it is the
+// meta-rule guarding the annotation grammar and cannot be configured.
+const std::vector<RuleInfo>& RuleCatalog();
+
+bool IsKnownRule(const std::string& id);
+
+// Rule id -> default severity, the base ResolveSeverities layers policies on.
+std::map<std::string, Severity> DefaultSeverities();
+
 struct PolicyDirective {
   std::string rule;
   Severity severity = Severity::kOff;
@@ -39,8 +56,8 @@ struct Policy {
   std::vector<std::string> errors;  // Parse diagnostics, "line N: ...".
 };
 
-// Parses policy text. Unknown severities and malformed lines are reported in
-// `errors` and skipped; the rest of the file still applies.
+// Parses policy text. Unknown rules, unknown severities, and malformed lines
+// are reported in `errors` and skipped; the rest of the file still applies.
 Policy ParsePolicy(std::string_view text);
 
 // '*'-only glob match against a file basename.

@@ -6,19 +6,6 @@
 
 namespace wcores::lint {
 
-const std::vector<RuleInfo>& RuleCatalog() {
-  static const std::vector<RuleInfo> kRules = {
-      {"D1", "pointer-valued key in an ordered container (ASLR-dependent iteration order)"},
-      {"D2", "unordered container in trace-affecting code (hash-dependent iteration order)"},
-      {"D3", "nondeterminism source outside the seeded-RNG / host-timing seams"},
-      {"D4", "floating-point == / != comparison in scheduler decision code"},
-      {"D5", "std::function in a designated hot-path file (type-erasure overhead)"},
-      {"D6", "per-entity decayed-load read in balancing code (bypasses the group-stats cache)"},
-      {"D7", "unbounded container growth (push_back/emplace_back) in bounded-memory code"},
-  };
-  return kRules;
-}
-
 namespace {
 
 std::string Trim(std::string s) {
@@ -60,6 +47,14 @@ void ParseAllowAnnotations(const Token& comment, const std::string& path,
       if (findings != nullptr) {
         findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
                                     "wc-lint allow() names no rule", false, {}});
+      }
+    } else if (!IsKnownRule(rule)) {
+      if (findings != nullptr) {
+        findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
+                                    "allow(" + rule +
+                                        ") names an unknown rule and suppresses nothing (see "
+                                        "wc-analyze --help)",
+                                    false, {}});
       }
     } else if (reason.empty()) {
       if (findings != nullptr) {
@@ -113,9 +108,6 @@ class Scanner {
       CheckD2(i);
       CheckD3(i);
       CheckD4(i);
-      CheckD5(i);
-      CheckD6(i);
-      CheckD7(i);
     }
     return std::move(findings_);
   }
@@ -307,74 +299,6 @@ class Scanner {
            "floating-point " + t->text +
                " against a literal: a 1-ulp perturbation flips the comparison and, behind it, "
                "a scheduling decision; compare in integer units or against an epsilon");
-  }
-
-  // D5: std::function. Scoped by policy to the designated hot-path files.
-  void CheckD5(size_t i) {
-    if (!Enabled("D5")) {
-      return;
-    }
-    const Token* t = At(i);
-    if (!IsIdent(t, "function") || !StdQualified(i)) {
-      return;
-    }
-    Report("D5", t->line,
-           "std::function in a designated hot-path file: type erasure costs an indirect call "
-           "and possible heap allocation per event (ROADMAP: replace with a fixed-size "
-           "inline-storage callback)");
-  }
-
-  // D6: a call to one of the per-entity decayed-load accessors. Scoped by
-  // policy to balancing code, where every load the balancer folds into a
-  // group comparison must come through Scheduler::RqLoad / GroupStats so the
-  // decay-forward memo stays the single source of truth. A direct
-  // tracker.ValueAt(now) / CfsRunqueue::EntityLoad(...) there re-decays one
-  // entity outside the cache: cheap-looking, O(entities) in aggregate, and a
-  // bit-exactness hazard the moment its fold order diverges from LoadAt's.
-  void CheckD6(size_t i) {
-    if (!Enabled("D6")) {
-      return;
-    }
-    const Token* t = At(i);
-    if (t == nullptr || t->kind != TokKind::kIdent || !IsPunct(At(i + 1), "(")) {
-      return;
-    }
-    const std::string& name = t->text;
-    if (name != "ValueAt" && name != "EntityLoad" && name != "LoadAt" &&
-        name != "RqLoadRecomputed") {
-      return;
-    }
-    Report("D6", t->line,
-           name + "() in balancing code bypasses the group-stats cache: group aggregates must "
-                  "come from Scheduler::RqLoad / GroupStats so the decay-forward memo stays "
-                  "authoritative (per-entity reads re-decay outside it and can diverge from the "
-                  "cached fold)");
-  }
-
-  // D7: a .push_back( / .emplace_back( member call. Scoped by policy to
-  // code that advertises an O(tasks+cpus) memory bound (the streaming
-  // telemetry pipeline): there, every growth point must either write into
-  // preallocated storage or carry an allow() stating the bound, because one
-  // per-event append silently converts "bounded" into "O(events)" and the
-  // budget check only catches it at peak, long after the author moved on.
-  void CheckD7(size_t i) {
-    if (!Enabled("D7")) {
-      return;
-    }
-    const Token* t = At(i);
-    if (t == nullptr || t->kind != TokKind::kIdent) {
-      return;
-    }
-    if (t->text != "push_back" && t->text != "emplace_back") {
-      return;
-    }
-    if (!MemberAccess(i) || !IsPunct(At(i + 1), "(")) {
-      return;
-    }
-    Report("D7", t->line,
-           t->text + "() in bounded-memory (streaming) code: growth must be provably bounded "
-                     "— write into preallocated storage, or state the bound in an annotation: "
-                     "allow(D7 <why the size is O(tasks+cpus), not O(events)>)");
   }
 
   const std::string& path_;

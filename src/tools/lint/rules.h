@@ -1,5 +1,6 @@
-// The wc-lint rule engine: determinism and scheduler-invariant checks over
-// the token stream produced by lexer.h.
+// The token rules of wc-analyze: determinism checks over the token stream
+// produced by lexer.h, run on every file next to the flow rules of
+// flow_rules.h.
 //
 // Rule catalogue (see DESIGN.md "Static guardrails" for the rationale):
 //
@@ -12,20 +13,10 @@
 //   D3  banned nondeterminism sources: rand()/srand(), std::random_device,
 //       steady_clock/system_clock/high_resolution_clock, time(), clock(),
 //       getenv() — simulation code must use the virtual clock and the
-//       seeded Rng.
+//       seeded Rng. A1 covers the sources that can reach a trace sink; D3
+//       also covers directories whose code never does.
 //   D4  floating-point == / != against a float literal in decision code:
 //       exact-equality decisions are one ulp away from flipping.
-//   D5  std::function in designated hot-path files (policy-scoped): tracks
-//       the ROADMAP inline-callback item as a finding, not a failure.
-//   D6  per-entity decayed-load reads (ValueAt / EntityLoad / LoadAt /
-//       RqLoadRecomputed calls) in balancing code (policy-scoped): the
-//       balancer must read group aggregates through the decay-forward memo
-//       (Scheduler::RqLoad / GroupStats), never re-decay entities itself.
-//   D7  .push_back( / .emplace_back( member calls in bounded-memory code
-//       (policy-scoped to the streaming telemetry pipeline): unannotated
-//       container growth is how an O(tasks+cpus) analyzer quietly becomes
-//       O(events); every append must be into preallocated storage or carry
-//       an allow() whose reason states the size bound.
 //
 // Findings are suppressed only by an inline annotation on the same line or
 // the line above:   // wc-lint: allow(D3 measuring host wall time)
@@ -42,15 +33,6 @@
 #include "src/tools/lint/policy.h"
 
 namespace wcores::lint {
-
-struct RuleInfo {
-  const char* id;
-  const char* summary;
-};
-
-// All real rules (D1..D7), in report order. SUPPRESS is not listed: it is
-// the meta-rule guarding the annotation grammar and cannot be configured.
-const std::vector<RuleInfo>& RuleCatalog();
 
 struct Finding {
   std::string file;
@@ -70,8 +52,8 @@ struct FileLintResult {
 };
 
 // One parsed `allow(RULE reason)` clause. Covers findings on its own line
-// (trailing style) and on the next line (leading style) — the semantics both
-// wc-lint and wc-analyze apply.
+// (trailing style) and on the next line (leading style), for token and flow
+// rules alike.
 struct AllowSite {
   int line = 0;
   std::string rule;
@@ -79,10 +61,11 @@ struct AllowSite {
 };
 
 // Scans one comment token for the wc-lint annotation marker and its allow
-// clauses. Well-formed clauses land in `out`; malformed ones (no rule, no
-// reason, unclosed paren) become error-severity SUPPRESS findings when
-// `findings` is non-null. Shared by the token-level linter and wc-analyze so
-// the two tools agree on the suppression grammar.
+// clauses. Well-formed clauses land in `out`; malformed ones (no rule, a
+// rule outside RuleCatalog(), no reason, unclosed paren) become
+// error-severity SUPPRESS findings when `findings` is non-null. LintSource
+// reports them; the flow rules' parser passes null, so each is reported
+// once.
 void ParseAllowAnnotations(const Token& comment, const std::string& path,
                            std::vector<AllowSite>* out, std::vector<Finding>* findings);
 

@@ -128,18 +128,13 @@ ScenarioResult RunScenario(const Scenario& scenario) {
   Simulator::Options opts;
   opts.features = scenario.features;
   opts.seed = scenario.seed;
-  // Named policies come from the registry, one fresh instance per scenario
+  // Policies come from the registry, one fresh instance per scenario
   // (policies hold per-machine state; sweep workers run concurrently). The
-  // default "cfs" also routes through the registry — the determinism goldens
-  // therefore pin CfsPolicy *behind the policy interface*. An empty name
-  // keeps the scheduler's own built-in CfsPolicy; cfs_bitexact_test holds
-  // the two paths byte-identical.
-  std::unique_ptr<SchedPolicy> policy;
-  if (!scenario.policy.empty()) {
-    policy = CreateSchedPolicy(scenario.policy);
-    WC_CHECK(policy != nullptr, "unknown scheduler policy in scenario");
-    opts.policy = policy.get();
-  }
+  // default "cfs" routes through the registry too, so the determinism
+  // goldens pin CfsPolicy *behind the policy interface*.
+  std::unique_ptr<SchedPolicy> policy = CreateSchedPolicy(scenario.policy);
+  WC_CHECK(policy != nullptr, "unknown scheduler policy in scenario");
+  opts.policy = policy.get();
   Simulator sim(topo, opts, sink);
 
   MetricsFn metrics_fn;

@@ -48,9 +48,7 @@ struct Scenario {
   int mix_threads = 24;
 
   // Scheduling policy, by registry name (src/modsched/policy_registry.h):
-  // "cfs" (default), "o1", "coreidle". Empty bypasses the registry and runs
-  // the scheduler's own built-in CfsPolicy; cfs_bitexact_test pins that the
-  // two CFS paths produce byte-identical traces.
+  // "cfs" (default), "o1", "coreidle".
   std::string policy = "cfs";
 
   // Attach the bounded-memory streaming telemetry pipeline (TelemetryStream)

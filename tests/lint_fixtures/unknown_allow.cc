@@ -1,0 +1,8 @@
+// Unknown-rule fixture: an allow() naming a rule outside the catalogue is a
+// SUPPRESS error and suppresses nothing. Not compiled — lint input only.
+#include <cstdlib>
+
+// A retired rule id: the D3 finding on the next line stays unsuppressed.
+// wc-lint: allow(D7 this rule no longer exists)
+int a = rand();
+int b = rand();  // wc-lint: allow(X9 misspelled rule id)

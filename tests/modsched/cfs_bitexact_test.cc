@@ -2,19 +2,16 @@
 //
 // The arena refactor moved every scheduling decision behind virtual
 // SchedPolicy hooks whose defaults delegate to the Scheduler's public CFS
-// mechanism methods. Three things pin that this is a pure refactor:
+// mechanism methods. Two things pin that this is a pure refactor:
 //
 //  1. The twelve pre-arena golden trace hashes, re-asserted here with the
 //     policy explicitly routed through the registry ("cfs"), so the
-//     registry-owned CfsPolicy — not just the scheduler's built-in default —
-//     reproduces the seed traces byte-identically.
-//  2. The full 16-scenario sweep matrix hashed twice, once per CFS
-//     ownership path (built-in default vs. registry instance): combined
-//     and per-scenario hashes must match exactly.
-//  3. An event-level differential: identical runs on the two paths with a
-//     full EventRecorder attached; on any divergence the failure message
-//     prints the FIRST diverging event (index, time, kind, cpu, tid,
-//     value), which is the diagnostic a hash alone cannot give.
+//     registry-owned CfsPolicy reproduces the seed traces byte-identically.
+//  2. An event-level differential between the scheduler's built-in
+//     CfsPolicy (a null Simulator::Options::policy) and a registry
+//     instance, with a full EventRecorder attached; on any divergence the
+//     failure message prints the FIRST diverging event (index, time, kind,
+//     cpu, tid, value), which is the diagnostic a hash alone cannot give.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,7 +25,6 @@
 #include "src/simkit/rng.h"
 #include "src/tools/recorder.h"
 #include "src/tools/sweep/scenario.h"
-#include "src/tools/sweep/sweep.h"
 #include "tests/modsched/conformance_harness.h"
 
 namespace wcores {
@@ -78,34 +74,6 @@ TEST(CfsBitExact, RegistryCfsReproducesSeedGoldens) {
     EXPECT_EQ(r.trace_hash, it->second)
         << "CfsPolicy behind the interface diverged from the pre-arena trace";
   }
-}
-
-TEST(CfsBitExact, BuiltinAndRegistryPathsHashIdenticallyAcrossSweep) {
-  // The full sweep-sized matrix (16 scenarios: 10 figure + 6 random), at a
-  // test-friendly scale.
-  auto matrix = [](const std::string& policy) {
-    std::vector<Scenario> scenarios = FigureScenarios(0.1);
-    for (Scenario& s : RandomScenarios(99, 6)) {
-      scenarios.push_back(std::move(s));
-    }
-    for (Scenario& s : scenarios) {
-      s.policy = policy;  // "" = built-in default, "cfs" = registry instance.
-    }
-    return scenarios;
-  };
-  SweepOptions opts;
-  opts.threads = 1;
-  SweepReport builtin = RunSweep(matrix(""), opts);
-  SweepReport registry = RunSweep(matrix("cfs"), opts);
-  ASSERT_EQ(builtin.results.size(), 16u);
-  ASSERT_EQ(registry.results.size(), builtin.results.size());
-  for (size_t i = 0; i < builtin.results.size(); ++i) {
-    EXPECT_EQ(builtin.results[i].trace_hash, registry.results[i].trace_hash)
-        << builtin.results[i].name << ": ownership path changed the trace";
-    EXPECT_EQ(builtin.results[i].trace_events, registry.results[i].trace_events)
-        << builtin.results[i].name;
-  }
-  EXPECT_EQ(builtin.CombinedHash(), registry.CombinedHash());
 }
 
 const char* KindName(TraceEvent::Kind k) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/modsched/modules.h"
 #include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
@@ -63,6 +64,28 @@ TEST(PolicyConformance, RegistryHasAtLeastThreeDistinctPolicies) {
   EXPECT_EQ(CreateSchedPolicy("no-such-policy"), nullptr);
 }
 
+// One gate-1 run: a seeded random machine, feature set, and mix under
+// `policy`, swept by PolicyInvariantChecker every kCheckInterval.
+void FuzzMechanismInvariants(SchedPolicy* policy, uint64_t seed) {
+  uint64_t sm = seed;
+  Rng rng(SplitMix64(sm));
+  Topology topo = RandomTopology(rng);
+  Simulator::Options opts;
+  opts.features = RandomFeatures(rng);
+  opts.seed = seed;
+  opts.policy = policy;
+  Simulator sim(topo, opts);
+  SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
+
+  PolicyInvariantChecker checker(&sim);
+  sim.After(conformance::kCheckInterval, RearmingCheck{&checker, &sim});
+  sim.Run(conformance::kCheckHorizon);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
+  EXPECT_GT(checker.checks(), 100) << "fuzz run did too little work to mean anything";
+}
+
 // Gate 1: the core's invariants hold at every check instant, whichever
 // policy is deciding placement and ordering.
 TEST(PolicyConformance, MechanismInvariantsHoldUnderEveryPolicy) {
@@ -71,26 +94,30 @@ TEST(PolicyConformance, MechanismInvariantsHoldUnderEveryPolicy) {
     for (int run = 0; run < kRunsPerPolicy; ++run) {
       uint64_t seed = base + static_cast<uint64_t>(run);
       SCOPED_TRACE(ReproCommand(name, seed));
-
-      uint64_t sm = seed;
-      Rng rng(SplitMix64(sm));
-      Topology topo = RandomTopology(rng);
       std::unique_ptr<SchedPolicy> policy = CreateSchedPolicy(name);
       ASSERT_NE(policy, nullptr);
-      Simulator::Options opts;
-      opts.features = RandomFeatures(rng);
-      opts.seed = seed;
-      opts.policy = policy.get();
-      Simulator sim(topo, opts);
-      SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
-
-      PolicyInvariantChecker checker(&sim);
-      sim.After(conformance::kCheckInterval, RearmingCheck{&checker, &sim});
-      sim.Run(conformance::kCheckHorizon);
+      FuzzMechanismInvariants(policy.get(), seed);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
-      EXPECT_GT(checker.checks(), 100) << "fuzz run did too little work to mean anything";
+    }
+  }
+}
+
+// Gate 1 for the §5 core module, which stays out of the registry: the
+// cache-affinity and numa-locality modules under ModularPolicy's
+// arbitration keep every mechanism invariant too.
+TEST(PolicyConformance, MechanismInvariantsHoldUnderModularPolicy) {
+  uint64_t base = BaseSeed();
+  for (int run = 0; run < kRunsPerPolicy; ++run) {
+    uint64_t seed = base + static_cast<uint64_t>(run);
+    SCOPED_TRACE(ReproCommand("modular", seed));
+    ModularPolicy policy;
+    policy.Add(std::make_unique<CacheAffinityModule>());
+    policy.Add(std::make_unique<NumaLocalityModule>());
+    FuzzMechanismInvariants(&policy, seed);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
     }
   }
 }

@@ -1,5 +1,5 @@
 // The modular scheduler of §5: optimization modules suggest placements, the
-// core enforces the work-conserving invariant.
+// core (ModularPolicy) enforces the work-conserving invariant.
 #include "src/modsched/modules.h"
 
 #include <gtest/gtest.h>
@@ -21,12 +21,18 @@ class NullClient : public SchedClient {
   void NohzKick(CpuId) override {}
 };
 
+std::unique_ptr<ModularPolicy> PolicyWith(std::unique_ptr<WakeModule> module) {
+  auto policy = std::make_unique<ModularPolicy>();
+  policy->Add(std::move(module));
+  return policy;
+}
+
 TEST(ModularSchedTest, SuggestionHonoredWhenTargetIdle) {
   Topology topo = Topology::Flat(2, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  CacheAffinityModule cache;
-  sched.set_wake_policy(&cache);
+  auto policy = PolicyWith(std::make_unique<CacheAffinityModule>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 3;
   ThreadId tid = sched.CreateThread(0, p);
@@ -35,16 +41,16 @@ TEST(ModularSchedTest, SuggestionHonoredWhenTargetIdle) {
   // Waker on another node; the module wants the (idle) previous core.
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 0);
   EXPECT_EQ(cpu, 3);
-  EXPECT_EQ(sched.stats().wake_policy_suggestions, 1u);
-  EXPECT_EQ(sched.stats().wake_policy_vetoes, 0u);
+  EXPECT_EQ(policy->suggestions(), 1u);
+  EXPECT_EQ(policy->vetoes(), 0u);
 }
 
 TEST(ModularSchedTest, CoreVetoesBusySuggestionWhenIdleCoreExists) {
   Topology topo = Topology::Flat(2, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  CacheAffinityModule cache;
-  sched.set_wake_policy(&cache);
+  auto policy = PolicyWith(std::make_unique<CacheAffinityModule>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 0;
   ThreadId tid = sched.CreateThread(0, p);
@@ -59,15 +65,15 @@ TEST(ModularSchedTest, CoreVetoesBusySuggestionWhenIdleCoreExists) {
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 0);
   EXPECT_NE(cpu, 0);
   EXPECT_TRUE(sched.IsIdleCpu(0) || sched.NrRunning(cpu) >= 1);
-  EXPECT_EQ(sched.stats().wake_policy_vetoes, 1u);
+  EXPECT_EQ(policy->vetoes(), 1u);
 }
 
 TEST(ModularSchedTest, SuggestionTakenWhenNoIdleCoreExists) {
   Topology topo = Topology::Flat(1, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(2), &client);
-  CacheAffinityModule cache;
-  sched.set_wake_policy(&cache);
+  auto policy = PolicyWith(std::make_unique<CacheAffinityModule>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(2), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 0;
   ThreadId tid = sched.CreateThread(0, p);
@@ -82,19 +88,22 @@ TEST(ModularSchedTest, SuggestionTakenWhenNoIdleCoreExists) {
   }
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 1);
   EXPECT_EQ(cpu, 0);  // Busy, but nothing idle: cache reuse wins.
-  EXPECT_EQ(sched.stats().wake_policy_suggestions, 1u);
+  EXPECT_EQ(policy->suggestions(), 1u);
 }
 
 TEST(ModularSchedTest, AbstainingModuleFallsThroughToStockPath) {
   Topology topo = Topology::Flat(1, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(2), &client);
-  class Abstainer : public WakePolicy {
+  class Abstainer : public WakeModule {
    public:
-    CpuId Suggest(const WakeContext&) override { return kInvalidCpu; }
+    CpuId Suggest(const Scheduler&, const SchedEntity&, const CpuSet&) const override {
+      return kInvalidCpu;
+    }
     const char* name() const override { return "abstain"; }
-  } abstainer;
-  sched.set_wake_policy(&abstainer);
+  };
+  auto policy = PolicyWith(std::make_unique<Abstainer>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(2), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 0;
   ThreadId tid = sched.CreateThread(0, p);
@@ -102,41 +111,21 @@ TEST(ModularSchedTest, AbstainingModuleFallsThroughToStockPath) {
   sched.BlockCurrent(Milliseconds(1), 0);
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 0);
   EXPECT_EQ(cpu, 0);  // Stock path: previous core, idle.
-  EXPECT_EQ(sched.stats().wake_policy_suggestions, 0u);
+  EXPECT_EQ(policy->suggestions(), 0u);
+  EXPECT_EQ(policy->last_winner(), nullptr);
 }
 
-TEST(ModularSchedTest, ChainUsesPriorityOrder) {
-  Topology topo = Topology::Flat(2, 2, 1);
-  NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  CacheAffinityModule cache;
-  LoadSpreadModule spread;
-  ModuleChain chain;
-  chain.Add(&cache);
-  chain.Add(&spread);
-  sched.set_wake_policy(&chain);
-  // A never-ran... all threads have a prev cpu once created; exercise the
-  // chain: the cache module suggests first.
-  ThreadParams p;
-  p.parent_cpu = 2;
-  ThreadId tid = sched.CreateThread(0, p);
-  sched.PickNext(0, 2);
-  sched.BlockCurrent(Milliseconds(1), 2);
-  CpuId cpu = sched.Wake(Milliseconds(2), tid, 0);
-  EXPECT_EQ(cpu, 2);
-  EXPECT_STREQ(chain.last_winner(), "cache-affinity");
-}
-
-// The chain can own its modules: nothing here keeps the module alive except
-// the chain itself, so a lifetime bug would be a use-after-free under ASan.
+// The policy owns its modules and consults them in the order added: the
+// cache module outranks load-spread. Nothing else keeps the modules alive,
+// so a lifetime bug would be a use-after-free under ASan.
 TEST(ModularSchedTest, ChainOwnsModulesAddedByUniquePtr) {
   Topology topo = Topology::Flat(2, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  auto chain = std::make_unique<ModuleChain>();
-  chain->Add(std::make_unique<CacheAffinityModule>());
-  chain->Add(std::make_unique<LoadSpreadModule>());
-  sched.set_wake_policy(chain.get());
+  auto policy = std::make_unique<ModularPolicy>();
+  policy->Add(std::make_unique<CacheAffinityModule>());
+  policy->Add(std::make_unique<LoadSpreadModule>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 2;
   ThreadId tid = sched.CreateThread(0, p);
@@ -144,15 +133,15 @@ TEST(ModularSchedTest, ChainOwnsModulesAddedByUniquePtr) {
   sched.BlockCurrent(Milliseconds(1), 2);
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 0);
   EXPECT_EQ(cpu, 2);
-  EXPECT_STREQ(chain->last_winner(), "cache-affinity");
+  EXPECT_STREQ(policy->last_winner(), "cache-affinity");
 }
 
 TEST(ModularSchedTest, NumaLocalityPrefersIdleCoreOfOwnNode) {
   Topology topo = Topology::Flat(2, 2, 1);
   NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  NumaLocalityModule numa;
-  sched.set_wake_policy(&numa);
+  auto policy = PolicyWith(std::make_unique<NumaLocalityModule>());
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client, nullptr,
+                  policy.get());
   ThreadParams p;
   p.parent_cpu = 2;  // Node 1.
   ThreadId tid = sched.CreateThread(0, p);
@@ -165,6 +154,7 @@ TEST(ModularSchedTest, NumaLocalityPrefersIdleCoreOfOwnNode) {
   sched.PickNext(Milliseconds(1), 2);
   CpuId cpu = sched.Wake(Milliseconds(2), tid, 2);
   EXPECT_EQ(cpu, 3);
+  EXPECT_STREQ(policy->last_winner(), "numa-locality");
 }
 
 // The §5 demonstration: an aggressively cache-greedy module under the
@@ -176,11 +166,12 @@ TEST(ModularSchedTest, GreedyCacheModuleCannotReintroduceOverloadOnWakeup) {
     Simulator::Options opts;
     opts.features.autogroup_enabled = false;
     opts.seed = 404;
-    Simulator sim(topo, opts);
-    CacheAffinityModule cache;
+    std::unique_ptr<ModularPolicy> policy;
     if (modular) {
-      sim.sched().set_wake_policy(&cache);
+      policy = PolicyWith(std::make_unique<CacheAffinityModule>());
+      opts.policy = policy.get();
     }
+    Simulator sim(topo, opts);
     TpchConfig config;
     config.queries = {TpchQuery18(2.0)};
     TpchWorkload db(&sim, config);

@@ -1,9 +1,10 @@
-// wc-analyze tests: the declaration parser, symbol table, call graph, the
-// A1..A4 interprocedural rules (directed in-memory scenarios and the golden
-// fixture corpus), the self-application gate over the real src/ + bench/
-// tree, the seeded reintroduction of the PR "PickSpecific without a
-// load_version bump" fold-order bug, and strict-JSON validation of the
-// SARIF writer.
+// wc-analyze flow-rule tests: the declaration parser, symbol table, call
+// graph, the A1..A4 interprocedural rules (directed in-memory scenarios and
+// the golden fixture corpus), the self-application gate over the real
+// src/ + bench/ tree, bugs seeded into real files (the "PickSpecific
+// without a load_version bump" fold-order bug, a per-entity load read in
+// the balancer, an unannotated append on the stream analyzer's per-event
+// path), and strict-JSON validation of the SARIF writer.
 //
 // To regenerate the analyze golden after an intentional change, run this
 // binary and copy the "actual" block from the failure message into
@@ -50,11 +51,11 @@ SymbolTable BuildTable(const std::vector<std::pair<std::string, std::string>>& s
   return syms;
 }
 
-// Every A rule at error severity for every analyzed file.
-std::map<std::string, std::map<std::string, Severity>> AllAErrors(const SymbolTable& syms) {
+// Every rule at error severity for every analyzed file.
+std::map<std::string, std::map<std::string, Severity>> AllErrors(const SymbolTable& syms) {
   std::map<std::string, std::map<std::string, Severity>> out;
   for (const TranslationUnit& tu : syms.units()) {
-    for (const RuleInfo& r : AnalyzeRuleCatalog()) {
+    for (const RuleInfo& r : RuleCatalog()) {
       out[tu.file][r.id] = Severity::kError;
     }
   }
@@ -64,7 +65,7 @@ std::map<std::string, std::map<std::string, Severity>> AllAErrors(const SymbolTa
 AnalyzeResult Analyze(const std::vector<std::pair<std::string, std::string>>& sources) {
   SymbolTable syms = BuildTable(sources);
   CallGraph graph(syms);
-  return RunAnalysis(syms, graph, AnalyzeConfig{}, AllAErrors(syms));
+  return RunAnalysis(syms, graph, AnalyzeConfig{}, AllErrors(syms));
 }
 
 int CountRule(const AnalyzeResult& r, const std::string& rule, bool suppressed = false) {
@@ -519,14 +520,6 @@ TEST(AnalyzeGolden, FixtureCorpus) {
 
 // ---- Self-application over the real tree -----------------------------------
 
-// Mirrors wc-analyze's built-in defaults (analyze_main.cc).
-std::map<std::string, Severity> AnalyzeDefaults() {
-  return {{"A1", Severity::kError},
-          {"A2", Severity::kOff},
-          {"A3", Severity::kError},
-          {"A4", Severity::kError}};
-}
-
 struct RealTree {
   SymbolTable syms;
   std::map<std::string, std::map<std::string, Severity>> severities;
@@ -560,7 +553,7 @@ RealTree LoadRealTree(
     }
     std::vector<const Policy*> chain = PolicyChainFor(file, root, &policies, &io_errors);
     tree.severities[name] =
-        ResolveSeverities(chain, AnalyzeDefaults(), file.filename().string());
+        ResolveSeverities(chain, DefaultSeverities(), file.filename().string());
     tree.syms.AddUnit(ParseUnit(name, source));
   }
   tree.syms.Finalize();
@@ -608,7 +601,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
     }  // namespace wcores
   )";
   tree.syms.AddUnit(ParseUnit("injected/backdoor_policy.cc", backdoor));
-  tree.severities["injected/backdoor_policy.cc"] = AnalyzeDefaults();
+  tree.severities["injected/backdoor_policy.cc"] = DefaultSeverities();
   tree.syms.Finalize();
   CallGraph graph(tree.syms);
   AnalyzeResult r = RunAnalysis(tree.syms, graph, AnalyzeConfig{}, tree.severities);
@@ -658,6 +651,60 @@ TEST(AnalyzeSelfApplication, SeededPickSpecificFoldBugIsCaught) {
   EXPECT_EQ(r.errors, 1);  // Exactly the seeded bug; nothing else regressed.
 }
 
+// Seeds `insert` into the real tree right after the first occurrence of
+// `after` in the file whose path contains `file_piece`, and returns the
+// analysis of the mutated tree.
+AnalyzeResult AnalyzeSeeded(const std::string& file_piece, const std::string& after,
+                            const std::string& insert) {
+  bool mutated = false;
+  RealTree tree = LoadRealTree([&](const std::string& file, std::string* src) {
+    if (file.find(file_piece) == std::string::npos) {
+      return;
+    }
+    size_t pos = src->find(after);
+    ASSERT_NE(pos, std::string::npos) << file << " no longer contains the seed anchor";
+    src->insert(pos + after.size(), insert);
+    mutated = true;
+  });
+  EXPECT_TRUE(mutated) << "no file matched " << file_piece;
+  CallGraph graph(tree.syms);
+  return RunAnalysis(tree.syms, graph, AnalyzeConfig{}, tree.severities);
+}
+
+// The balancer must read loads through the group-stats memo: a per-entity
+// decayed-load read seeded into BalanceDomain is an A4 error.
+TEST(AnalyzeSelfApplication, SeededBalancerEntityLoadReadIsCaught) {
+  AnalyzeResult r = AnalyzeSeeded(
+      "core/scheduler_balance.cc",
+      "int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind) {\n",
+      "  double probe = entities_[0].load.ValueAt(now);\n");
+  bool caught = false;
+  for (const Finding& f : r.findings) {
+    caught = caught || (f.rule == "A4" && !f.suppressed && f.severity == Severity::kError &&
+                        f.file.find("scheduler_balance.cc") != std::string::npos &&
+                        f.message.find("ValueAt()") != std::string::npos);
+  }
+  EXPECT_TRUE(caught) << "A4 must flag a per-entity load read in BalanceDomain";
+  EXPECT_EQ(r.errors, 1);
+}
+
+// The streaming analyzer is bounded-memory: an unannotated append seeded
+// into its per-event path is an A2 error (reached from the dispatch roots
+// through the trace-sink virtual calls).
+TEST(AnalyzeSelfApplication, SeededStreamPerEventAppendIsCaught) {
+  AnalyzeResult r = AnalyzeSeeded(
+      "telemetry/stream/analyzer.cc", "void StreamAnalyzer::Consume(const StreamRecord& rec) {\n",
+      "  heap_.push_back(Deadline{rec.when, rec.tid, 0});\n");
+  bool caught = false;
+  for (const Finding& f : r.findings) {
+    caught = caught || (f.rule == "A2" && !f.suppressed && f.severity == Severity::kError &&
+                        f.file.find("telemetry/stream/analyzer.cc") != std::string::npos &&
+                        f.message.find("StreamAnalyzer::Consume") != std::string::npos);
+  }
+  EXPECT_TRUE(caught) << "A2 must flag a per-event append in the stream analyzer";
+  EXPECT_EQ(r.errors, 1);
+}
+
 // ---- SARIF writer ----------------------------------------------------------
 
 TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
@@ -679,8 +726,7 @@ TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
   findings.push_back(f2);
 
   fs::path out = fs::path(::testing::TempDir()) / "wc_analyze_test.sarif";
-  ASSERT_TRUE(
-      WriteSarifReport(out.string(), "wc-analyze", AnalyzeRuleCatalog(), findings, true));
+  ASSERT_TRUE(WriteSarifReport(out.string(), findings));
 
   wcores::JsonValue doc;
   std::string error;
@@ -696,7 +742,7 @@ TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
   const auto* driver = run.Find("tool")->Find("driver");
   ASSERT_NE(driver, nullptr);
   EXPECT_EQ(driver->Find("name")->str, "wc-analyze");
-  EXPECT_EQ(driver->Find("rules")->array.size(), AnalyzeRuleCatalog().size());
+  EXPECT_EQ(driver->Find("rules")->array.size(), RuleCatalog().size());
   const auto* results = run.Find("results");
   ASSERT_NE(results, nullptr);
   ASSERT_EQ(results->array.size(), 2u);
@@ -712,13 +758,6 @@ TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
   ASSERT_NE(supp, nullptr);
   ASSERT_EQ(supp->array.size(), 1u);
   EXPECT_EQ(supp->array[0].Find("justification")->str, "bounded by cpus");
-  // The schema-less legacy shape stays parseable too.
-  fs::path legacy = fs::path(::testing::TempDir()) / "wc_analyze_test.json";
-  ASSERT_TRUE(
-      WriteSarifReport(legacy.string(), "wc-lint", RuleCatalog(), findings, false));
-  wcores::JsonValue doc2;
-  ASSERT_TRUE(wcores::ParseJson(ReadFileOrDie(legacy), &doc2, &error)) << error;
-  EXPECT_EQ(doc2.Find("$schema"), nullptr);
 }
 
 }  // namespace
