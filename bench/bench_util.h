@@ -24,6 +24,14 @@ struct BenchOptions {
   bool stream = false;          // Streaming pipeline requested.
 };
 
+// The hard-error exit(2) path for a flag given a value it cannot take.
+[[noreturn]] inline void BadFlagValue(const char* flag, const std::string& value,
+                                      const char* expected) {
+  std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n", value.c_str(), flag,
+               expected);
+  std::exit(2);
+}
+
 // A binary-specific flag, parsed alongside the shared set. Matches
 // --NAME=VALUE; the raw VALUE is stored into *value (the binary converts).
 struct BenchFlag {
@@ -37,7 +45,8 @@ struct BenchFlag {
 // streaming pipeline; bare form defaults to <out_dir>/stream) — plus any
 // binary-specific `extra` flags. Unknown flags abort with a usage message
 // listing everything, so the binaries stay runnable with no arguments, as
-// CI expects.
+// CI expects. An empty --out= or --telemetry= is a hard error (BadFlagValue)
+// rather than the cwd or silently disabled telemetry.
 inline BenchOptions ParseBenchArgs(int argc, char** argv,
                                    const std::vector<BenchFlag>& extra = {}) {
   BenchOptions opts;
@@ -60,6 +69,9 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
     std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
       opts.out_dir = arg.substr(6);
+      if (opts.out_dir.empty()) {
+        BadFlagValue("out", "", "a directory path");
+      }
       continue;
     }
     if (arg == "--telemetry") {
@@ -68,6 +80,9 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
     }
     if (arg.rfind("--telemetry=", 0) == 0) {
       opts.telemetry_dir = arg.substr(12);
+      if (opts.telemetry_dir.empty()) {
+        BadFlagValue("telemetry", "", "a directory path (or bare --telemetry)");
+      }
       continue;
     }
     if (arg == "--telemetry-stream") {
@@ -107,14 +122,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
 // "--seed=") into an uncaught std::invalid_argument and a terminate() with
 // no indication of which flag was wrong. Every numeric flag goes through
 // these instead: the whole value must parse as one in-range number, and
-// anything else takes the same hard-error exit(2) path as an unknown flag.
-
-[[noreturn]] inline void BadFlagValue(const char* flag, const std::string& value,
-                                      const char* expected) {
-  std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n", value.c_str(), flag,
-               expected);
-  std::exit(2);
-}
+// anything else takes the same hard-error exit(2) path as an unknown flag
+// (BadFlagValue, above).
 
 // Signed integer in [min_value, max_value]; `def` when the flag was not given.
 inline long long ParseIntFlag(const char* flag, const std::string& value, long long def,
@@ -189,13 +198,21 @@ inline HostCores DetectHostCores() {
 }
 
 // Writes `name` into opts.out_dir, creating the directory on demand, so
-// artifacts never litter the working directory itself.
+// artifacts never litter the working directory itself. A file that could
+// not be written is fatal (exit 1, path on stderr): a bench must not report
+// success without its artifact.
 inline void WriteFile(const BenchOptions& opts, const std::string& name,
                       const std::string& contents) {
   std::error_code ec;
   std::filesystem::create_directories(opts.out_dir, ec);
-  std::ofstream out(std::filesystem::path(opts.out_dir) / name);
+  const std::filesystem::path path = std::filesystem::path(opts.out_dir) / name;
+  std::ofstream out(path);
   out << contents;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
+    std::exit(1);
+  }
 }
 
 inline void PrintHeader(const char* title, const char* paper_ref) {

@@ -56,6 +56,9 @@ inline int GbenchJsonMain(const std::string& bench_name, int argc, char** argv) 
     std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
       opts.out_dir = arg.substr(6);
+      if (opts.out_dir.empty()) {
+        BadFlagValue("out", "", "a directory path");
+      }
     } else {
       bm_argv.push_back(argv[i]);
     }

@@ -242,10 +242,9 @@ void BM_TickAllSkips(benchmark::State& state) {
 BENCHMARK(BM_TickAllSkips);
 
 // Periodic balancing with per-instant churn: every iteration reweights one
-// queued thread on cpu 1, so node 0's member-version sum changes between
-// passes while the seven remote node groups stay constant. This is the
-// realistic mix for the cross-instant group cache — partial invalidation,
-// not all-hit and not all-miss.
+// queued thread on cpu 1, so cpu 1's load version changes between passes
+// while every other runqueue stays constant: the realistic mix of changed
+// and unchanged runqueues under the per-cpu RqLoad memo.
 void BM_PeriodicBalancePassChurn(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;
@@ -272,10 +271,6 @@ void BM_PeriodicBalancePassChurn(benchmark::State& state) {
     sched.Tick(now, 0);
     now += Milliseconds(200);  // Always past every balance interval.
   }
-  const SchedStats& st = sched.stats();
-  double lookups = static_cast<double>(st.balance_group_cache_hits + st.balance_group_cache_misses);
-  state.counters["cache_hit_rate"] =
-      lookups > 0 ? static_cast<double>(st.balance_group_cache_hits) / lookups : 0.0;
   state.SetLabel("64 cores, 640 threads, churn on cpu1");
 }
 BENCHMARK(BM_PeriodicBalancePassChurn);
@@ -283,10 +278,10 @@ BENCHMARK(BM_PeriodicBalancePassChurn);
 // One newidle (idle-balance) pass: cpu 0 runs dry while cpus 1..7 of its
 // node hold ten pinned queued threads each (nothing stealable) and every
 // remote core runs one pinned hog. All trackers are born at exactly 1.0 and
-// stay in the constant domain, so across instants the seven remote node
-// groups can be served from the group cache; only cpu 0's own group — whose
-// member versions the wake/block churn bumps — must be re-aggregated. This
-// is the pass that dominates fig2_make_r/fixed wall time.
+// stay in the constant domain, so across instants every remote member load
+// is served from the RqLoad memo; only cpu 0 — whose version the wake/block
+// churn bumps — must be re-folded per entity. This is the pass that
+// dominates fig2_make_r/fixed wall time.
 void BM_NewidlePass(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;
@@ -320,19 +315,14 @@ void BM_NewidlePass(benchmark::State& state) {
     sched.PickNext(now + 1, 0);
     now += Microseconds(50);  // Fresh instant per pass: cross-instant reuse.
   }
-  const SchedStats& st = sched.stats();
-  double lookups = static_cast<double>(st.balance_group_cache_hits + st.balance_group_cache_misses);
-  state.counters["cache_hit_rate"] =
-      lookups > 0 ? static_cast<double>(st.balance_group_cache_hits) / lookups : 0.0;
   state.SetLabel("64 cores, 70 stacked on node0, newidle on cpu0");
 }
 BENCHMARK(BM_NewidlePass);
 
 // One NOHZ sweep: a kicked idle core runs balancing on behalf of all ~60
 // tickless idle cores of a 64-core machine while 4 cores hold pinned load.
-// Every idle core's top-level domain lists the same node groups, so this is
-// the sharing case the BalanceDomain group-stats memo targets; the
-// cache_hit_rate counter reports how much of the sweep it absorbs.
+// Every idle core's top-level domain lists the same node groups, so the
+// sweep folds the same member loads once per tree.
 void BM_NohzBalanceSweep(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;
@@ -352,10 +342,6 @@ void BM_NohzBalanceSweep(benchmark::State& state) {
     sched.RunNohzBalance(now, 4);
     now += Milliseconds(200);  // Always past every balance interval.
   }
-  const SchedStats& st = sched.stats();
-  double lookups = static_cast<double>(st.balance_group_cache_hits + st.balance_group_cache_misses);
-  state.counters["cache_hit_rate"] =
-      lookups > 0 ? static_cast<double>(st.balance_group_cache_hits) / lookups : 0.0;
   state.SetLabel("64 cores, 60 idle, load pinned to 4");
 }
 BENCHMARK(BM_NohzBalanceSweep);

@@ -49,6 +49,11 @@
 #                (cmp) to the reference merge. This is the fleet service's
 #                whole contract in one stage: claims survive death, receipts
 #                resume exactly, and sharding never changes a hash.
+#   8. simbench - the outside-in benchmark's own tests: build simbench from
+#                this checkout and run `python3 simbench/run.py --selftest`,
+#                which must report 0 failed. A src/ change that breaks the
+#                benchmark's build or its pinned simbench/outcomes.tsv fails
+#                here.
 #
 # Usage: scripts/ci.sh [extra ctest args...]
 #   e.g. scripts/ci.sh -R Determinism
@@ -173,4 +178,9 @@ if "$SWEEP" --threads=bogus 2>/dev/null; then
   exit 1
 fi
 
-echo "CI OK: analyze + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill all green."
+echo "==== [simbench] selftest (build + pinned outcomes) ===="
+SIMBENCH_LOG="$SMOKE_OUT/simbench_selftest.log"
+python3 simbench/run.py --selftest | tee "$SIMBENCH_LOG"
+grep -Eq '^selftest: [0-9]+ checks, 0 failed$' "$SIMBENCH_LOG"
+
+echo "CI OK: analyze + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill + simbench selftest all green."

@@ -21,11 +21,7 @@ class RqObserver;
 
 class CfsRunqueue {
  public:
-  // `shared_load_epoch`, when given, is bumped alongside load_version_ so an
-  // owner with many runqueues (the scheduler) can invalidate cross-runqueue
-  // caches in O(1) instead of summing per-queue versions.
-  CfsRunqueue(CpuId cpu, const SchedTunables* tunables, uint64_t* shared_load_epoch = nullptr)
-      : cpu_(cpu), tunables_(tunables), shared_load_epoch_(shared_load_epoch) {}
+  CfsRunqueue(CpuId cpu, const SchedTunables* tunables) : cpu_(cpu), tunables_(tunables) {}
   CfsRunqueue(const CfsRunqueue&) = delete;
   CfsRunqueue& operator=(const CfsRunqueue&) = delete;
 
@@ -205,7 +201,6 @@ class CfsRunqueue {
   Time min_vruntime_ = 0;
   uint64_t total_weight_ = 0;
   uint64_t load_version_ = 0;
-  uint64_t* shared_load_epoch_ = nullptr;
   RqObserver* observer_ = nullptr;
   // Write-through mirror slots (set_stat_slots). The scheduler installs
   // them at construction, before any entity exists; standalone runqueues
@@ -220,9 +215,6 @@ class CfsRunqueue {
   void BumpLoadVersion() {
     load_version_ += 1;
     *version_slot_ = load_version_;
-    if (shared_load_epoch_ != nullptr) {
-      *shared_load_epoch_ += 1;
-    }
   }
 };
 

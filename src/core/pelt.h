@@ -24,8 +24,8 @@
 // where decay-forward IS exact — trivially, with a roll-forward factor of
 // exactly 1.0 — is the set of trackers whose ValueAt is *constant*:
 // fully-ramped runnable entities and fully-decayed blocked ones. That is what
-// ConstantFrom() below detects, and what the RqLoad / group-stats memos in
-// src/core/scheduler*.cc key their cross-instant validity on.
+// ConstantFrom() below detects, and what the RqLoad memo in
+// src/core/scheduler.h keys its cross-instant validity on.
 #ifndef SRC_CORE_PELT_H_
 #define SRC_CORE_PELT_H_
 

@@ -49,7 +49,7 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   wheel_.assign(n, BalanceWheel{});
   node_idle_gen_.assign(static_cast<size_t>(topo.n_nodes()), 0);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
-    cpus_.emplace_back(c, &tunables_, &balance_epoch_);
+    cpus_.emplace_back(c, &tunables_);
     cpus_[c].rq.set_stat_slots(&nr_running_[c], &load_version_[c], &overloaded_cpus_);
     online_.Set(c);
   }
@@ -787,8 +787,6 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
   if (online_.Test(cpu) == online) {
     return;
   }
-  balance_epoch_ += 1;  // Group membership (n_cpus) is about to change.
-  topo_epoch_ += 1;     // Per-entry slice of the same fact, for group_cache_.
   if (!online) {
     // If the core sits idle in the index, drop it first: offline cpus are
     // never listed (the evacuation below re-checks idle state with the

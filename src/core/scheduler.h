@@ -152,14 +152,9 @@ class Scheduler {
   // From-scratch recomputation bypassing the RqLoad memo cache; the fuzzer
   // cross-checks the cached value against it.
   double RqLoadRecomputed(Time now, CpuId cpu) const;
-  // Every entry of the balancer's group-stats memo matches a from-scratch
-  // recomputation at `now` (vacuously true if the memo is stale, since a
-  // stale memo is flushed before reuse). Fuzzer cross-check, like
-  // RqLoadRecomputed for the RqLoad memo.
-  bool ValidateGroupCache(Time now) const;
   // The per-node idle index is structurally sound and lists exactly the
   // online tickless cpus, in (idle_since, cpu) order. Fuzzer cross-check,
-  // like ValidateGroupCache for the group-stats memo.
+  // like RqLoadRecomputed for the RqLoad memo.
   bool ValidateIdleIndex() const;
   // The balance-due wheel matches a from-scratch recomputation: per-cpu due
   // minima over the domain intervals, cached designation bits (when their
@@ -197,10 +192,9 @@ class Scheduler {
 
   // Mid-run feature toggling (the ablation driver flips fixes while a
   // scenario runs). Bumps the feature generation so every memoized value
-  // derived from the flags — autogroup divisors feed RqLoad, and group stats
-  // build on it — is invalidated instead of served stale. Domain
-  // construction flags take effect at the next rebuild (hotplug), as in the
-  // kernel.
+  // derived from the flags — autogroup divisors feed RqLoad — is
+  // invalidated instead of served stale. Domain construction flags take
+  // effect at the next rebuild (hotplug), as in the kernel.
   void UpdateFeatures(const SchedFeatures& features);
   uint64_t feature_generation() const { return feature_gen_; }
 
@@ -243,8 +237,7 @@ class Scheduler {
   // pointer-chases one cache line per cpu, while the arrays put eight
   // members' worth of each field on a line or two.
   struct Cpu {
-    Cpu(CpuId id, const SchedTunables* tunables, uint64_t* shared_load_epoch)
-        : rq(id, tunables, shared_load_epoch) {}
+    Cpu(CpuId id, const SchedTunables* tunables) : rq(id, tunables) {}
 
     CfsRunqueue rq;
     bool need_resched = false;
@@ -310,45 +303,10 @@ class Scheduler {
     }
   };
 
-  // One group-stats memo entry (see group_cache_ below): the cached
-  // aggregate plus a snapshot of everything it depends on, so validity can
-  // be decided per entry instead of flushing the whole cache whenever any
-  // epoch moves.
-  struct GroupCacheEntry {
-    CpuSet cpus;
-    GroupLoadStats stats;
-    Time filled_at = kTimeNever;
-    uint64_t balance_epoch = 0;
-    uint64_t ag_epoch = 0;
-    uint64_t feature_gen = 0;
-    uint64_t topo_epoch = 0;
-    uint64_t imb_epoch = 0;
-    // Exact decay-forward (DESIGN.md §balancing): every member runqueue's
-    // loads were constant from filled_at on, so sum/min stay bit-identical
-    // at later instants while the member versions still match.
-    bool all_const = false;
-    uint64_t member_version_sum = 0;
-  };
-
-  // The stats of `cpus` minus `excluded`, straight from the runqueues.
-  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus, const CpuSet& excluded) const;
-
-  // The group cache accessor: serves `cpus`' stats from group_cache_ when a
-  // live entry exists (GroupEntryLive), refilling the entry otherwise. The
+  // The stats of `cpus`, folded member by member off the RqLoad memo. The
   // only sanctioned way for balancing code to aggregate per-entity loads;
   // wc-analyze rule A4 flags direct per-entity reads reachable from balancing.
-  // `slot_hint` (SchedGroup::stats_slot) caches the entry index across
-  // passes; pass nullptr to force a key scan.
-  GroupLoadStats GroupStats(Time now, const CpuSet& cpus, int* slot_hint = nullptr);
-
-  // Entry validity at `now`: all epoch snapshots current, and either nothing
-  // anywhere changed since a same-instant fill, or the entry rolls forward
-  // exactly (all_const) and no member runqueue changed membership/weights.
-  bool GroupEntryLive(const GroupCacheEntry& e, Time now) const;
-
-  // Sum of the online members' runqueue load versions. Versions only
-  // increase, so an unchanged sum means no member changed.
-  uint64_t MemberVersionSum(const CpuSet& cpus) const;
+  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
 
   // Wakeup placement; fills `considered` for the visualization tool.
   CpuId SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu, CpuSet* considered);
@@ -502,42 +460,9 @@ class Scheduler {
   // mutation); part of the RqLoad memo key.
   uint64_t ag_epoch_ = 0;
 
-  // Advances whenever any input to GroupLoadStats other than (now, ag_epoch_)
-  // changes: any runqueue membership change (bumped by the runqueues through
-  // their shared_load_epoch pointer), any imbalanced_ flip, and hotplug.
-  uint64_t balance_epoch_ = 0;
-
-  // Finer-grained slices of balance_epoch_, so cross-instant group entries
-  // need not die with every unrelated runqueue change: hotplug (group
-  // membership / n_cpus) and imbalanced_ flips, respectively.
-  uint64_t topo_epoch_ = 0;
-  uint64_t imb_epoch_ = 0;
-
   // Advances on UpdateFeatures: flags feed autogroup divisors (and thereby
-  // every cached load), so the memos key on it.
+  // every cached load), so the RqLoad memo keys on it.
   uint64_t feature_gen_ = 0;
-
-  // Group-stats memo for BalanceDomain, mirroring the RqLoad memo one level
-  // up: groups with identical cpu sets recur across the domain trees of
-  // different cores (every top-level domain lists the same node groups), and
-  // NOHZ balancing walks many trees at one instant. Each entry snapshots all
-  // of its inputs (GroupCacheEntry), so validity is per entry: a same-instant
-  // entry is served while nothing changed, and an all-const entry — every
-  // member load constant from the fill instant on — is served at *later*
-  // instants too, as long as no member runqueue's version moved. That
-  // cross-instant case is what makes caching pay on newidle balancing, where
-  // every pass runs at a fresh instant: the groups the triggering context
-  // switch did not touch roll forward exactly instead of being re-aggregated
-  // per entity. Only stats of the full machine state are cached (balancing
-  // passes with a non-empty excluded set bypass the memo). A flat vector
-  // with linear lookup and one slot per distinct cpu set, not a map: a
-  // machine holds at most a handful of distinct groups, and slot reuse means
-  // steady-state caching allocates nothing. mutable for symmetry with the
-  // RqLoad memo: ValidateGroupCache reads it from const context.
-  mutable std::vector<GroupCacheEntry> group_cache_;
-  // group_cache_[k]'s cpu set, duplicated into a dense vector so the
-  // per-lookup scan stays within a few cache lines (GroupStats).
-  mutable std::vector<CpuSet> group_cache_keys_;
 
   // Scratch for BalanceDomain's per-group stats. Balancing never nests and
   // the scheduler is single-threaded, so one buffer reused across calls

@@ -8,11 +8,10 @@
 
 namespace wcores {
 
-Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& cpus,
-                                                       const CpuSet& excluded) const {
+Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& cpus) const {
   GroupLoadStats gs;
   for (CpuId c : cpus) {
-    if (!online_.Test(c) || excluded.Test(c)) {
+    if (!online_.Test(c)) {
       continue;
     }
     double load = RqLoad(now, c);
@@ -23,126 +22,6 @@ Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& c
     gs.imbalanced = gs.imbalanced || imbalanced_[c] != 0;
   }
   return gs;
-}
-
-uint64_t Scheduler::MemberVersionSum(const CpuSet& cpus) const {
-  uint64_t sum = 0;
-  for (CpuId c : cpus) {
-    if (online_.Test(c)) {
-      sum += load_version_[c];
-    }
-  }
-  return sum;
-}
-
-bool Scheduler::GroupEntryLive(const GroupCacheEntry& e, Time now) const {
-  if (e.ag_epoch != ag_epoch_ || e.feature_gen != feature_gen_ || e.topo_epoch != topo_epoch_ ||
-      e.imb_epoch != imb_epoch_) {
-    return false;
-  }
-  if (now == e.filled_at && e.balance_epoch == balance_epoch_) {
-    return true;  // Nothing anywhere changed since the fill: O(1) accept.
-  }
-  // The global epoch moved (or the instant did). The entry is still exact
-  // iff no *member* runqueue changed — versions only grow, so an unchanged
-  // sum pins every member — and, across instants, the member loads were
-  // constant from the fill instant on (all_const), i.e. the decay-forward
-  // factor is exactly 1.0. Same-instant entries need no constancy: decay
-  // has not accrued.
-  if (now < e.filled_at || (now > e.filled_at && !e.all_const)) {
-    return false;
-  }
-  return MemberVersionSum(e.cpus) == e.member_version_sum;
-}
-
-bool Scheduler::ValidateGroupCache(Time now) const {
-  for (const GroupCacheEntry& e : group_cache_) {
-    if (!GroupEntryLive(e, now)) {
-      continue;  // Dead entries are never served; nothing to check.
-    }
-    GroupLoadStats fresh = ComputeGroupStats(now, e.cpus, CpuSet{});
-    // Exact comparison on purpose: a memo must be bit-identical to the
-    // recomputation it stands in for, or the golden trace hashes drift.
-    // wc-lint: allow(D4 coherence check that the memo IS the recomputation, not a decision)
-    if (fresh.sum_load != e.stats.sum_load || fresh.min_load != e.stats.min_load ||
-        fresh.n_cpus != e.stats.n_cpus || fresh.nr_running != e.stats.nr_running ||
-        fresh.imbalanced != e.stats.imbalanced) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Scheduler::GroupLoadStats Scheduler::GroupStats(Time now, const CpuSet& cpus, int* slot_hint) {
-  // Slot lookup: the caller's hint first (O(1) in steady state — entries
-  // are never erased, so indices stay valid and only a domain rebuild can
-  // stale a hint), then a scan of the dense key vector rather than the ~5x
-  // larger entries. With one persistent slot per distinct group cpu set
-  // (every singleton plus every node on a big machine), this lookup runs
-  // on every group of every newidle pass.
-  size_t idx = group_cache_keys_.size();
-  if (slot_hint != nullptr && *slot_hint >= 0 &&
-      static_cast<size_t>(*slot_hint) < group_cache_keys_.size() &&
-      group_cache_keys_[static_cast<size_t>(*slot_hint)] == cpus) {
-    idx = static_cast<size_t>(*slot_hint);
-  } else {
-    for (size_t k = 0; k < group_cache_keys_.size(); ++k) {
-      if (group_cache_keys_[k] == cpus) {
-        idx = k;
-        break;
-      }
-    }
-  }
-  GroupCacheEntry* slot = idx < group_cache_.size() ? &group_cache_[idx] : nullptr;
-  if (slot != nullptr && GroupEntryLive(*slot, now)) {
-    stats_.balance_group_cache_hits += 1;
-    if (slot_hint != nullptr) {
-      *slot_hint = static_cast<int>(idx);
-    }
-    return slot->stats;
-  }
-  stats_.balance_group_cache_misses += 1;
-  if (slot == nullptr) {
-    idx = group_cache_.size();
-    // wc-lint: allow(A2 one-time fill per distinct group cpu-set; steady state always hits)
-    group_cache_.emplace_back();
-    // wc-lint: allow(A2 grows with group_cache_, bounded by distinct domain groups)
-    group_cache_keys_.push_back(cpus);
-    slot = &group_cache_.back();
-    slot->cpus = cpus;
-  }
-  if (slot_hint != nullptr) {
-    *slot_hint = static_cast<int>(idx);
-  }
-  GroupCacheEntry& e = *slot;
-  // Same member walk (and float fold order) as ComputeGroupStats, fused with
-  // the constancy/version snapshot. RqLoad leaves load_cache_const accurate
-  // for `now` on both fill and hit paths.
-  e.stats = GroupLoadStats{};
-  bool all_const = true;
-  uint64_t version_sum = 0;
-  for (CpuId c : cpus) {
-    if (!online_.Test(c)) {
-      continue;
-    }
-    double load = RqLoad(now, c);
-    e.stats.sum_load += load;
-    e.stats.min_load = std::min(e.stats.min_load, load);
-    e.stats.n_cpus += 1;
-    e.stats.nr_running += nr_running_[c];
-    e.stats.imbalanced = e.stats.imbalanced || imbalanced_[c] != 0;
-    all_const = all_const && load_cache_const_[c] != 0;
-    version_sum += load_version_[c];
-  }
-  e.filled_at = now;
-  e.balance_epoch = balance_epoch_;
-  e.ag_epoch = ag_epoch_;
-  e.feature_gen = feature_gen_;
-  e.topo_epoch = topo_epoch_;
-  e.imb_epoch = imb_epoch_;
-  e.all_const = all_const;
-  e.member_version_sum = version_sum;
-  return e.stats;
 }
 
 int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind) {
@@ -168,16 +47,8 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
   CpuSet excluded;
 
   // Lines 10-12: average (and minimum) load of every scheduling group,
-  // computed once per call.
-  //
-  // Memoized through the group cache accessor (GroupStats): when NOHZ
-  // balancing walks every idle core's domain tree at one instant, each
-  // distinct group cpu set — and top-level trees share all of theirs — is
-  // aggregated once instead of once per tree; and newidle passes, which
-  // each run at a fresh instant after one runqueue changed, serve every
-  // group the context switch did *not* touch from its all-const entry
-  // (exact decay-forward; see GroupEntryLive) instead of re-walking the
-  // entities.
+  // computed once per call. Each member's load comes off the per-cpu RqLoad
+  // memo, so a fold is a few compares per cpu in the steady state.
   //
   // Redo passes (the kernel's LBF_ALL_PINNED path) do NOT refold: within
   // one call, cpus are only ever excluded from the *busiest* group — the
@@ -191,24 +62,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
   std::vector<GroupLoadStats>& stats = balance_stats_scratch_;
   stats.assign(sd.groups.size(), GroupLoadStats{});
   for (size_t g = 0; g < sd.groups.size(); ++g) {
-    // Singleton groups (every bottom-level group is one cpu) fold straight
-    // off the per-cpu memo: the group-cache fold over a one-member set is
-    // exactly {load, load, 1, nr, imb} — or the all-default stats when the
-    // member is offline — so the cache adds lookup cost and nothing else.
-    CpuId solo = sd.groups[g].solo;
-    if (solo != kInvalidCpu) {
-      if (online_.Test(solo)) {
-        double load = RqLoad(now, solo);
-        GroupLoadStats& gs = stats[g];
-        gs.sum_load = load;
-        gs.min_load = load;
-        gs.n_cpus = 1;
-        gs.nr_running = nr_running_[solo];
-        gs.imbalanced = imbalanced_[solo] != 0;
-      }
-      continue;
-    }
-    stats[g] = GroupStats(now, sd.groups[g].cpus, &sd.groups[g].stats_slot);
+    stats[g] = ComputeGroupStats(now, sd.groups[g].cpus);
   }
   // The cores examined: every online member of every group. Folded once
   // per domain rebuild, not once per pass — see considered_cache.
@@ -290,8 +144,6 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
       if (moved > 0) {
         if (imbalanced_[src] != 0) {
           imbalanced_[src] = 0;
-          balance_epoch_ += 1;
-          imb_epoch_ += 1;
         }
         stats_.balance_success += 1;
         stats_.balance_moved_tasks += static_cast<uint64_t>(moved);
@@ -303,8 +155,6 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
       if (cpus_[src].rq.queued() >= 1 && !cpus_[src].rq.HasStealableFor(cpu) &&
           imbalanced_[src] == 0) {
         imbalanced_[src] = 1;
-        balance_epoch_ += 1;
-        imb_epoch_ += 1;
       }
       stats_.balance_affinity_retries += 1;
       excluded.Set(src);

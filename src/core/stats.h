@@ -19,8 +19,10 @@ struct SchedStats {
   uint64_t balance_found_busiest = 0;
   uint64_t balance_below_local = 0;   // Line 15-16: busiest <= local.
   uint64_t balance_affinity_retries = 0;  // Lines 20-22: excluded a cpu.
-  uint64_t balance_group_cache_hits = 0;    // Group stats served from the memo.
-  uint64_t balance_group_cache_misses = 0;  // Group stats computed and cached.
+  // Always 0: the balancer no longer memoizes group stats. Kept only
+  // because simbench/report.cc still reads them.
+  uint64_t balance_group_cache_hits = 0;
+  uint64_t balance_group_cache_misses = 0;
   uint64_t balance_failures = 0;      // Nothing could be moved at all.
   uint64_t balance_success = 0;       // Algorithm-1 bodies that moved >= 1 thread.
   uint64_t balance_moved_tasks = 0;   // Threads moved by balancing, all kinds.

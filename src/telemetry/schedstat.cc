@@ -60,8 +60,6 @@ std::string SchedstatReport(const Scheduler& sched, const LatencyAccountant& lat
   AppendCounter(&out, "balance_found_busiest", st.balance_found_busiest);
   AppendCounter(&out, "balance_success", st.balance_success);
   AppendCounter(&out, "balance_moved_tasks", st.balance_moved_tasks);
-  AppendCounter(&out, "balance_group_cache_hits", st.balance_group_cache_hits);
-  AppendCounter(&out, "balance_group_cache_misses", st.balance_group_cache_misses);
   AppendCounter(&out, "migrations_periodic", st.migrations_periodic);
   AppendCounter(&out, "migrations_idle", st.migrations_idle);
   AppendCounter(&out, "migrations_nohz", st.migrations_nohz);

@@ -55,9 +55,6 @@ void FinishDomain(SchedDomain& sd, CpuId cpu) {
     }
   }
   assert(sd.local_group >= 0 && "owning cpu must appear in one of its groups");
-  for (SchedGroup& g : sd.groups) {
-    g.solo = g.cpus.Count() == 1 ? g.cpus.First() : kInvalidCpu;
-  }
 }
 
 }  // namespace

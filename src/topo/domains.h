@@ -35,16 +35,6 @@ struct SchedGroup {
   // that node's cores (the kernel's group_balance_mask) — "the core
   // responsible for load balancing on each node" in the paper's fix.
   NodeId seed_node = kInvalidNode;
-  // Scheduler scratch (like SchedDomain::last_balance): the slot this
-  // group's stats last occupied in the balancer's group cache, so the
-  // per-pass lookup skips the key scan. Purely an accelerator — the cache
-  // re-verifies the cpu set, so a stale hint only costs one rescan.
-  int stats_slot = -1;
-  // The group's only cpu when it is a singleton (bottom-level groups are
-  // one cpu each), else kInvalidCpu. Set at build time; lets the balancer
-  // fold a singleton straight off the per-cpu load memo instead of going
-  // through the group cache.
-  CpuId solo = kInvalidCpu;
 };
 
 struct SchedDomain {

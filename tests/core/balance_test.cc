@@ -151,51 +151,6 @@ TEST(BalanceCacheHotTest, PrefersColdThreads) {
   EXPECT_GE(sched.stats().migrations_idle, 1u);
 }
 
-// ---- Group-stats memo -----------------------------------------------------------------
-
-// Domain trees of different cores share group cpu sets (every top-level
-// domain lists the same node groups), so balancing several cores at one
-// instant should serve repeats from the memo — and the memo must stay
-// bit-coherent with a from-scratch recomputation.
-TEST(GroupStatsMemoTest, SharedGroupsHitAcrossCoresAndStayCoherent) {
-  Topology topo = Topology::Flat(2, 2, 1);
-  NullClient client;
-  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
-  // One running thread per core: balancing has stats to aggregate on every
-  // level but nothing to move, so the memo stays fresh across all four ticks.
-  for (CpuId c = 0; c < 4; ++c) {
-    ThreadParams p;
-    p.parent_cpu = c;
-    sched.CreateThread(0, p);
-    sched.PickNext(0, c);
-  }
-  // Past every level's busy-stretched balance interval, so each tick balances.
-  Time now = Seconds(1);
-  for (CpuId c = 0; c < 4; ++c) {
-    sched.Tick(now, c);
-  }
-  EXPECT_GT(sched.stats().balance_group_cache_misses, 0u) << "memo never filled";
-  EXPECT_GT(sched.stats().balance_group_cache_hits, 0u)
-      << "identical group cpu sets across cores were re-aggregated";
-  EXPECT_TRUE(sched.ValidateGroupCache(now));
-
-  // A runqueue membership change invalidates through the shared load epoch:
-  // the stale memo is vacuously coherent, and the next balancing round
-  // refills rather than serving pre-fork aggregates.
-  ThreadParams p;
-  p.parent_cpu = 0;
-  sched.CreateThread(now, p);
-  EXPECT_TRUE(sched.ValidateGroupCache(now));
-  uint64_t misses_before = sched.stats().balance_group_cache_misses;
-  Time later = now + Seconds(2);
-  for (CpuId c = 0; c < 4; ++c) {
-    sched.Tick(later, c);
-  }
-  EXPECT_GT(sched.stats().balance_group_cache_misses, misses_before)
-      << "memo served across an invalidation boundary";
-  EXPECT_TRUE(sched.ValidateGroupCache(later));
-}
-
 // ---- Considered-core traces -----------------------------------------------------------
 
 TEST(ConsideredTraceTest, StockWakeupConsidersOnlyOneNode) {

@@ -15,7 +15,7 @@
 //  * Per-cfs_rq min_vruntime never decreases (the runqueue owns vruntime
 //    accounting even when a policy picks non-leftmost entities).
 //  * Load-sum conservation — cached RqLoad equals a from-scratch
-//    recomputation, bit for bit; same for the balancer group-stats memo.
+//    recomputation, bit for bit.
 //  * Runqueue structure (red-black invariants, weight accounting) and the
 //    incremental idle index vs. a linear-scan oracle.
 //  * Sanity-checker parity — Algorithm 2's CheckOnce fires iff an
@@ -175,8 +175,6 @@ class PolicyInvariantChecker {
           << "cpu " << cpu << " cached load diverged from recomputation at t=" << now;
     }
 
-    ASSERT_TRUE(sched.ValidateGroupCache(now))
-        << "group-stats memo diverged from recomputation at t=" << now;
     ASSERT_TRUE(sched.ValidateIdleIndex()) << "idle index diverged at t=" << now;
     ASSERT_EQ(sched.LongestIdleCpu(sim_->topo().AllCpus()), ScanLongestIdle(sched, n_cores))
         << "indexed LongestIdleCpu disagrees with linear scan at t=" << now;

@@ -595,7 +595,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
      public:
       CpuId SelectWakeCpu(Time now, Scheduler* sched, ThreadId tid, CpuId prev) {
         sched->IdleBalance(now, prev);
-        return static_cast<CpuId>(sched->group_cache_.size());
+        return static_cast<CpuId>(sched->wheel_.size());
       }
     };
     }  // namespace wcores
@@ -608,7 +608,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
                          "mechanism member Scheduler::IdleBalance"));
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
-                         "mechanism field Scheduler::group_cache_"));
+                         "mechanism field Scheduler::wheel_"));
   // The real policies stay clean even with the backdoor in the table.
   for (const Finding& f : r.findings) {
     if (f.rule == "A3") {
@@ -671,7 +671,7 @@ AnalyzeResult AnalyzeSeeded(const std::string& file_piece, const std::string& af
   return RunAnalysis(tree.syms, graph, AnalyzeConfig{}, tree.severities);
 }
 
-// The balancer must read loads through the group-stats memo: a per-entity
+// The balancer must read loads through RqLoad/ComputeGroupStats: a per-entity
 // decayed-load read seeded into BalanceDomain is an A4 error.
 TEST(AnalyzeSelfApplication, SeededBalancerEntityLoadReadIsCaught) {
   AnalyzeResult r = AnalyzeSeeded(

@@ -1,6 +1,8 @@
 // Tests for the shared bench flag parsing and the BENCH_*.json reporter.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,35 @@ TEST(BenchArgsDeathTest, ExtraFlagsListedInUsage) {
   Argv a({"bin", "--bogus=1"});
   EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv(), {{"threads", &threads, "worker threads"}}),
               ::testing::ExitedWithCode(2), "--threads=V");
+}
+
+TEST(BenchArgsDeathTest, EmptyOutDirIsHardError) {
+  // Empty would make WriteFile drop artifacts into the working directory.
+  Argv a({"bin", "--out="});
+  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
+              "invalid value '' for --out");
+}
+
+TEST(BenchArgsDeathTest, EmptyTelemetryDirIsHardError) {
+  // Empty would silently disable the telemetry the flag asked for.
+  Argv a({"bin", "--telemetry="});
+  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
+              "invalid value '' for --telemetry");
+}
+
+TEST(BenchWriteDeathTest, UnwritablePathIsHardError) {
+  // A regular file where the output directory should be: neither the
+  // directory nor the artifact can be created.
+  std::string blocker = ::testing::TempDir() + "bench_util_test_blocker";
+  std::ofstream(blocker) << "not a directory";
+  BenchOptions opts;
+  opts.out_dir = blocker + "/sub";
+  EXPECT_EXIT(WriteFile(opts, "a.csv", "x\n"), ::testing::ExitedWithCode(1),
+              "cannot write .*bench_util_test_blocker/sub/a.csv");
+  BenchReport report;
+  report.bench = "unit";
+  EXPECT_EXIT(report.Write(opts), ::testing::ExitedWithCode(1), "BENCH_unit.json");
+  std::remove(blocker.c_str());
 }
 
 TEST(BenchNumericFlags, ParsesValidValues) {
