@@ -14,15 +14,20 @@
 #include <thread>
 #include <vector>
 
+#include "src/telemetry/telemetry.h"
+#include "src/topo/topology.h"
+
 namespace wcores {
 
 // Flags shared by every reproduction binary.
 struct BenchOptions {
   std::string out_dir = "out";  // CSV/PGM artifacts land here.
   std::string telemetry_dir;    // Empty = telemetry reports disabled.
-  std::string stream_dir;       // --telemetry-stream artifacts; see below.
-  bool stream = false;          // Streaming pipeline requested.
 };
+
+// Whether a binary writes --telemetry reports. One that does not rejects
+// the flag like any unknown flag, rather than ignoring it.
+enum class TelemetryFlag { kRejected, kAccepted };
 
 // The hard-error exit(2) path for a flag given a value it cannot take.
 [[noreturn]] inline void BadFlagValue(const char* flag, const std::string& value,
@@ -40,22 +45,21 @@ struct BenchFlag {
   const char* help;    // One line for the usage message.
 };
 
-// Parses the shared flags — --out=DIR, --telemetry[=DIR] (bare --telemetry
-// defaults to <out_dir>/telemetry), --telemetry-stream[=DIR] (the bounded
-// streaming pipeline; bare form defaults to <out_dir>/stream) — plus any
-// binary-specific `extra` flags. Unknown flags abort with a usage message
-// listing everything, so the binaries stay runnable with no arguments, as
-// CI expects. An empty --out= or --telemetry= is a hard error (BadFlagValue)
-// rather than the cwd or silently disabled telemetry.
+// Parses the shared flags — --out=DIR and, where `telemetry_flag` accepts it,
+// --telemetry[=DIR] (bare --telemetry defaults to <out_dir>/telemetry) —
+// plus any binary-specific `extra` flags. Unknown flags abort with a usage
+// message listing everything, so the binaries stay runnable with no
+// arguments, as CI expects. An empty --out= or --telemetry= is a hard error
+// (BadFlagValue) rather than the cwd or silently disabled telemetry.
 inline BenchOptions ParseBenchArgs(int argc, char** argv,
+                                   TelemetryFlag telemetry_flag = TelemetryFlag::kRejected,
                                    const std::vector<BenchFlag>& extra = {}) {
   BenchOptions opts;
+  const bool accepts_telemetry = telemetry_flag == TelemetryFlag::kAccepted;
   bool telemetry = false;
   auto usage = [&](const char* bad) {
-    std::fprintf(stderr,
-                 "unknown argument '%s'\nusage: %s [--out=DIR] [--telemetry[=DIR]]"
-                 " [--telemetry-stream[=DIR]]",
-                 bad, argv[0]);
+    std::fprintf(stderr, "unknown argument '%s'\nusage: %s [--out=DIR]%s", bad, argv[0],
+                 accepts_telemetry ? " [--telemetry[=DIR]]" : "");
     for (const BenchFlag& f : extra) {
       std::fprintf(stderr, " [--%s=V]", f.name);
     }
@@ -74,24 +78,15 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
       }
       continue;
     }
-    if (arg == "--telemetry") {
+    if (accepts_telemetry && arg == "--telemetry") {
       telemetry = true;
       continue;
     }
-    if (arg.rfind("--telemetry=", 0) == 0) {
+    if (accepts_telemetry && arg.rfind("--telemetry=", 0) == 0) {
       opts.telemetry_dir = arg.substr(12);
       if (opts.telemetry_dir.empty()) {
         BadFlagValue("telemetry", "", "a directory path (or bare --telemetry)");
       }
-      continue;
-    }
-    if (arg == "--telemetry-stream") {
-      opts.stream = true;
-      continue;
-    }
-    if (arg.rfind("--telemetry-stream=", 0) == 0) {
-      opts.stream = true;
-      opts.stream_dir = arg.substr(19);
       continue;
     }
     bool matched = false;
@@ -109,9 +104,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
   }
   if (telemetry && opts.telemetry_dir.empty()) {
     opts.telemetry_dir = opts.out_dir + "/telemetry";
-  }
-  if (opts.stream && opts.stream_dir.empty()) {
-    opts.stream_dir = opts.out_dir + "/stream";
   }
   return opts;
 }
@@ -197,21 +189,64 @@ inline HostCores DetectHostCores() {
   return out;
 }
 
-// Writes `name` into opts.out_dir, creating the directory on demand, so
-// artifacts never litter the working directory itself. A file that could
-// not be written is fatal (exit 1, path on stderr): a bench must not report
-// success without its artifact.
-inline void WriteFile(const BenchOptions& opts, const std::string& name,
-                      const std::string& contents) {
+// The hard-error exit(1) path for an artifact that could not be written: a
+// bench must not report success without its artifact.
+[[noreturn]] inline void CannotWrite(const std::string& path) {
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::exit(1);
+}
+
+// Writes `contents` to `path`, creating its directory on demand; a failure
+// exits through CannotWrite.
+inline void WriteArtifact(const std::filesystem::path& path, const std::string& contents) {
   std::error_code ec;
-  std::filesystem::create_directories(opts.out_dir, ec);
-  const std::filesystem::path path = std::filesystem::path(opts.out_dir) / name;
-  std::ofstream out(path);
+  std::filesystem::create_directories(path.parent_path(), ec);  // Shows as a failed write.
+  std::ofstream out(path, std::ios::binary);
   out << contents;
   out.close();
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
-    std::exit(1);
+    CannotWrite(path.string());
+  }
+}
+
+// Writes `name` into opts.out_dir, so artifacts never litter the working
+// directory itself.
+inline void WriteFile(const BenchOptions& opts, const std::string& name,
+                      const std::string& contents) {
+  WriteArtifact(std::filesystem::path(opts.out_dir) / name, contents);
+}
+
+// ---- --telemetry reports ----------------------------------------------------
+//
+// Once per simulated run, in a binary that accepts --telemetry:
+//   TelemetrySession telemetry(topo.n_cores());
+//   AttachTelemetryStream(opts, &telemetry, topo, "fig2_stock_");
+//   Simulator sim(topo, sim_opts, telemetry.sink());
+//   ... run ...
+//   WriteTelemetry(opts, &telemetry, sim.sched(), sim.Now(), "fig2_stock_");
+// Both are no-ops without --telemetry. With it, the run's schedstat.txt,
+// trace.json, stream.json and spans.csv land in opts.telemetry_dir under
+// `label`, and the stream summary is echoed as one "STREAM <label> {...}"
+// line so sweeps stay grep-able.
+
+inline void AttachTelemetryStream(const BenchOptions& opts, TelemetrySession* telemetry,
+                                  const Topology& topo, const std::string& label) {
+  if (!opts.telemetry_dir.empty()) {
+    telemetry->AttachStream(TelemetryStream::ForTopology(topo), opts.telemetry_dir, label);
+  }
+}
+
+inline void WriteTelemetry(const BenchOptions& opts, TelemetrySession* telemetry,
+                           const Scheduler& sched, Time now, const std::string& label) {
+  if (opts.telemetry_dir.empty()) {
+    return;
+  }
+  std::string failed_path;
+  if (!telemetry->WriteReports(opts.telemetry_dir, sched, now, label, &failed_path)) {
+    CannotWrite(failed_path);
+  }
+  if (const TelemetryStream* stream = telemetry->stream()) {
+    std::printf("STREAM %s %s\n", label.c_str(), stream->SummaryJson().c_str());
   }
 }
 

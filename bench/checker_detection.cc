@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/stream_util.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tools/sanity_checker.h"
@@ -36,7 +35,7 @@ bool DetectedOnce(Time episode, Time period, Time total, uint64_t seed,
   // machine-wide latency digest (the recorder stays tiny; only the latency
   // accountant matters here).
   TelemetrySession telemetry(topo.n_cores(), /*recorder_capacity=*/1 << 12);
-  if (bench_opts.stream) {
+  if (!bench_opts.telemetry_dir.empty()) {
     // The streaming starvation detector rides along as the second invariant
     // monitor of §4.1: per-task runnable-but-off-cpu horizons, next to the
     // checker's machine-level idle-while-overloaded invariant.
@@ -78,7 +77,7 @@ bool DetectedOnce(Time episode, Time period, Time total, uint64_t seed,
   }
   if (TelemetryStream* stream = telemetry.stream()) {
     stream->Finish(sim.Now());
-    *starvation_findings += stream->analyzer().findings_total();
+    *starvation_findings += stream->findings_total();
     *last_stream_json = stream->SummaryJson();
   }
   return !checker.violations().empty();
@@ -102,7 +101,7 @@ double DetectionProbability(Time episode, Time period, Time total, int runs,
 
 int main(int argc, char** argv) {
   using namespace wcores;
-  BenchOptions opts = ParseBenchArgs(argc, argv);
+  BenchOptions opts = ParseBenchArgs(argc, argv, TelemetryFlag::kAccepted);
   PrintHeader("Sanity-checker detection probability vs violation duty cycle",
               "EuroSys'16 §4.1 — S = 1s, M = 100ms, intermittent violations");
 
@@ -147,17 +146,14 @@ int main(int argc, char** argv) {
   if (!example_report.empty()) {
     std::printf("\nexample confirmed violation (with latency digest):\n%s", example_report.c_str());
   }
-  if (opts.stream) {
+  if (!opts.telemetry_dir.empty()) {
     std::printf("\nstreaming starvation detector (second monitor, 100ms horizon): "
                 "%llu findings across all runs\n",
                 static_cast<unsigned long long>(starvation_findings));
     if (!last_stream_json.empty()) {
       std::printf("STREAM checker_detection_last_ %s\n", last_stream_json.c_str());
-      std::error_code ec;
-      std::filesystem::create_directories(opts.stream_dir, ec);
-      std::ofstream out(std::filesystem::path(opts.stream_dir) / "checker_detection_stream.json",
-                        std::ios::binary | std::ios::trunc);
-      out << last_stream_json << "\n";
+      WriteArtifact(std::filesystem::path(opts.telemetry_dir) / "checker_detection_stream.json",
+                    last_stream_json + "\n");
     }
   }
   return 0;

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/stream_util.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tools/heatmap.h"
@@ -32,8 +31,7 @@ RunOutput RunMakeR(bool fixed, const BenchOptions& bench_opts) {
   Topology topo = Topology::Bulldozer8x8();
   TelemetrySession telemetry(topo.n_cores());
   std::string label = fixed ? "fig2_fixed_" : "fig2_stock_";
-  BenchStream stream;
-  stream.Attach(bench_opts, &telemetry, topo, label);
+  AttachTelemetryStream(bench_opts, &telemetry, topo, label);
   Simulator::Options opts;
   opts.features.fix_group_imbalance = fixed;
   opts.seed = 3001;
@@ -57,14 +55,7 @@ RunOutput RunMakeR(bool fixed, const BenchOptions& bench_opts) {
   const std::vector<TraceEvent>& events = telemetry.recorder().events();
   out.nr = BuildHeatmap(events, TraceEvent::Kind::kNrRunning, topo.n_cores(), 0, window, 110);
   out.load = BuildHeatmap(events, TraceEvent::Kind::kLoad, topo.n_cores(), 0, window, 110);
-  stream.Finish(bench_opts, &telemetry, sim.Now(), label);
-  if (!bench_opts.telemetry_dir.empty()) {
-    std::string error;
-    if (!telemetry.WriteReports(bench_opts.telemetry_dir, sim.sched(), sim.Now(), label,
-                                &error)) {
-      std::fprintf(stderr, "telemetry: %s\n", error.c_str());
-    }
-  }
+  WriteTelemetry(bench_opts, &telemetry, sim.sched(), sim.Now(), label);
   return out;
 }
 
@@ -73,7 +64,7 @@ RunOutput RunMakeR(bool fixed, const BenchOptions& bench_opts) {
 
 int main(int argc, char** argv) {
   using namespace wcores;
-  BenchOptions opts = ParseBenchArgs(argc, argv);
+  BenchOptions opts = ParseBenchArgs(argc, argv, TelemetryFlag::kAccepted);
   PrintHeader("Figure 2: the Group Imbalance bug (make x64 + 2 R processes)",
               "EuroSys'16 Figure 2a/2b/2c; paper: make completes 13% faster with the fix");
 

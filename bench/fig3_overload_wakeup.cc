@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/stream_util.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tools/heatmap.h"
@@ -34,8 +33,7 @@ RunOutput RunDb(bool fixed, const BenchOptions& bench_opts) {
   Topology topo = Topology::Bulldozer8x8();
   TelemetrySession telemetry(topo.n_cores());
   std::string label = fixed ? "fig3_fixed_" : "fig3_stock_";
-  BenchStream stream;
-  stream.Attach(bench_opts, &telemetry, topo, label);
+  AttachTelemetryStream(bench_opts, &telemetry, topo, label);
   Simulator::Options opts;
   opts.features.fix_overload_wakeup = fixed;
   opts.features.autogroup_enabled = false;  // As in the paper's Figure 3 runs.
@@ -79,14 +77,7 @@ RunOutput RunDb(bool fixed, const BenchOptions& bench_opts) {
   out.wakeups_on_busy = sim.sched().stats().wakeups_on_busy;
   out.nr = BuildHeatmap(telemetry.recorder().events(), TraceEvent::Kind::kNrRunning,
                         topo.n_cores(), 0, wl.TotalTime(), 110);
-  stream.Finish(bench_opts, &telemetry, sim.Now(), label);
-  if (!bench_opts.telemetry_dir.empty()) {
-    std::string error;
-    if (!telemetry.WriteReports(bench_opts.telemetry_dir, sim.sched(), sim.Now(), label,
-                                &error)) {
-      std::fprintf(stderr, "telemetry: %s\n", error.c_str());
-    }
-  }
+  WriteTelemetry(bench_opts, &telemetry, sim.sched(), sim.Now(), label);
   (void)samples;
   return out;
 }
@@ -96,7 +87,7 @@ RunOutput RunDb(bool fixed, const BenchOptions& bench_opts) {
 
 int main(int argc, char** argv) {
   using namespace wcores;
-  BenchOptions opts = ParseBenchArgs(argc, argv);
+  BenchOptions opts = ParseBenchArgs(argc, argv, TelemetryFlag::kAccepted);
   PrintHeader("Figure 3: the Overload-on-Wakeup bug (TPC-H Q18 + transient threads)",
               "EuroSys'16 Figure 3; threads wake on busy cores of their node while other "
               "cores sit idle");

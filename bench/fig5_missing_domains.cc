@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/stream_util.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tools/heatmap.h"
@@ -32,8 +31,7 @@ RunOutput Run(bool fixed, const BenchOptions& bench_opts) {
   Topology topo = Topology::Bulldozer8x8();
   TelemetrySession telemetry(topo.n_cores());
   std::string label = fixed ? "fig5_fixed_" : "fig5_stock_";
-  BenchStream stream;
-  stream.Attach(bench_opts, &telemetry, topo, label);
+  AttachTelemetryStream(bench_opts, &telemetry, topo, label);
   EventRecorder& recorder = telemetry.recorder();
   Simulator::Options opts;
   opts.features.fix_missing_domains = fixed;
@@ -70,14 +68,7 @@ RunOutput Run(bool fixed, const BenchOptions& bench_opts) {
     }
   }
   out.completion_s = ToSeconds(wl.CompletionTime());
-  stream.Finish(bench_opts, &telemetry, sim.Now(), label);
-  if (!bench_opts.telemetry_dir.empty()) {
-    std::string error;
-    if (!telemetry.WriteReports(bench_opts.telemetry_dir, sim.sched(), sim.Now(), label,
-                                &error)) {
-      std::fprintf(stderr, "telemetry: %s\n", error.c_str());
-    }
-  }
+  WriteTelemetry(bench_opts, &telemetry, sim.sched(), sim.Now(), label);
   return out;
 }
 
@@ -86,7 +77,7 @@ RunOutput Run(bool fixed, const BenchOptions& bench_opts) {
 
 int main(int argc, char** argv) {
   using namespace wcores;
-  BenchOptions opts = ParseBenchArgs(argc, argv);
+  BenchOptions opts = ParseBenchArgs(argc, argv, TelemetryFlag::kAccepted);
   PrintHeader("Figure 5: the Missing Scheduling Domains bug (Core 0's balancing view)",
               "EuroSys'16 Figure 5 — cores considered by Core 0 after hotplug, 16-thread app "
               "on Node 1");

@@ -7,13 +7,13 @@
 // BENCH_sweep.json with per-scenario results and per-thread-count wall
 // times so the perf trajectory is machine-readable.
 //
-// --telemetry-stream attaches the bounded-memory streaming pipeline to every
-// scenario (one STREAM summary line per run, sweep_stream.jsonl artifact)
-// and cross-checks that attachment leaves every trace hash byte-identical.
+// --telemetry[=DIR] attaches the bounded-memory streaming pipeline to every
+// scenario (one STREAM summary line per run, DIR/sweep_stream.jsonl) and
+// cross-checks that attachment leaves every trace hash byte-identical.
 // --big-mix=MIN_EVENTS instead runs one huge random mix in a single pass
 // with the stream attached and asserts the pipeline's contract at scale:
-// >= MIN_EVENTS trace events, zero ring drops, and peak aggregator memory
-// within the O(tasks + cpus) budget.
+// >= MIN_EVENTS trace events, every one of them analyzed, and peak
+// aggregator memory within the O(tasks + cpus) budget.
 // --policy=NAME|all instead runs the cross-policy arena: the same scenario
 // matrix under each registered scheduling policy (cfs, o1, coreidle, ...),
 // with a per-policy replay-determinism check, a per-scenario leaderboard,
@@ -30,7 +30,6 @@
 //       with `wc-trend merge`.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -204,17 +203,15 @@ int RunBigMix(const BenchOptions& opts, uint64_t min_events, uint64_t seed) {
               static_cast<unsigned long long>(r.context_switches),
               static_cast<unsigned long long>(r.migrations), r.wall_ms);
   std::printf("STREAM %s %s\n", r.name.c_str(), r.stream_summary.c_str());
-  std::printf("memory: peak=%llu budget=%llu (%.1f%% used), ring drops=%llu\n",
+  std::printf("memory: peak=%llu budget=%llu (%.1f%% used)\n",
               static_cast<unsigned long long>(r.stream_agg_bytes_peak),
               static_cast<unsigned long long>(r.stream_budget_bytes),
               100.0 * static_cast<double>(r.stream_agg_bytes_peak) /
-                  static_cast<double>(r.stream_budget_bytes ? r.stream_budget_bytes : 1),
-              static_cast<unsigned long long>(r.stream_ring_dropped));
+                  static_cast<double>(r.stream_budget_bytes ? r.stream_budget_bytes : 1));
 
   // The pipeline's contract, enforced: every event analyzed in one pass,
-  // nothing silently lost, memory bounded by O(tasks + cpus).
+  // memory bounded by O(tasks + cpus).
   WC_CHECK(r.trace_events >= min_events, "big-mix produced fewer trace events than required");
-  WC_CHECK(r.stream_ring_dropped == 0, "streaming ring dropped records while draining in-line");
   WC_CHECK(r.stream_events == r.trace_events,
            "stream analyzed a different event count than the trace hash saw");
   WC_CHECK(r.stream_within_budget, "stream aggregator memory exceeded the O(tasks+cpus) budget");
@@ -229,7 +226,7 @@ int RunBigMix(const BenchOptions& opts, uint64_t min_events, uint64_t seed) {
   row.metrics["wall_ms"] = r.wall_ms;
   row.metrics["agg_bytes_peak"] = static_cast<double>(r.stream_agg_bytes_peak);
   row.metrics["budget_bytes"] = static_cast<double>(r.stream_budget_bytes);
-  row.metrics["ring_dropped"] = static_cast<double>(r.stream_ring_dropped);
+  row.metrics["stream_events"] = static_cast<double>(r.stream_events);
   row.metrics["starvation_findings"] = static_cast<double>(r.stream_findings);
   report.rows.push_back(std::move(row));
   report.Write(opts);
@@ -291,7 +288,7 @@ int Main(int argc, char** argv) {
   std::string threads_s, scale_s, random_s, seed_s, bigmix_s, policy_s;
   std::string manifest_s, results_s, shard_s, make_manifest_s, grid_s;
   BenchOptions opts = ParseBenchArgs(
-      argc, argv,
+      argc, argv, TelemetryFlag::kAccepted,
       {
           {"threads", &threads_s, "max host threads to sweep up to (default: hardware)"},
           {"scale", &scale_s, "workload scale factor (default 0.25)"},
@@ -315,6 +312,11 @@ int Main(int argc, char** argv) {
   int random_count = static_cast<int>(ParseIntFlag("random", random_s, 6, 0, 1 << 20));
   uint64_t seed = ParseU64Flag("seed", seed_s, 99);
 
+  if (!opts.telemetry_dir.empty() &&
+      !(make_manifest_s.empty() && shard_s.empty() && bigmix_s.empty() && policy_s.empty())) {
+    std::fprintf(stderr, "--telemetry only applies to the scenario matrix\n");
+    return 2;
+  }
   if (!make_manifest_s.empty()) {
     return RunMakeManifest(make_manifest_s, grid_s.empty() ? "default" : grid_s);
   }
@@ -353,7 +355,8 @@ int Main(int argc, char** argv) {
   for (Scenario& s : RandomScenarios(seed, random_count)) {
     scenarios.push_back(std::move(s));
   }
-  if (opts.stream) {
+  const bool stream = !opts.telemetry_dir.empty();
+  if (stream) {
     for (Scenario& s : scenarios) {
       s.stream = true;
     }
@@ -432,28 +435,24 @@ int Main(int argc, char** argv) {
     for (const auto& [k, v] : r.metrics) {
       row.metrics[k] = v;
     }
-    if (opts.stream) {
+    if (stream) {
       row.metrics["stream_agg_bytes_peak"] = static_cast<double>(r.stream_agg_bytes_peak);
       row.metrics["stream_budget_bytes"] = static_cast<double>(r.stream_budget_bytes);
-      row.metrics["stream_ring_dropped"] = static_cast<double>(r.stream_ring_dropped);
       row.metrics["stream_findings"] = static_cast<double>(r.stream_findings);
     }
     report.rows.push_back(std::move(row));
   }
   report.context_num["virtual_seconds_total"] = total_virtual;
 
-  if (opts.stream) {
+  if (stream) {
     // One summary line per run, plus a jsonl artifact, plus the pure-observer
     // cross-check: the same matrix without the stream must hash identically.
     std::printf("\nstreaming summaries (one line per scenario):\n");
-    std::error_code ec;
-    std::filesystem::create_directories(opts.stream_dir, ec);
-    std::ofstream jsonl(std::filesystem::path(opts.stream_dir) / "sweep_stream.jsonl");
+    std::string jsonl;
     for (const ScenarioResult& r : last.results) {
       std::printf("STREAM %s %s\n", r.name.c_str(), r.stream_summary.c_str());
-      jsonl << "{\"name\": \"" << JsonEscape(r.name) << "\", \"stream\": " << r.stream_summary
-            << "}\n";
-      WC_CHECK(r.stream_ring_dropped == 0, "streaming ring dropped records in the sweep");
+      jsonl += "{\"name\": \"" + JsonEscape(r.name) + "\", \"stream\": " + r.stream_summary +
+               "}\n";
       WC_CHECK(r.stream_within_budget, "stream aggregator memory exceeded budget in the sweep");
       WC_CHECK(r.stream_events == r.trace_events,
                "stream analyzed a different event count than the trace hash saw");
@@ -470,7 +469,8 @@ int Main(int argc, char** argv) {
     std::printf("pure-observer check: %zu trace hashes identical without the stream (%016llx)\n",
                 bare_report.results.size(),
                 static_cast<unsigned long long>(bare_report.CombinedHash()));
-    std::printf("wrote %s/sweep_stream.jsonl\n", opts.stream_dir.c_str());
+    WriteArtifact(std::filesystem::path(opts.telemetry_dir) / "sweep_stream.jsonl", jsonl);
+    std::printf("wrote %s/sweep_stream.jsonl\n", opts.telemetry_dir.c_str());
   }
 
   // The scaling ratio downstream tooling reads (ROADMAP "sweep scaling

@@ -29,11 +29,13 @@
 #   5. stream  - the streaming-telemetry soak: one >=10M-event random mix in
 #                a single pass with the bounded-memory pipeline attached.
 #                The binary's own WC_CHECKs enforce the contract (every
-#                event analyzed, zero ring drops, peak aggregator memory
-#                within the O(tasks+cpus) budget), so this stage fails the
-#                moment the analyzer stops being one-pass-bounded. Also runs
-#                the streamed sweep matrix, whose pure-observer cross-check
-#                re-runs the scenarios bare and compares combined hashes.
+#                event analyzed, peak aggregator memory within the
+#                O(tasks+cpus) budget), so this stage fails the moment the
+#                stream stops being one-pass-bounded; the soak artifact is
+#                re-checked for conservation (stream_events == trace_events).
+#                Also runs the streamed sweep matrix (--telemetry), whose
+#                pure-observer cross-check re-runs the scenarios bare and
+#                compares combined hashes.
 #   6. arena   - the policy-arena gate: the cross-policy conformance suite
 #                (invariant fuzzing, recorder-vs-stream differential fold,
 #                per-policy goldens, the paper-bug expectation matrix, CFS
@@ -124,10 +126,17 @@ grep -q '"median_ratio"' out/BENCH_ab.json
 echo "==== [stream] big-mix soak (>=10M events, bounded memory) ===="
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --seed=4242 --big-mix=10000000
 test -s "$SMOKE_OUT/BENCH_stream_soak.json"
-grep -q '"ring_dropped": 0' "$SMOKE_OUT/BENCH_stream_soak.json"
+# Conservation, checked on the artifact itself: the stream analyzed exactly
+# the callbacks the trace hash folded.
+python3 - "$SMOKE_OUT/BENCH_stream_soak.json" <<'PY'
+import json, sys
+row = json.load(open(sys.argv[1]))["results"][0]
+if row["stream_events"] != row["trace_events"]:
+    sys.exit("stream_events %s != trace_events %s" % (row["stream_events"], row["trace_events"]))
+PY
 echo "==== [stream] streamed sweep matrix + pure-observer cross-check ===="
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --threads=2 --scale=0.02 \
-  --random=1 --telemetry-stream="$SMOKE_OUT/stream"
+  --random=1 --telemetry="$SMOKE_OUT/stream"
 test -s "$SMOKE_OUT/stream/sweep_stream.jsonl"
 
 echo "==== [arena] cross-policy conformance (Release + ASan/UBSan) ===="

@@ -2,52 +2,29 @@
 
 namespace wcores {
 
-namespace {
-const LatencyDistributions kEmptyDistributions;
-}  // namespace
-
-LatencyDistributions& LatencyAccountant::ThreadSlot(ThreadId tid) {
-  if (tid >= static_cast<ThreadId>(per_thread_.size())) {
-    per_thread_.resize(tid + 1);
-  }
-  return per_thread_[tid];
-}
-
-const LatencyDistributions& LatencyAccountant::Thread(ThreadId tid) const {
-  if (tid < 0 || tid >= static_cast<ThreadId>(per_thread_.size())) {
-    return kEmptyDistributions;
-  }
-  return per_thread_[tid];
-}
-
 void LatencyAccountant::OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) {
-  double w = static_cast<double>(waited);
-  per_cpu_[cpu].rq_wait.Add(w);
-  ThreadSlot(tid).rq_wait.Add(w);
+  per_cpu_[cpu].rq_wait.Add(static_cast<double>(waited));
 
   if (tid < static_cast<ThreadId>(pending_migration_.size()) &&
       pending_migration_[tid].when != kTimeNever) {
     double cost = static_cast<double>(now - pending_migration_[tid].when);
     pending_migration_[tid].when = kTimeNever;
     per_cpu_[cpu].migration_cost.Add(cost);
-    ThreadSlot(tid).migration_cost.Add(cost);
   }
 }
 
 void LatencyAccountant::OnSwitchOut(Time now, CpuId cpu, ThreadId tid, Time ran,
                                     bool still_runnable) {
   (void)now;
+  (void)tid;
   (void)still_runnable;
-  double r = static_cast<double>(ran);
-  per_cpu_[cpu].timeslice.Add(r);
-  ThreadSlot(tid).timeslice.Add(r);
+  per_cpu_[cpu].timeslice.Add(static_cast<double>(ran));
 }
 
 void LatencyAccountant::OnWakeupLatency(Time now, CpuId cpu, ThreadId tid, Time latency) {
   (void)now;
-  double l = static_cast<double>(latency);
-  per_cpu_[cpu].wakeup_latency.Add(l);
-  ThreadSlot(tid).wakeup_latency.Add(l);
+  (void)tid;
+  per_cpu_[cpu].wakeup_latency.Add(static_cast<double>(latency));
 }
 
 void LatencyAccountant::OnMigration(Time now, ThreadId tid, CpuId from, CpuId to,

@@ -2,7 +2,7 @@
 //
 // The paper's diagnosis of every bug started from "cores idle while work
 // waits"; this sink turns that observation into numbers a user can act on:
-// per-thread and per-cpu distributions of
+// exact per-cpu distributions of
 //   * wakeup latency   — wakeup -> first run (perf sched latency),
 //   * runqueue wait    — runnable -> running (sched_stat_wait),
 //   * timeslice        — how long each stint on a core lasted
@@ -23,7 +23,7 @@
 
 namespace wcores {
 
-// One thread's or one cpu's latency distributions, in nanoseconds.
+// One cpu's (or a cpu set's) latency distributions, in nanoseconds.
 struct LatencyDistributions {
   Summary wakeup_latency;
   Summary rq_wait;
@@ -56,9 +56,6 @@ class LatencyAccountant : public TraceSink {
 
   int n_cpus() const { return static_cast<int>(per_cpu_.size()); }
   const LatencyDistributions& Cpu(CpuId cpu) const { return per_cpu_[cpu]; }
-  // Per-thread distributions; empty default for threads never seen.
-  const LatencyDistributions& Thread(ThreadId tid) const;
-  int known_threads() const { return static_cast<int>(per_thread_.size()); }
 
   // Aggregation over a cpu subset (a NUMA node) or the whole machine.
   LatencyDistributions AggregateCpus(const CpuSet& cpus) const;
@@ -69,10 +66,7 @@ class LatencyAccountant : public TraceSink {
   uint64_t MigrationsInto(CpuId cpu) const { return migrations_[cpu]; }
 
  private:
-  LatencyDistributions& ThreadSlot(ThreadId tid);
-
-  std::vector<LatencyDistributions> per_cpu_;   // Indexed by cpu.
-  std::vector<LatencyDistributions> per_thread_;  // Indexed by tid, grown on demand.
+  std::vector<LatencyDistributions> per_cpu_;  // Indexed by cpu.
   std::vector<Time> idle_time_;
   std::vector<uint64_t> idle_enters_;
   std::vector<uint64_t> migrations_;  // Indexed by destination cpu.

@@ -24,7 +24,7 @@
 // inputs. Consumers needing certified ranks re-run with the batch
 // LatencyAccountant.
 //
-// Determinism: pure arithmetic on the sample stream — same records in the
+// Determinism: pure arithmetic on the sample stream — same samples in the
 // same order give bit-identical markers. No allocation after construction.
 #ifndef SRC_TELEMETRY_STREAM_QUANTILE_H_
 #define SRC_TELEMETRY_STREAM_QUANTILE_H_

@@ -1,130 +1,229 @@
-// TelemetryStream: the TraceSink facade of the streaming pipeline.
+// TelemetryStream: the streaming telemetry pipeline, as one TraceSink.
 //
-// Producer side of the bounded pipeline: every trace callback is encoded
-// into a 24-byte StreamRecord and pushed into the SPSC ring; the
-// StreamAnalyzer drains the ring and folds each record into its O(1)
-// incremental aggregates. When the ring fills, the sink either drains it
-// in-line (the in-process default — no loss, still bounded) or, with
-// drain_on_full off (a threaded consumer, or the tests exercising loss
-// accounting), counts the drop explicitly.
+// Each trace callback folds straight into O(1) incremental aggregates, in
+// O(tasks + cpus) memory — the replacement for whole-trace post-processing
+// on runs too large to buffer. Maintained incrementally:
+//   * per-task accumulators — runtime, queued wait, context switches,
+//     wakeups (and wakeup placement moves), migrations — plus P² sketches of
+//     rq-wait and on-cpu stint length per task;
+//   * the same two sketches per cpu, per NUMA node, and machine-wide, plus a
+//     machine wakeup-latency sketch;
+//   * a windowed Gantt/timeline emitter that flushes completed spans
+//     (tid, cpu, start, end, preempted) to an output stream instead of
+//     retaining the trace;
+//   * an online starvation detector (second invariant monitor next to
+//     src/tools/sanity_checker.h): a task observed runnable but off-cpu for
+//     longer than a configurable horizon raises a finding carrying a digest
+//     from the same snapshot-provider machinery the sanity checker uses.
 //
-// Attach alone or via MultiSink; the stream never mutates scheduler state,
-// so trace hashes are byte-identical with or without it. Call Finish(now)
-// after the run, then SummaryJson() for the one-line machine-readable
-// summary.
+// Starvation semantics (see DESIGN.md "Streaming telemetry"): the trace
+// shows a task runnable-but-off-cpu from a preemption (OnSwitchOut with
+// still_runnable) until its next OnSwitchIn. Such episodes are detected
+// *live*, in virtual time, at the first callback at or past the horizon's
+// expiry. A task whose queued wait began with a wakeup is invisible until it
+// first runs; those episodes are confirmed retroactively at switch-in from
+// the `waited` payload. Each episode yields at most one finding, and its
+// digest is taken at the callback that confirms it.
+//
+// Everything is indexed by dense ids (tid, cpu, node) — never by pointer,
+// never hashed — so the fold order is the callback order and the stream is
+// deterministic by construction. It never mutates scheduler state, so trace
+// hashes are byte-identical with or without it. Attach alone or via
+// MultiSink; call Finish(now) after the run, then SummaryJson() for the
+// one-line machine-readable summary.
 #ifndef SRC_TELEMETRY_STREAM_STREAM_SINK_H_
 #define SRC_TELEMETRY_STREAM_STREAM_SINK_H_
 
+#include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "src/core/trace.h"
-#include "src/telemetry/stream/analyzer.h"
-#include "src/telemetry/stream/record.h"
-#include "src/telemetry/stream/ring.h"
+#include "src/simkit/time.h"
+#include "src/telemetry/stream/quantile.h"
 
 namespace wcores {
 
 class Topology;
 
+// One confirmed starvation episode.
+struct StreamFinding {
+  ThreadId tid = -1;
+  Time since = 0;        // When the task became runnable-but-off-cpu.
+  Time detected_at = 0;  // Horizon expiry (live) or first run (retroactive).
+  Time waited = 0;       // Off-cpu-while-runnable time at detection.
+  bool retroactive = false;
+  std::string digest;  // Snapshot provider output at detection, if set.
+};
+
 class TelemetryStream : public TraceSink {
  public:
   struct Options {
-    size_t ring_capacity = 1 << 16;  // Records; 24B each -> 1.5 MiB default.
-    bool drain_on_full = true;
-    StreamAnalyzer::Options analyzer;
+    int n_cpus = 0;
+    // Node index per cpu; empty means a single node.
+    std::vector<int> cpu_node;
+    Time starvation_horizon = Milliseconds(100);
+    // Called when a finding is confirmed; the result is stored in
+    // StreamFinding::digest (same contract as SanityChecker's
+    // latency_snapshot, so both monitors attach the same evidence).
+    std::function<std::string()> snapshot;
+    // Completed Gantt spans are flushed here as CSV lines when the window
+    // fills; null discards them (they are still counted).
+    std::ostream* span_out = nullptr;
+    size_t span_capacity = 4096;
+    size_t max_stored_findings = 32;
+  };
+
+  struct TaskStats {
+    uint64_t runtime_ns = 0;  // Sum of realized stints (OnSwitchOut ran).
+    uint64_t wait_ns = 0;     // Sum of queued waits (OnSwitchIn waited).
+    uint64_t switches = 0;
+    uint64_t wakeups = 0;
+    uint64_t wakeup_moves = 0;  // Wakeup placed on a different cpu than last.
+    uint64_t migrations = 0;
+    StreamingDistribution rq_wait;
+    StreamingDistribution oncpu;
+    // Starvation bookkeeping.
+    Time waiting_since = kTimeNever;
+    uint32_t epoch = 0;
+    int16_t last_wake_cpu = -1;
+    bool queued = false;   // Has a live entry in the deadline heap.
+    bool flagged = false;  // Current episode already produced a finding.
+    bool seen = false;
+  };
+
+  struct ScopeStats {
+    StreamingDistribution rq_wait;
+    StreamingDistribution oncpu;
+    StreamingDistribution wakeup;
+    uint64_t switches = 0;
   };
 
   // Convenience: options wired for `topo` (n_cpus + cpu->node map).
   static Options ForTopology(const Topology& topo,
                              Time starvation_horizon = Milliseconds(100));
 
-  explicit TelemetryStream(Options opts)
-      : drain_on_full_(opts.drain_on_full), ring_(opts.ring_capacity),
-        analyzer_(std::move(opts.analyzer)) {}
+  explicit TelemetryStream(Options opts);
 
   // ---- TraceSink ----------------------------------------------------------
+  //
+  // Callbacks must arrive in nondecreasing `now` order (the trace fires in
+  // virtual-time order).
 
-  void OnNrRunning(Time now, CpuId cpu, int nr_running) override {
-    Push(StreamRecord{now, static_cast<uint64_t>(nr_running), -1,
-                      static_cast<int16_t>(cpu), StreamKind::kNrRunning, 0});
-  }
-  void OnLoad(Time now, CpuId cpu, double load) override {
-    Push(StreamRecord{now, PackLoad(load), -1, static_cast<int16_t>(cpu), StreamKind::kLoad, 0});
-  }
-  void OnConsidered(Time now, CpuId initiator, const CpuSet& considered,
-                    ConsideredKind kind) override {
-    Push(StreamRecord{now, static_cast<uint64_t>(considered.Count()), -1,
-                      static_cast<int16_t>(initiator), StreamKind::kConsidered,
-                      static_cast<uint8_t>(kind)});
-  }
-  void OnMigration(Time now, ThreadId tid, CpuId from, CpuId to, MigrationReason reason) override {
-    Push(StreamRecord{now, static_cast<uint64_t>(to), tid, static_cast<int16_t>(from),
-                      StreamKind::kMigration, static_cast<uint8_t>(reason)});
-  }
-  void OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) override {
-    Push(StreamRecord{now, waited, tid, static_cast<int16_t>(cpu), StreamKind::kSwitchIn, 0});
-  }
-  void OnSwitchOut(Time now, CpuId cpu, ThreadId tid, Time ran, bool still_runnable) override {
-    Push(StreamRecord{now, ran, tid, static_cast<int16_t>(cpu), StreamKind::kSwitchOut,
-                      static_cast<uint8_t>(still_runnable ? 1 : 0)});
-  }
-  void OnWakeupLatency(Time now, CpuId cpu, ThreadId tid, Time latency) override {
-    Push(StreamRecord{now, latency, tid, static_cast<int16_t>(cpu), StreamKind::kWakeupLatency, 0});
-  }
-  void OnIdleEnter(Time now, CpuId cpu) override {
-    Push(StreamRecord{now, 0, -1, static_cast<int16_t>(cpu), StreamKind::kIdleEnter, 0});
-  }
-  void OnIdleExit(Time now, CpuId cpu, Time idle_for) override {
-    Push(StreamRecord{now, idle_for, -1, static_cast<int16_t>(cpu), StreamKind::kIdleExit, 0});
-  }
+  // No aggregate consumes these yet; they are still counted.
+  void OnNrRunning(Time now, CpuId, int) override { Advance(now); }
+  void OnLoad(Time now, CpuId, double) override { Advance(now); }
+  void OnConsidered(Time now, CpuId, const CpuSet&, ConsideredKind) override { Advance(now); }
+  void OnIdleEnter(Time now, CpuId) override { Advance(now); }
 
-  // ---- Pipeline control ---------------------------------------------------
+  void OnMigration(Time now, ThreadId tid, CpuId, CpuId, MigrationReason) override;
+  void OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) override;
+  void OnSwitchOut(Time now, CpuId cpu, ThreadId tid, Time ran, bool still_runnable) override;
+  void OnWakeupLatency(Time now, CpuId cpu, ThreadId tid, Time latency) override;
+  void OnIdleExit(Time now, CpuId, Time idle_for) override;
 
-  // Drains outstanding records and closes the analyzer at virtual time
-  // `end` (deadline sweep + span flush). Idempotent per run.
-  void Finish(Time end) {
-    Drain();
-    analyzer_.Finish(end);
-  }
+  // Drains the deadline heap up to `end` and flushes the span window. Call
+  // after the last callback; idempotent per run.
+  void Finish(Time end);
 
-  // Events offered by the trace; events_seen() - ring().dropped() were
-  // analyzed.
-  uint64_t events_seen() const { return events_seen_; }
+  // ---- Results ------------------------------------------------------------
 
-  const SpscRing& ring() const { return ring_; }
-  StreamAnalyzer& analyzer() { return analyzer_; }
-  const StreamAnalyzer& analyzer() const { return analyzer_; }
+  // Callbacks folded so far.
+  uint64_t events() const { return events_; }
+  int n_cpus() const { return static_cast<int>(cpus_.size()); }
+  int n_nodes() const { return static_cast<int>(nodes_.size()); }
+  // Number of task slots (max tid + 1 observed).
+  size_t tasks() const { return tasks_.size(); }
+  const TaskStats& Task(ThreadId tid) const;
+  const ScopeStats& Cpu(CpuId cpu) const { return cpus_[cpu]; }
+  const ScopeStats& Node(int node) const { return nodes_[node]; }
+  const ScopeStats& Machine() const { return machine_; }
 
-  std::string SummaryJson() const {
-    return analyzer_.SummaryJson(ring_.capacity(), ring_.dropped());
-  }
+  uint64_t migrations() const { return migrations_; }
+  uint64_t wakeups() const { return wakeups_; }
+  uint64_t spans_emitted() const { return spans_emitted_; }
+  Time idle_ns() const { return idle_ns_; }
+
+  const std::vector<StreamFinding>& findings() const { return findings_; }
+  uint64_t findings_total() const { return findings_total_; }
+  Time worst_wait() const { return worst_wait_; }
+  Time starvation_horizon() const { return opts_.starvation_horizon; }
+
+  // ---- Memory contract ----------------------------------------------------
+
+  // Exact current footprint of every growable structure, from capacities.
+  uint64_t AggregatorBytes() const;
+  // High-water mark of AggregatorBytes over the run.
+  uint64_t PeakAggregatorBytes() const { return peak_bytes_; }
+  // The O(tasks + cpus) budget the footprint must stay under: a fixed base
+  // plus linear terms in observed tasks and configured cpus/nodes (each with
+  // a 2x factor covering vector doubling). CI asserts peak <= budget.
+  uint64_t BudgetBytes() const;
+  bool WithinBudget() const { return PeakAggregatorBytes() <= BudgetBytes(); }
+
+  // One JSON object on one line: counters, per-scope percentile estimates,
+  // the memory contract, and the starvation verdict. Stable key order,
+  // deterministic values.
+  std::string SummaryJson() const;
 
  private:
-  void Push(const StreamRecord& rec) {
-    ++events_seen_;
-    if (ring_.TryPush(rec)) {
-      return;
-    }
-    if (drain_on_full_) {
-      Drain();
-      if (ring_.TryPush(rec)) {
-        return;
-      }
-    }
-    ring_.CountDrop();
-  }
+  struct OpenSpan {
+    ThreadId tid = -1;
+    Time start = 0;
+    Time waited = 0;
+  };
+  struct Span {
+    Time start = 0;
+    Time end = 0;
+    ThreadId tid = -1;
+    int16_t cpu = -1;
+    uint8_t preempted = 0;
+  };
+  struct Deadline {
+    Time at = 0;
+    ThreadId tid = -1;
+    uint32_t epoch = 0;
+  };
 
-  void Drain() {
-    StreamRecord rec;
-    while (ring_.TryPop(&rec)) {
-      analyzer_.Consume(rec);
-    }
-  }
+  static bool HeapOrder(const Deadline& a, const Deadline& b);
 
-  bool drain_on_full_;
-  SpscRing ring_;
-  StreamAnalyzer analyzer_;
-  uint64_t events_seen_ = 0;
+  // Every callback starts here: confirm the starvation deadlines that
+  // expired by `now`, then count the event.
+  void Advance(Time now);
+  bool CpuOk(CpuId cpu) const { return cpu >= 0 && static_cast<size_t>(cpu) < cpus_.size(); }
+  TaskStats& Slot(ThreadId tid);
+  ScopeStats& NodeOf(CpuId cpu);
+  void ProcessDeadlines(Time now);
+  void PushDeadline(Time at, ThreadId tid, uint32_t epoch);
+  void RaiseFinding(ThreadId tid, Time since, Time detected_at, Time waited, bool retroactive);
+  void EmitSpan(Time start, Time end, ThreadId tid, CpuId cpu, bool preempted);
+  void FlushSpans();
+  void UpdatePeak();
+
+  Options opts_;
+  uint64_t events_ = 0;
+  uint64_t migrations_ = 0;
+  uint64_t wakeups_ = 0;
+  Time idle_ns_ = 0;
+
+  std::vector<TaskStats> tasks_;  // Indexed by tid, grown on demand.
+  std::vector<ScopeStats> cpus_;  // Indexed by cpu, fixed at construction.
+  std::vector<ScopeStats> nodes_;
+  ScopeStats machine_;
+
+  std::vector<OpenSpan> open_;  // Indexed by cpu.
+  std::vector<Span> spans_;     // Fixed window, flushed when full.
+  size_t spans_buffered_ = 0;
+  uint64_t spans_emitted_ = 0;
+
+  std::vector<Deadline> heap_;  // Min-heap on (at, tid); <= 1 entry per task.
+  std::vector<StreamFinding> findings_;
+  uint64_t findings_total_ = 0;
+  Time worst_wait_ = 0;
+
+  uint64_t peak_bytes_ = 0;
 };
 
 }  // namespace wcores

@@ -22,13 +22,13 @@ void AppendDigest(std::string* out, const char* name, const Summary& s) {
 }
 
 bool WriteTextFile(const std::filesystem::path& path, const std::string& text,
-                   std::string* error) {
+                   std::string* failed_path) {
   std::ofstream out(path, std::ios::binary);
   out << text;
   out.close();
   if (!out) {
-    if (error != nullptr) {
-      *error = "failed to write " + path.string();
+    if (failed_path != nullptr) {
+      *failed_path = path.string();
     }
     return false;
   }
@@ -41,12 +41,20 @@ std::string TelemetrySession::Schedstat(const Scheduler& sched, Time now) const 
   return SchedstatReport(sched, latency_, now);
 }
 
-TelemetryStream& TelemetrySession::AttachStream(TelemetryStream::Options opts) {
-  if (opts.analyzer.n_cpus == 0) {
-    opts.analyzer.n_cpus = latency_.n_cpus();
+TelemetryStream& TelemetrySession::AttachStream(TelemetryStream::Options opts,
+                                                const std::string& dir, const std::string& label) {
+  if (opts.n_cpus == 0) {
+    opts.n_cpus = latency_.n_cpus();
   }
-  if (!opts.analyzer.snapshot) {
-    opts.analyzer.snapshot = [this] { return LatencySnapshot(); };
+  if (!opts.snapshot) {
+    opts.snapshot = [this] { return LatencySnapshot(); };
+  }
+  if (!dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);  // A failure shows in WriteReports.
+    spans_.open(std::filesystem::path(dir) / (label + "spans.csv"),
+                std::ios::binary | std::ios::trunc);
+    opts.span_out = &spans_;
   }
   stream_ = std::make_unique<TelemetryStream>(std::move(opts));
   multi_.Add(stream_.get());
@@ -65,26 +73,32 @@ std::string TelemetrySession::LatencySnapshot() const {
 }
 
 bool TelemetrySession::WriteReports(const std::string& dir, const Scheduler& sched, Time now,
-                                    const std::string& label, std::string* error) const {
+                                    const std::string& label, std::string* failed_path) {
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create " + dir + ": " + ec.message();
-    }
-    return false;
-  }
+  std::filesystem::create_directories(dir, ec);  // A failure shows as the first failed write.
   std::filesystem::path base(dir);
-  if (!WriteTextFile(base / (label + "schedstat.txt"), Schedstat(sched, now), error)) {
+  if (!WriteTextFile(base / (label + "schedstat.txt"), Schedstat(sched, now), failed_path)) {
     return false;
   }
   std::string json = ChromeTraceJson(recorder_.events(), sched.topology().n_cores());
-  if (!WriteTextFile(base / (label + "trace.json"), json, error)) {
+  if (!WriteTextFile(base / (label + "trace.json"), json, failed_path)) {
     return false;
   }
-  if (stream_ != nullptr) {
-    stream_->Finish(now);
-    if (!WriteTextFile(base / (label + "stream.json"), stream_->SummaryJson() + "\n", error)) {
+  if (stream_ == nullptr) {
+    return true;
+  }
+  stream_->Finish(now);  // Flushes the last span window.
+  if (!WriteTextFile(base / (label + "stream.json"), stream_->SummaryJson() + "\n",
+                     failed_path)) {
+    return false;
+  }
+  // The spans file AttachStream opened, if any (an open that failed left it failed).
+  if (spans_.is_open() || spans_.fail()) {
+    spans_.close();
+    if (!spans_) {
+      if (failed_path != nullptr) {
+        *failed_path = (base / (label + "spans.csv")).string();
+      }
       return false;
     }
   }

@@ -1,17 +1,20 @@
 // The telemetry subsystem's front door: one object that owns every sink.
 //
 // A TelemetrySession bundles an EventRecorder (raw event array, Chrome trace
-// source) and a LatencyAccountant (latency percentiles) behind a single
-// TraceSink, and writes the two report artifacts — a /proc/schedstat-style
-// text report and a Perfetto-loadable trace JSON — into a directory.
+// source), a LatencyAccountant (exact latency percentiles) and, optionally,
+// the TelemetryStream behind a single TraceSink, and writes the report
+// artifacts — a /proc/schedstat-style text report, a Perfetto-loadable trace
+// JSON, and the stream's summary and Gantt spans — into a directory.
 //
-//   TelemetrySession telemetry(machine.topo.n_cores());
-//   Simulator sim(machine.topo, features, seed, telemetry.sink());
+//   TelemetrySession telemetry(topo.n_cores());
+//   telemetry.AttachStream(TelemetryStream::ForTopology(topo), "out/telemetry", "fig2_");
+//   Simulator sim(topo, sim_opts, telemetry.sink());
 //   ... run ...
 //   telemetry.WriteReports("out/telemetry", sim.sched(), sim.Now(), "fig2_");
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,8 +49,12 @@ class TelemetrySession {
   // handing sink() to the simulator. Unless `opts` already set a snapshot
   // provider, confirmed starvation findings carry this session's
   // LatencySnapshot as their digest — the same evidence the sanity checker
-  // attaches to its violations.
-  TelemetryStream& AttachStream(TelemetryStream::Options opts);
+  // attaches to its violations. With a non-empty `dir` (created if missing),
+  // completed Gantt spans stream to `<dir>/<label>spans.csv` as the run
+  // goes; WriteReports with the same dir and label closes that file with the
+  // other reports.
+  TelemetryStream& AttachStream(TelemetryStream::Options opts, const std::string& dir = "",
+                                const std::string& label = "");
   // Null until AttachStream is called.
   TelemetryStream* stream() { return stream_.get(); }
   const TelemetryStream* stream() const { return stream_.get(); }
@@ -61,16 +68,17 @@ class TelemetrySession {
   std::string LatencySnapshot() const;
 
   // Writes `<label>schedstat.txt` and `<label>trace.json` under `dir`
-  // (created, with parents, if missing), plus `<label>stream.json` (the
-  // one-line streaming summary, after closing the pipeline at `now`) when a
-  // stream is attached. Returns false if any file could not be written;
-  // `error` (optional) gets the reason.
+  // (created, with parents, if missing). With a stream attached, it also
+  // closes the pipeline at `now`, writes `<label>stream.json` (the one-line
+  // summary) and closes the spans file AttachStream opened. Returns false if
+  // any file could not be written; `failed_path` (optional) gets its path.
   bool WriteReports(const std::string& dir, const Scheduler& sched, Time now,
-                    const std::string& label = "", std::string* error = nullptr) const;
+                    const std::string& label = "", std::string* failed_path = nullptr);
 
  private:
   LatencyAccountant latency_;
   EventRecorder recorder_;
+  std::ofstream spans_;  // The stream's span_out, when AttachStream got a dir.
   std::unique_ptr<TelemetryStream> stream_;
   MultiSink multi_;
 };

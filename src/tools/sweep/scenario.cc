@@ -169,15 +169,13 @@ ScenarioResult RunScenario(const Scenario& scenario) {
   metrics_fn(&result.metrics);
   if (stream) {
     stream->Finish(sim.Now());
-    const StreamAnalyzer& a = stream->analyzer();
     result.stream_summary = stream->SummaryJson();
-    result.stream_events = a.events();
-    result.stream_ring_dropped = stream->ring().dropped();
-    result.stream_agg_bytes_peak = a.PeakAggregatorBytes();
-    result.stream_budget_bytes = a.BudgetBytes();
-    result.stream_within_budget = a.WithinBudget();
-    result.stream_findings = a.findings_total();
-    result.stream_worst_wait_ns = a.worst_wait();
+    result.stream_events = stream->events();
+    result.stream_agg_bytes_peak = stream->PeakAggregatorBytes();
+    result.stream_budget_bytes = stream->BudgetBytes();
+    result.stream_within_budget = stream->WithinBudget();
+    result.stream_findings = stream->findings_total();
+    result.stream_worst_wait_ns = stream->worst_wait();
   }
 
   // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash) allow(A1 wall_ms never feeds the hash; the fold consumes sim-clock values only)

@@ -77,8 +77,7 @@ struct ScenarioResult {
   // scalars below mirror its machine-checkable fields so the driver can
   // WC_CHECK them without parsing JSON.
   std::string stream_summary;
-  uint64_t stream_events = 0;          // Records analyzed.
-  uint64_t stream_ring_dropped = 0;    // Must be 0 with in-line draining.
+  uint64_t stream_events = 0;          // Callbacks analyzed.
   uint64_t stream_agg_bytes_peak = 0;  // Peak aggregator footprint.
   uint64_t stream_budget_bytes = 0;    // O(tasks + cpus) budget.
   bool stream_within_budget = true;

@@ -527,9 +527,7 @@ TEST(FuzzInvariants, StreamingAccumulatorsMatchRecorderBitForBit) {
 
     // Conservation first: both sinks saw every callback, nothing dropped.
     ASSERT_EQ(recorder.dropped(), 0u);
-    ASSERT_EQ(stream.ring().dropped(), 0u);
-    ASSERT_EQ(stream.events_seen(), recorder.events().size());
-    ASSERT_EQ(stream.analyzer().events(), recorder.events().size());
+    ASSERT_EQ(stream.events(), recorder.events().size());
 
     struct Totals {
       uint64_t runtime = 0, wait = 0, switches = 0, wakeups = 0, migrations = 0;
@@ -563,7 +561,7 @@ TEST(FuzzInvariants, StreamingAccumulatorsMatchRecorderBitForBit) {
     uint64_t sum_runtime = 0;
     uint64_t sum_wait = 0;
     for (const auto& [tid, t] : batch) {
-      const StreamAnalyzer::TaskStats& s = stream.analyzer().Task(tid);
+      const TelemetryStream::TaskStats& s = stream.Task(tid);
       ASSERT_TRUE(s.seen) << "tid " << tid << " missing from the stream";
       ASSERT_EQ(s.runtime_ns, t.runtime) << "tid " << tid << " runtime diverged";
       ASSERT_EQ(s.wait_ns, t.wait) << "tid " << tid << " wait diverged";
@@ -574,9 +572,9 @@ TEST(FuzzInvariants, StreamingAccumulatorsMatchRecorderBitForBit) {
       sum_wait += t.wait;
     }
     // And the machine-level totals are the per-task sums, also exactly.
-    ASSERT_EQ(stream.analyzer().Machine().oncpu.sum_ns, sum_runtime);
-    ASSERT_EQ(stream.analyzer().Machine().rq_wait.sum_ns, sum_wait);
-    ASSERT_EQ(stream.analyzer().idle_ns(), static_cast<Time>(idle_ns));
+    ASSERT_EQ(stream.Machine().oncpu.sum_ns, sum_runtime);
+    ASSERT_EQ(stream.Machine().rq_wait.sum_ns, sum_wait);
+    ASSERT_EQ(stream.idle_ns(), static_cast<Time>(idle_ns));
   }
 }
 

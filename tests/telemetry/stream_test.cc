@@ -1,7 +1,7 @@
-// Streaming telemetry tests: the ring's loss accounting, P² sketch parity
-// against the exact batch Summary (the documented error bounds), bit-exact
-// accumulator parity on a real scenario, the directed starvation-detector
-// scenario, and the one-line JSON summary contract.
+// Streaming telemetry tests: P² sketch parity against the exact batch
+// Summary (the documented error bounds), bit-exact accumulator parity on a
+// real scenario, the directed starvation-detector scenario, the span
+// emitter, and the one-line JSON summary contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,10 +12,7 @@
 #include "src/metrics/histogram.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
-#include "src/telemetry/stream/analyzer.h"
 #include "src/telemetry/stream/quantile.h"
-#include "src/telemetry/stream/record.h"
-#include "src/telemetry/stream/ring.h"
 #include "src/telemetry/stream/stream_sink.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tools/sanity_checker.h"
@@ -24,60 +21,6 @@
 
 namespace wcores {
 namespace {
-
-// ---- Ring ----------------------------------------------------------------
-
-TEST(SpscRing, FifoOrderAndCapacityRounding) {
-  SpscRing ring(10);  // Rounds up to 16.
-  EXPECT_EQ(ring.capacity(), 16u);
-  for (uint64_t i = 0; i < 16; ++i) {
-    StreamRecord rec;
-    rec.when = i;
-    EXPECT_TRUE(ring.TryPush(rec));
-  }
-  StreamRecord rec;
-  rec.when = 99;
-  EXPECT_FALSE(ring.TryPush(rec));  // Full: no overwrite, no growth.
-  for (uint64_t i = 0; i < 16; ++i) {
-    ASSERT_TRUE(ring.TryPop(&rec));
-    EXPECT_EQ(rec.when, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&rec));
-  // Wrap-around after a full cycle.
-  rec.when = 1234;
-  EXPECT_TRUE(ring.TryPush(rec));
-  ASSERT_TRUE(ring.TryPop(&rec));
-  EXPECT_EQ(rec.when, 1234u);
-}
-
-TEST(SpscRing, DropsAreCountedNeverSilent) {
-  TelemetryStream::Options opts;
-  opts.ring_capacity = 8;
-  opts.drain_on_full = false;  // Model a consumer that never keeps up.
-  opts.analyzer.n_cpus = 1;
-  TelemetryStream stream(opts);
-  for (int i = 0; i < 100; ++i) {
-    stream.OnNrRunning(static_cast<Time>(i), 0, i);
-  }
-  EXPECT_EQ(stream.events_seen(), 100u);
-  EXPECT_EQ(stream.ring().dropped(), 100u - stream.ring().capacity());
-  stream.Finish(100);
-  // Conservation: every offered event was either analyzed or counted lost.
-  EXPECT_EQ(stream.analyzer().events() + stream.ring().dropped(), stream.events_seen());
-}
-
-TEST(TelemetryStream, InProcessDrainNeverDrops) {
-  TelemetryStream::Options opts;
-  opts.ring_capacity = 8;  // Tiny on purpose: forces many drain cycles.
-  opts.analyzer.n_cpus = 1;
-  TelemetryStream stream(opts);
-  for (int i = 0; i < 10000; ++i) {
-    stream.OnNrRunning(static_cast<Time>(i), 0, i & 3);
-  }
-  stream.Finish(10000);
-  EXPECT_EQ(stream.ring().dropped(), 0u);
-  EXPECT_EQ(stream.analyzer().events(), 10000u);
-}
 
 // ---- P² sketch vs exact batch quantiles ----------------------------------
 
@@ -129,10 +72,8 @@ TEST(P2Quantile, UniformStreamRankError) {
 struct ParityRun {
   std::vector<double> exact_rq_wait;   // Machine-wide batch samples.
   std::vector<double> exact_timeslice;
-  StreamAnalyzer::ScopeStats machine;
+  TelemetryStream::ScopeStats machine;
   uint64_t batch_count = 0;
-  uint64_t stream_events = 0;
-  uint64_t ring_dropped = 0;
   uint64_t task_wait_ns = 0;     // Stream: summed per-task accumulators.
   uint64_t task_runtime_ns = 0;
   double batch_wait_sum = 0;     // Batch: Summary sums.
@@ -164,12 +105,10 @@ ParityRun RunFig2(bool fixed) {
     run.exact_rq_wait.push_back(machine.rq_wait.Quantile(q));
     run.exact_timeslice.push_back(machine.timeslice.Quantile(q));
   }
-  run.machine = stream.analyzer().Machine();
-  run.stream_events = stream.analyzer().events();
-  run.ring_dropped = stream.ring().dropped();
-  for (ThreadId tid = 0; tid < static_cast<ThreadId>(stream.analyzer().tasks()); ++tid) {
-    run.task_wait_ns += stream.analyzer().Task(tid).wait_ns;
-    run.task_runtime_ns += stream.analyzer().Task(tid).runtime_ns;
+  run.machine = stream.Machine();
+  for (ThreadId tid = 0; tid < static_cast<ThreadId>(stream.tasks()); ++tid) {
+    run.task_wait_ns += stream.Task(tid).wait_ns;
+    run.task_runtime_ns += stream.Task(tid).runtime_ns;
   }
   return run;
 }
@@ -199,7 +138,6 @@ void CheckParity(const ParityRun& run) {
   // Exact invariants first: the stream saw every sample the batch side saw,
   // and the integer accumulators match the batch sums bit-for-bit (the batch
   // side stores each ns value as a double, exactly representable).
-  EXPECT_EQ(run.ring_dropped, 0u);
   EXPECT_EQ(run.machine.rq_wait.count, run.batch_count);
   EXPECT_EQ(static_cast<double>(run.machine.rq_wait.sum_ns), run.batch_wait_sum);
   EXPECT_EQ(static_cast<double>(run.machine.oncpu.sum_ns), run.batch_runtime_sum);
@@ -252,11 +190,10 @@ TEST(StarvationDetector, CatchesPinnedOverloadTheCheckerCannotSee) {
   sim.Run(Seconds(5));
   stream.Finish(sim.Now());
 
-  const StreamAnalyzer& a = stream.analyzer();
-  ASSERT_GT(a.findings_total(), 0u) << "starvation detector is disarmed";
-  EXPECT_GE(a.worst_wait(), Milliseconds(20));
-  ASSERT_FALSE(a.findings().empty());
-  const StreamFinding& f = a.findings().front();
+  ASSERT_GT(stream.findings_total(), 0u) << "starvation detector is disarmed";
+  EXPECT_GE(stream.worst_wait(), Milliseconds(20));
+  ASSERT_FALSE(stream.findings().empty());
+  const StreamFinding& f = stream.findings().front();
   EXPECT_GE(f.waited, Milliseconds(20));
   EXPECT_GE(f.detected_at, f.since);
   // The finding carries the session's latency digest (same machinery as the
@@ -285,7 +222,7 @@ TEST(StarvationDetector, QuietWhenHorizonExceedsWorstWait) {
   }
   sim.Run(Seconds(5));
   stream.Finish(sim.Now());
-  EXPECT_EQ(stream.analyzer().findings_total(), 0u);
+  EXPECT_EQ(stream.findings_total(), 0u);
 }
 
 // ---- Gantt span emitter ---------------------------------------------------
@@ -293,9 +230,9 @@ TEST(StarvationDetector, QuietWhenHorizonExceedsWorstWait) {
 TEST(StreamSpans, WindowedEmitterFlushesCompletedSpans) {
   std::ostringstream spans;
   TelemetryStream::Options opts;
-  opts.analyzer.n_cpus = 1;
-  opts.analyzer.span_out = &spans;
-  opts.analyzer.span_capacity = 4;  // Tiny window: forces mid-run flushes.
+  opts.n_cpus = 1;
+  opts.span_out = &spans;
+  opts.span_capacity = 4;  // Tiny window: forces mid-run flushes.
   TelemetryStream stream(opts);
   for (int i = 0; i < 10; ++i) {
     Time t0 = static_cast<Time>(i) * 100;
@@ -303,7 +240,7 @@ TEST(StreamSpans, WindowedEmitterFlushesCompletedSpans) {
     stream.OnSwitchOut(t0 + 60, 0, i % 3, 60, i % 2 == 0);
   }
   stream.Finish(1000);
-  EXPECT_EQ(stream.analyzer().spans_emitted(), 10u);
+  EXPECT_EQ(stream.spans_emitted(), 10u);
   // CSV lines: tid,cpu,start,end,preempted.
   EXPECT_NE(spans.str().find("0,0,0,60,1\n"), std::string::npos) << spans.str();
   int lines = 0;
@@ -325,8 +262,7 @@ TEST(StreamSummary, OneLineStableAndWithinBudget) {
   std::string json = stream.SummaryJson();
   EXPECT_EQ(json.find('\n'), std::string::npos);  // One line.
   for (const char* key :
-       {"\"events\":", "\"ring_capacity\":", "\"ring_dropped\":0", "\"tasks\":",
-        "\"agg_bytes_peak\":", "\"budget_bytes\":", "\"within_budget\":true", "\"machine\":",
+       {"\"events\":", "\"tasks\":", "\"agg_bytes_peak\":", "\"budget_bytes\":", "\"within_budget\":true", "\"machine\":",
         "\"rq_wait\":", "\"oncpu\":", "\"totals\":", "\"starvation\":", "\"horizon_ns\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing from " << json;
   }
@@ -337,7 +273,7 @@ TEST(StreamSummary, OneLineStableAndWithinBudget) {
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
-  EXPECT_TRUE(stream.analyzer().WithinBudget());
+  EXPECT_TRUE(stream.WithinBudget());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -63,10 +64,9 @@ TEST(LatencyAccountantTest, AccountsSwitchAndWakeupEvents) {
 
   EXPECT_EQ(acct.Cpu(1).rq_wait.Count(), 1u);
   EXPECT_DOUBLE_EQ(acct.Cpu(1).rq_wait.Max(), static_cast<double>(Microseconds(100)));
-  EXPECT_EQ(acct.Thread(7).wakeup_latency.Count(), 1u);
-  EXPECT_DOUBLE_EQ(acct.Thread(7).timeslice.Max(), static_cast<double>(Milliseconds(4)));
-  // Unknown threads and untouched cpus read as empty, not UB.
-  EXPECT_EQ(acct.Thread(99).rq_wait.Count(), 0u);
+  EXPECT_EQ(acct.Cpu(1).wakeup_latency.Count(), 1u);
+  EXPECT_DOUBLE_EQ(acct.Cpu(1).timeslice.Max(), static_cast<double>(Milliseconds(4)));
+  // Untouched cpus read as empty.
   EXPECT_EQ(acct.Cpu(3).rq_wait.Count(), 0u);
 }
 
@@ -318,7 +318,9 @@ TEST(ChromeTraceTest, ParserRejectsMalformedJson) {
 
 TEST(TelemetrySessionTest, WritesBothReports) {
   Topology topo = Topology::Flat(1, 2, 1);
+  std::string dir = ::testing::TempDir() + "/wc_telemetry_test";
   TelemetrySession telemetry(topo.n_cores());
+  telemetry.AttachStream(TelemetryStream::ForTopology(topo), dir, "t_");
   Simulator::Options opts;
   Simulator sim(topo, opts, telemetry.sink());
   Simulator::SpawnParams params;
@@ -327,9 +329,9 @@ TEST(TelemetrySessionTest, WritesBothReports) {
             params);
   sim.Run(Milliseconds(20));
 
-  std::string dir = ::testing::TempDir() + "/wc_telemetry_test";
-  std::string error;
-  ASSERT_TRUE(telemetry.WriteReports(dir, sim.sched(), sim.Now(), "t_", &error)) << error;
+  std::string failed_path;
+  ASSERT_TRUE(telemetry.WriteReports(dir, sim.sched(), sim.Now(), "t_", &failed_path))
+      << failed_path;
 
   std::ifstream stat_in(dir + "/t_schedstat.txt");
   std::string stat((std::istreambuf_iterator<char>(stat_in)), std::istreambuf_iterator<char>());
@@ -340,6 +342,16 @@ TEST(TelemetrySessionTest, WritesBothReports) {
   std::string trace((std::istreambuf_iterator<char>(trace_in)),
                     std::istreambuf_iterator<char>());
   EXPECT_TRUE(CheckChromeTrace(trace).Ok(topo.n_cores()));
+
+  // The attached stream adds its one-line summary and the Gantt spans.
+  std::ifstream stream_in(dir + "/t_stream.json");
+  std::string stream_json;
+  ASSERT_TRUE(std::getline(stream_in, stream_json));
+  EXPECT_EQ(stream_json, telemetry.stream()->SummaryJson());
+  std::ifstream spans_in(dir + "/t_spans.csv");
+  std::string span;
+  ASSERT_TRUE(std::getline(spans_in, span)) << "no span for the one 5ms stint";
+  EXPECT_EQ(std::count(span.begin(), span.end(), ','), 4) << span;  // tid,cpu,start,end,preempted
 
   EXPECT_FALSE(telemetry.LatencySnapshot().empty());
 }

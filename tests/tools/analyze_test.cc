@@ -688,20 +688,21 @@ TEST(AnalyzeSelfApplication, SeededBalancerEntityLoadReadIsCaught) {
   EXPECT_EQ(r.errors, 1);
 }
 
-// The streaming analyzer is bounded-memory: an unannotated append seeded
-// into its per-event path is an A2 error (reached from the dispatch roots
-// through the trace-sink virtual calls).
+// The stream is bounded-memory: an unannotated append seeded into its
+// per-event path is an A2 error (reached from the dispatch roots through the
+// trace-sink virtual calls).
 TEST(AnalyzeSelfApplication, SeededStreamPerEventAppendIsCaught) {
   AnalyzeResult r = AnalyzeSeeded(
-      "telemetry/stream/analyzer.cc", "void StreamAnalyzer::Consume(const StreamRecord& rec) {\n",
-      "  heap_.push_back(Deadline{rec.when, rec.tid, 0});\n");
+      "telemetry/stream/stream_sink.cc",
+      "void TelemetryStream::OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) {\n",
+      "  heap_.push_back(Deadline{now, tid, 0});\n");
   bool caught = false;
   for (const Finding& f : r.findings) {
     caught = caught || (f.rule == "A2" && !f.suppressed && f.severity == Severity::kError &&
-                        f.file.find("telemetry/stream/analyzer.cc") != std::string::npos &&
-                        f.message.find("StreamAnalyzer::Consume") != std::string::npos);
+                        f.file.find("telemetry/stream/stream_sink.cc") != std::string::npos &&
+                        f.message.find("TelemetryStream::OnSwitchIn") != std::string::npos);
   }
-  EXPECT_TRUE(caught) << "A2 must flag a per-event append in the stream analyzer";
+  EXPECT_TRUE(caught) << "A2 must flag a per-event append in the stream";
   EXPECT_EQ(r.errors, 1);
 }
 

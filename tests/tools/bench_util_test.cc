@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/sim/simulator.h"
 #include "src/telemetry/chrome_trace.h"
 
 namespace wcores {
@@ -27,14 +28,14 @@ struct Argv {
 
 TEST(BenchArgs, SharedFlags) {
   Argv a({"bin", "--out=artifacts", "--telemetry"});
-  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv());
+  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kAccepted);
   EXPECT_EQ(opts.out_dir, "artifacts");
   EXPECT_EQ(opts.telemetry_dir, "artifacts/telemetry");
 }
 
 TEST(BenchArgs, TelemetryExplicitDir) {
   Argv a({"bin", "--telemetry=tdir"});
-  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv());
+  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kAccepted);
   EXPECT_EQ(opts.out_dir, "out");
   EXPECT_EQ(opts.telemetry_dir, "tdir");
 }
@@ -42,7 +43,7 @@ TEST(BenchArgs, TelemetryExplicitDir) {
 TEST(BenchArgs, ExtraFlagsParsed) {
   std::string threads, scale;
   Argv a({"bin", "--threads=4", "--out=o", "--scale=0.5"});
-  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv(),
+  BenchOptions opts = ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kRejected,
                                      {{"threads", &threads, "worker threads"},
                                       {"scale", &scale, "workload scale"}});
   EXPECT_EQ(opts.out_dir, "o");
@@ -58,7 +59,8 @@ TEST(BenchArgsDeathTest, UnknownFlagIsHardError) {
 TEST(BenchArgsDeathTest, ExtraFlagsListedInUsage) {
   std::string threads;
   Argv a({"bin", "--bogus=1"});
-  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv(), {{"threads", &threads, "worker threads"}}),
+  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kRejected,
+                             {{"threads", &threads, "worker threads"}}),
               ::testing::ExitedWithCode(2), "--threads=V");
 }
 
@@ -72,8 +74,29 @@ TEST(BenchArgsDeathTest, EmptyOutDirIsHardError) {
 TEST(BenchArgsDeathTest, EmptyTelemetryDirIsHardError) {
   // Empty would silently disable the telemetry the flag asked for.
   Argv a({"bin", "--telemetry="});
-  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
-              "invalid value '' for --telemetry");
+  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kAccepted),
+              ::testing::ExitedWithCode(2), "invalid value '' for --telemetry");
+}
+
+TEST(BenchArgsDeathTest, TelemetryRejectedWhereNotWritten) {
+  // A binary that writes no telemetry must not accept the flag and ignore it.
+  Argv bare({"bin", "--telemetry"});
+  EXPECT_EXIT(ParseBenchArgs(bare.argc(), bare.argv()), ::testing::ExitedWithCode(2),
+              "unknown argument '--telemetry'");
+  Argv dir({"bin", "--telemetry=tdir"});
+  EXPECT_EXIT(ParseBenchArgs(dir.argc(), dir.argv()), ::testing::ExitedWithCode(2),
+              "unknown argument '--telemetry=tdir'");
+}
+
+TEST(BenchArgsDeathTest, TelemetryLookalikesAreUnknown) {
+  // --telemetry is the one telemetry flag: a longer flag sharing its prefix
+  // is unknown even where --telemetry is accepted.
+  Argv bare({"bin", "--telemetry-spans"});
+  EXPECT_EXIT(ParseBenchArgs(bare.argc(), bare.argv(), TelemetryFlag::kAccepted),
+              ::testing::ExitedWithCode(2), "unknown argument '--telemetry-spans'");
+  Argv dir({"bin", "--telemetry-dir=tdir"});
+  EXPECT_EXIT(ParseBenchArgs(dir.argc(), dir.argv(), TelemetryFlag::kAccepted),
+              ::testing::ExitedWithCode(2), "unknown argument '--telemetry-dir=tdir'");
 }
 
 TEST(BenchWriteDeathTest, UnwritablePathIsHardError) {
@@ -88,6 +111,26 @@ TEST(BenchWriteDeathTest, UnwritablePathIsHardError) {
   BenchReport report;
   report.bench = "unit";
   EXPECT_EXIT(report.Write(opts), ::testing::ExitedWithCode(1), "BENCH_unit.json");
+  EXPECT_EXIT(WriteArtifact(blocker + "/sub/stream.jsonl", "{}\n"), ::testing::ExitedWithCode(1),
+              "cannot write .*bench_util_test_blocker/sub/stream.jsonl");
+  std::remove(blocker.c_str());
+}
+
+TEST(BenchWriteDeathTest, UnwritableTelemetryIsHardError) {
+  // The --telemetry reports take the same exit(1) path as any artifact:
+  // never a warning followed by a successful exit.
+  std::string blocker = ::testing::TempDir() + "bench_util_test_telemetry_blocker";
+  std::ofstream(blocker) << "not a directory";
+  BenchOptions opts;
+  opts.telemetry_dir = blocker + "/sub";
+  Topology topo = Topology::Flat(1, 2, 1);
+  TelemetrySession telemetry(topo.n_cores());
+  AttachTelemetryStream(opts, &telemetry, topo, "t_");
+  Simulator sim(topo, Simulator::Options{}, telemetry.sink());
+  sim.Run(Milliseconds(1));
+  EXPECT_EXIT(WriteTelemetry(opts, &telemetry, sim.sched(), sim.Now(), "t_"),
+              ::testing::ExitedWithCode(1),
+              "cannot write .*bench_util_test_telemetry_blocker/sub/t_schedstat.txt");
   std::remove(blocker.c_str());
 }
 
