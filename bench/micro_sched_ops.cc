@@ -13,6 +13,7 @@
 #include "src/core/cfs_rq.h"
 #include "src/core/rbtree.h"
 #include "src/core/scheduler.h"
+#include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/event_queue.h"
 #include "src/topo/topology.h"
@@ -387,6 +388,27 @@ void BM_SimulatedSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedSecond)->Unit(benchmark::kMillisecond);
+
+// Building and tearing down one Simulator (scheduler, runqueues, domains
+// and the policy's per-cpu state) with no threads: the setup every fleet
+// scenario pays before its first event. Args: topology, policy.
+void BM_SimulatorSetup(benchmark::State& state) {
+  const char* const kTopos[] = {"flat1x4", "flat4x8", "bulldozer8x8"};
+  const char* const kPolicies[] = {"cfs", "o1", "coreidle"};
+  Topology topo = state.range(0) == 0   ? Topology::Flat(1, 4)
+                  : state.range(0) == 1 ? Topology::Flat(4, 8)
+                                        : Topology::Bulldozer8x8();
+  const char* policy_name = kPolicies[state.range(1)];
+  for (auto _ : state) {
+    std::unique_ptr<SchedPolicy> policy = CreateSchedPolicy(policy_name);
+    Simulator::Options opts;
+    opts.policy = policy.get();
+    Simulator sim(topo, opts);
+    benchmark::DoNotOptimize(&sim);
+  }
+  state.SetLabel(std::string(policy_name) + " on " + kTopos[state.range(0)]);
+}
+BENCHMARK(BM_SimulatorSetup)->ArgsProduct({{0, 1, 2}, {0, 1, 2}})->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace wcores

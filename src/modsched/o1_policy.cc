@@ -1,7 +1,5 @@
 #include "src/modsched/o1_policy.h"
 
-#include <algorithm>
-
 #include "src/core/scheduler.h"
 #include "src/simkit/check.h"
 
@@ -16,33 +14,53 @@ int O1Policy::PrioArray::FirstSet() const {
   return -1;
 }
 
-void O1Policy::PrioArray::Push(int prio, ThreadId tid) {
-  queues[prio].push_back(tid);
-  bitmap[prio / 64] |= uint64_t{1} << (prio % 64);
-  count += 1;
-}
-
-void O1Policy::PrioArray::Remove(int prio, ThreadId tid) {
-  std::deque<ThreadId>& q = queues[prio];
-  auto it = std::find(q.begin(), q.end(), tid);
-  WC_CHECK(it != q.end(), "o1: task not in its recorded priority queue");
-  q.erase(it);
-  if (q.empty()) {
-    bitmap[prio / 64] &= ~(uint64_t{1} << (prio % 64));
-  }
-  count -= 1;
-}
-
 void O1Policy::Attach(Scheduler* sched) {
   SchedPolicy::Attach(sched);
   cpus_.assign(static_cast<size_t>(sched->topology().n_cores()), CpuState{});
 }
 
 O1Policy::TaskState& O1Policy::StateOf(ThreadId tid) {
-  while (tasks_.size() <= static_cast<size_t>(tid)) {
-    tasks_.emplace_back();
+  if (tasks_.size() <= static_cast<size_t>(tid)) {
+    tasks_.resize(static_cast<size_t>(tid) + 1);
   }
   return tasks_[tid];
+}
+
+void O1Policy::Push(CpuId cpu, int arr, int prio, ThreadId tid) {
+  PrioArray& a = cpus_[cpu].arrays[arr];
+  Level& lv = a.levels[prio];
+  TaskState& ts = tasks_[tid];
+  ts.prev = lv.tail;
+  ts.next = kInvalidThread;
+  (lv.tail == kInvalidThread ? lv.head : tasks_[lv.tail].next) = tid;
+  lv.tail = tid;
+  a.bitmap[prio / 64] |= uint64_t{1} << (prio % 64);
+  a.count += 1;
+  ts.cpu = cpu;
+  ts.array = static_cast<uint8_t>(arr);
+  ts.prio = static_cast<uint8_t>(prio);
+  ts.queued = true;
+}
+
+void O1Policy::Remove(CpuId cpu, ThreadId tid) {
+  TaskState& ts = tasks_[tid];
+  PrioArray& a = cpus_[cpu].arrays[ts.array];
+  Level& lv = a.levels[ts.prio];
+  // The list_head debug check: whatever points at tid from either side must
+  // be this level's head/tail or a live neighbour's link.
+  ThreadId& from_prev = ts.prev == kInvalidThread ? lv.head : tasks_[ts.prev].next;
+  ThreadId& from_next = ts.next == kInvalidThread ? lv.tail : tasks_[ts.next].prev;
+  WC_CHECK(ts.cpu == cpu && from_prev == tid && from_next == tid,
+           "o1: task not in its recorded priority queue");
+  from_prev = ts.next;
+  from_next = ts.prev;
+  ts.next = kInvalidThread;
+  ts.prev = kInvalidThread;
+  if (lv.head == kInvalidThread) {
+    a.bitmap[ts.prio / 64] &= ~(uint64_t{1} << (ts.prio % 64));
+  }
+  a.count -= 1;
+  ts.queued = false;
 }
 
 Time O1Policy::TimesliceOf(int prio) const {
@@ -79,7 +97,7 @@ SchedEntity* O1Policy::PickNextEntity(Time now, CpuId cpu) {
   }
   int prio = act->FirstSet();
   WC_CHECK(prio >= 0, "o1: non-empty array with empty bitmap");
-  return &sched_->MutableEntity(act->queues[prio].front());
+  return &sched_->MutableEntity(act->levels[prio].head);
 }
 
 bool O1Policy::TickPreempt(Time now, CpuId cpu) {
@@ -132,18 +150,13 @@ void O1Policy::OnRqEnqueue(Time now, CpuId cpu, SchedEntity* se,
     ts.used = 0;
     ts.expire_next = false;
   }
-  cs.arrays[arr].Push(prio, se->tid);
-  ts.array = static_cast<uint8_t>(arr);
-  ts.prio = static_cast<uint8_t>(prio);
-  ts.queued = true;
+  Push(cpu, arr, prio, se->tid);
 }
 
 void O1Policy::OnRqDequeue(Time now, CpuId cpu, SchedEntity* se) {
   (void)now;
-  TaskState& ts = StateOf(se->tid);
-  WC_CHECK(ts.queued, "o1: dequeue of task not in the arrays");
-  cpus_[cpu].arrays[ts.array].Remove(ts.prio, se->tid);
-  ts.queued = false;
+  WC_CHECK(StateOf(se->tid).queued, "o1: dequeue of task not in the arrays");
+  Remove(cpu, se->tid);
 }
 
 void O1Policy::OnRqPick(Time now, CpuId cpu, SchedEntity* se) {
@@ -153,12 +166,10 @@ void O1Policy::OnRqPick(Time now, CpuId cpu, SchedEntity* se) {
 void O1Policy::OnRqReweight(Time now, CpuId cpu, SchedEntity* se, int old_nice) {
   (void)now;
   (void)old_nice;
-  TaskState& ts = StateOf(se->tid);
-  WC_CHECK(ts.queued, "o1: reweight of task not in the arrays");
-  cpus_[cpu].arrays[ts.array].Remove(ts.prio, se->tid);
-  int prio = PrioOf(se->nice);
-  cpus_[cpu].arrays[ts.array].Push(prio, se->tid);
-  ts.prio = static_cast<uint8_t>(prio);
+  WC_CHECK(StateOf(se->tid).queued, "o1: reweight of task not in the arrays");
+  int arr = tasks_[se->tid].array;
+  Remove(cpu, se->tid);
+  Push(cpu, arr, PrioOf(se->nice), se->tid);  // Tail of its new level.
 }
 
 int O1Policy::QueuedInArrays(CpuId cpu) const {
@@ -168,14 +179,27 @@ int O1Policy::QueuedInArrays(CpuId cpu) const {
 
 bool O1Policy::ValidateArrays(CpuId cpu) const {
   const CpuState& cs = cpus_[cpu];
-  for (const PrioArray& a : cs.arrays) {
+  for (int arr = 0; arr < 2; ++arr) {
+    const PrioArray& a = cs.arrays[arr];
     int count = 0;
     for (int p = 0; p < kLevels; ++p) {
+      const Level& lv = a.levels[p];
       bool bit = (a.bitmap[p / 64] >> (p % 64)) & 1;
-      if (bit != !a.queues[p].empty()) {
+      bool empty = lv.head == kInvalidThread;
+      if (bit == empty || empty != (lv.tail == kInvalidThread)) {
         return false;
       }
-      count += static_cast<int>(a.queues[p].size());
+      ThreadId prev = kInvalidThread;
+      for (ThreadId t = lv.head; t != kInvalidThread; prev = t, t = tasks_[t].next) {
+        const TaskState& ts = tasks_[t];
+        if (++count > a.count || ts.prev != prev || !ts.queued || ts.cpu != cpu ||
+            ts.array != arr || ts.prio != p) {
+          return false;  // The count bound also stops a cyclic walk.
+        }
+      }
+      if (prev != lv.tail) {
+        return false;
+      }
     }
     if (count != a.count) {
       return false;
