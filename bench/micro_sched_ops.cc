@@ -155,10 +155,10 @@ void BM_WakeupPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_WakeupPlacement);
 
-// The wakeup-placement scan the incremental idle index replaces: the
-// longest-idle cpu over the full affinity mask, at 8 and 64 cores with the
-// machine mostly busy (10% idle — the overloaded case every wake hits) and
-// mostly idle (90%).
+// A component diagnostic for the fixed wakeup path's pick: the longest-idle
+// cpu over the full affinity mask, a scan of the allowed tickless cpus, at 8
+// and 64 cores with the machine mostly busy (10% idle — the overloaded case
+// every wake hits) and mostly idle (90%, where the scan is longest).
 void BM_LongestIdleCpu(benchmark::State& state) {
   const int n_cores = static_cast<int>(state.range(0));
   const int idle_pct = static_cast<int>(state.range(1));
@@ -214,11 +214,11 @@ void BM_PeriodicBalancePass(benchmark::State& state) {
 }
 BENCHMARK(BM_PeriodicBalancePass)->Arg(8)->Arg(64);
 
-// The common tick: every domain interval skips. Pre-wheel this walked all
-// domains of the ticking core to increment balance_interval_skips; with the
-// balance-due wheel it is one timestamp compare. Intervals are stretched so
-// no balance ever comes due inside the measurement — this isolates exactly
-// the all-skips path that dominates ticks on a busy machine.
+// A component diagnostic for the common tick: every domain interval skips,
+// so the periodic walk visits each domain of the ticking core and only
+// counts balance_interval_skips. Intervals are stretched so no balance ever
+// comes due inside the measurement — this isolates exactly the all-skips
+// path that dominates ticks on a busy machine.
 void BM_TickAllSkips(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;

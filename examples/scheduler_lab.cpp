@@ -14,6 +14,12 @@
 //   --heatmap                    print the runqueue-size heatmap at the end
 //   --checker                    attach the online sanity checker
 //   --no-autogroup               disable autogroups
+//
+// A malformed or out-of-range option value (a non-number, a node or cpu the
+// machine does not have, a machine wider than kMaxCpus, a duration that is
+// not positive) prints "bad --<option> ..." to stderr and exits 2.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,9 +44,9 @@ namespace {
 struct Args {
   std::string machine = "bulldozer";
   std::string workload = "hogs:64";
-  std::vector<int> pin_nodes;
+  const char* pin = nullptr;  // Node list; validated against the machine.
   std::string fixes = "none";
-  int hotplug_cpu = -1;
+  const char* hotplug = nullptr;  // Cpu id; validated against the machine.
   double duration_s = 30;
   uint64_t seed = 1;
   bool heatmap = false;
@@ -72,6 +78,19 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return parts;
 }
 
+[[noreturn]] void BadOption(const char* option, const std::string& value, const char* want) {
+  std::fprintf(stderr, "bad --%s '%s' (want %s)\n", option, value.c_str(), want);
+  std::exit(2);
+}
+
+// Parses the whole of `text` as a base-10 integer in [lo, hi].
+bool ParseLong(const std::string& text, long lo, long hi, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtol(text.c_str(), &end, 10);
+  return !text.empty() && *end == '\0' && errno == 0 && *out >= lo && *out <= hi;
+}
+
 Args Parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -81,17 +100,26 @@ Args Parse(int argc, char** argv) {
     } else if (StartsWith(argv[i], "--workload=", &v)) {
       args.workload = v;
     } else if (StartsWith(argv[i], "--pin=", &v)) {
-      for (const std::string& part : Split(v, ',')) {
-        args.pin_nodes.push_back(std::atoi(part.c_str()));
-      }
+      args.pin = v;
     } else if (StartsWith(argv[i], "--fix=", &v)) {
       args.fixes = v;
     } else if (StartsWith(argv[i], "--hotplug=", &v)) {
-      args.hotplug_cpu = std::atoi(v);
+      args.hotplug = v;
     } else if (StartsWith(argv[i], "--duration=", &v)) {
-      args.duration_s = std::atof(v);
+      // Bounded so the conversion to integer nanoseconds stays defined.
+      char* end = nullptr;
+      args.duration_s = std::strtod(v, &end);
+      if (*v == '\0' || *end != '\0' || !std::isfinite(args.duration_s) ||
+          args.duration_s <= 0 || args.duration_s > 1e6) {
+        BadOption("duration", v, "seconds in (0, 1e6]");
+      }
     } else if (StartsWith(argv[i], "--seed=", &v)) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      char* end = nullptr;
+      errno = 0;
+      args.seed = std::strtoull(v, &end, 10);
+      if (*v < '0' || *v > '9' || *end != '\0' || errno != 0) {
+        BadOption("seed", v, "an unsigned integer");
+      }
     } else if (std::strcmp(argv[i], "--heatmap") == 0) {
       args.heatmap = true;
     } else if (std::strcmp(argv[i], "--checker") == 0) {
@@ -113,15 +141,20 @@ Topology MakeMachine(const std::string& spec) {
   if (spec == "example32") {
     return Topology::Example32();
   }
+  std::string want = "bulldozer | example32 | flat:NxC with N*C <= " + std::to_string(kMaxCpus) +
+                     " and C even";
   const char* v = nullptr;
   if (StartsWith(spec.c_str(), "flat:", &v)) {
     std::vector<std::string> parts = Split(v, 'x');
-    if (parts.size() == 2) {
-      return Topology::Flat(std::atoi(parts[0].c_str()), std::atoi(parts[1].c_str()));
+    long nodes = 0;
+    long cores = 0;
+    // Flat machines pair cores into SMT siblings, so C must be even.
+    if (parts.size() == 2 && ParseLong(parts[0], 1, kMaxCpus, &nodes) &&
+        ParseLong(parts[1], 1, kMaxCpus, &cores) && nodes * cores <= kMaxCpus && cores % 2 == 0) {
+      return Topology::Flat(static_cast<int>(nodes), static_cast<int>(cores));
     }
   }
-  std::fprintf(stderr, "bad --machine (want bulldozer | example32 | flat:NxC)\n");
-  std::exit(2);
+  BadOption("machine", spec, want.c_str());
 }
 
 SchedFeatures MakeFeatures(const std::string& fixes, bool autogroup) {
@@ -164,23 +197,34 @@ int main(int argc, char** argv) {
   Args args = Parse(argc, argv);
   Topology topo = MakeMachine(args.machine);
 
+  // Options that name cpus or nodes are checked against the machine.
+  long hotplug_cpu = -1;
+  if (args.hotplug != nullptr && !ParseLong(args.hotplug, 0, topo.n_cores() - 1, &hotplug_cpu)) {
+    std::string want = "a cpu in [0, " + std::to_string(topo.n_cores() - 1) + "]";
+    BadOption("hotplug", args.hotplug, want.c_str());
+  }
+  CpuSet pin;
+  if (args.pin != nullptr) {
+    for (const std::string& part : Split(args.pin, ',')) {
+      long node = 0;
+      if (!ParseLong(part, 0, topo.n_nodes() - 1, &node)) {
+        std::string want = "nodes in [0, " + std::to_string(topo.n_nodes() - 1) + "]";
+        BadOption("pin", args.pin, want.c_str());
+      }
+      pin |= topo.CpusOfNode(static_cast<NodeId>(node));
+    }
+  }
+
   EventRecorder recorder;
   Simulator::Options options;
   options.features = MakeFeatures(args.fixes, args.autogroup);
   options.seed = args.seed;
   Simulator sim(topo, options, args.heatmap ? &recorder : nullptr);
 
-  if (args.hotplug_cpu >= 0 && args.hotplug_cpu < topo.n_cores()) {
-    sim.SetCpuOnline(args.hotplug_cpu, false);
-    sim.SetCpuOnline(args.hotplug_cpu, true);
-    std::printf("hotplugged core %d (disable + re-enable)\n", args.hotplug_cpu);
-  }
-
-  CpuSet pin;
-  for (int node : args.pin_nodes) {
-    if (node >= 0 && node < topo.n_nodes()) {
-      pin |= topo.CpusOfNode(node);
-    }
+  if (hotplug_cpu >= 0) {
+    sim.SetCpuOnline(static_cast<CpuId>(hotplug_cpu), false);
+    sim.SetCpuOnline(static_cast<CpuId>(hotplug_cpu), true);
+    std::printf("hotplugged core %ld (disable + re-enable)\n", hotplug_cpu);
   }
 
   // Workload setup. The objects must outlive the run.
@@ -190,11 +234,19 @@ int main(int argc, char** argv) {
   std::unique_ptr<TransientThreadGenerator> transients;
   std::vector<ThreadId> hogs;
 
+  const char* want_workload =
+      "nas:<app>:<n> | make_r | tpch | hogs:<n>, with n in [1, 4096]";
   std::vector<std::string> wparts = Split(args.workload, ':');
-  if (wparts[0] == "nas" && wparts.size() >= 2) {
+  long count = topo.n_cores();
+  if ((wparts[0] == "nas" && wparts.size() == 3) || (wparts[0] == "hogs" && wparts.size() == 2)) {
+    if (!ParseLong(wparts.back(), 1, 4096, &count)) {
+      BadOption("workload", args.workload, want_workload);
+    }
+  }
+  if (wparts[0] == "nas" && (wparts.size() == 2 || wparts.size() == 3)) {
     NasConfig config;
     config.app = ParseNasApp(wparts[1]);
-    config.threads = wparts.size() >= 3 ? std::atoi(wparts[2].c_str()) : topo.n_cores();
+    config.threads = static_cast<int>(count);
     config.affinity = pin;
     config.spawn_cpu = pin.Empty() ? 0 : pin.First();
     NasWorkload* wl = new NasWorkload(&sim, config);
@@ -211,9 +263,8 @@ int main(int argc, char** argv) {
     transients = std::make_unique<TransientThreadGenerator>(
         &sim, TransientThreadGenerator::Options{});
     transients->Start();
-  } else if (wparts[0] == "hogs" && wparts.size() >= 2) {
-    int n = std::atoi(wparts[1].c_str());
-    for (int i = 0; i < n; ++i) {
+  } else if (wparts[0] == "hogs" && wparts.size() == 2) {
+    for (long i = 0; i < count; ++i) {
       Simulator::SpawnParams params;
       params.parent_cpu = pin.Empty() ? 0 : pin.First();
       params.affinity = pin;
@@ -222,8 +273,7 @@ int main(int argc, char** argv) {
                                params));
     }
   } else {
-    std::fprintf(stderr, "bad --workload (want nas:<app>:<n> | make_r | tpch | hogs:<n>)\n");
-    return 2;
+    BadOption("workload", args.workload, want_workload);
   }
 
   std::unique_ptr<SanityChecker> checker;

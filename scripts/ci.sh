@@ -15,6 +15,8 @@
 #                the randomized invariant fuzzer their teeth: an optimization
 #                that corrupts memory or relies on UB fails here even if its
 #                output happens to look right.
+#                ctest includes every examples/ binary as a smoke test and
+#                scheduler_lab's bad-option cases, so they run sanitized too.
 #   3. tsan    - build the TSan configuration and run the determinism layer
 #                (golden hashes + sweep thread-count invariance) under it, so
 #                the parallel sweep runner's "same report at -j1/-j2/-j4"

@@ -1,11 +1,7 @@
 #include "src/core/scheduler.h"
 
-#include "src/simkit/check.h"
-
-#include <algorithm>
-#include <cassert>
-
 #include "src/core/sched_policy.h"
+#include "src/simkit/check.h"
 #include "src/simkit/log.h"
 
 namespace wcores {
@@ -35,23 +31,19 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   const size_t n = static_cast<size_t>(topo.n_cores());
   nr_running_.assign(n, 0);
   load_version_.assign(n, 0);
-  tickless_.assign(n, 0);
   imbalanced_.assign(n, 0);
   idle_since_.assign(n, 0);
-  idle_prev_.assign(n, kInvalidCpu);
-  idle_next_.assign(n, kInvalidCpu);
   load_cache_now_.assign(n, kTimeNever);
   load_cache_version_.assign(n, 0);
   load_cache_epoch_.assign(n, 0);
   load_cache_feat_.assign(n, 0);
   load_cache_const_.assign(n, 0);
   load_cache_value_.assign(n, 0.0);
-  wheel_.assign(n, BalanceWheel{});
-  node_idle_gen_.assign(static_cast<size_t>(topo.n_nodes()), 0);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
     cpus_.emplace_back(c, &tunables_);
     cpus_[c].rq.set_stat_slots(&nr_running_[c], &load_version_[c], &overloaded_cpus_);
     online_.Set(c);
+    tickless_.Set(c);  // All cpus boot idle since t=0.
   }
   autogroups_.push_back(Autogroup{kRootAutogroup, 0});
 
@@ -63,17 +55,9 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   opts.cross_node_levels = true;
   opts.base_balance_interval = tunables_.base_balance_interval;
   auto trees = BuildDomains(*topo_, online_, opts);
-  idle_head_.assign(static_cast<size_t>(topo.n_nodes()), kInvalidCpu);
-  idle_tail_.assign(static_cast<size_t>(topo.n_nodes()), kInvalidCpu);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
     cpus_[c].domains = std::move(trees[c]);
-    RecomputeWheelDues(c);  // Before the idle inserts: they sum wheel ndoms.
   }
-  for (CpuId c = 0; c < topo.n_cores(); ++c) {
-    tickless_[c] = 1;
-    IdleIndexInsert(c);  // All cpus boot idle since t=0.
-  }
-  RecomputeNohzGlobals();
 
   policy_->Attach(this);
   if (policy_->WantsQueueEvents()) {
@@ -121,14 +105,6 @@ double Scheduler::RqLoadRecomputed(Time now, CpuId cpu) const {
 void Scheduler::UpdateFeatures(const SchedFeatures& features) {
   features_ = features;
   feature_gen_ += 1;
-  // No feature flag feeds the balance intervals or DesignatedCpu today
-  // (domain-construction flags take effect at the next rebuild), but drop
-  // the cached designation bits anyway: the wheel must never be the thing
-  // that couples a new feature to stale decisions. Dues are untouched —
-  // they are pure last_balance + interval arithmetic.
-  for (uint64_t& gen : node_idle_gen_) {
-    gen += 1;
-  }
 }
 
 void Scheduler::SetNice(Time now, ThreadId tid, int nice) {
@@ -183,134 +159,32 @@ void Scheduler::NotifyLoad(Time now, CpuId cpu) {
 
 void Scheduler::UpdateIdleState(Time now, CpuId cpu) {
   if (nr_running_[cpu] == 0) {
-    if (tickless_[cpu] == 0) {
+    if (!tickless_.Test(cpu)) {
       idle_since_[cpu] = now;
-      tickless_[cpu] = 1;
-      // An idleness flip can change DesignatedCpu answers for this node;
-      // invalidate its cached designation bits (see BalanceWheel).
-      node_idle_gen_[topo_->NodeOf(cpu)] += 1;
-      if (online_.Test(cpu)) {
-        IdleIndexInsert(cpu);
-      }
+      tickless_.Set(cpu);
       trace_->OnIdleEnter(now, cpu);
     }
-  } else {
-    if (tickless_[cpu] != 0) {
-      trace_->OnIdleExit(now, cpu, now - idle_since_[cpu]);
-      node_idle_gen_[topo_->NodeOf(cpu)] += 1;
-      if (online_.Test(cpu)) {
-        IdleIndexRemove(cpu);
-      }
-    }
-    tickless_[cpu] = 0;
+  } else if (tickless_.Test(cpu)) {
+    trace_->OnIdleExit(now, cpu, now - idle_since_[cpu]);
+    tickless_.Clear(cpu);
   }
-}
-
-void Scheduler::IdleIndexInsert(CpuId cpu) {
-  NodeId node = topo_->NodeOf(cpu);
-  // A cpu going idle at the current instant carries the largest
-  // (idle_since, cpu) key of its node except for same-instant ties, so the
-  // backward walk from the tail almost always stops immediately.
-  CpuId after = idle_tail_[node];
-  while (after != kInvalidCpu &&
-         (idle_since_[after] > idle_since_[cpu] ||
-          (idle_since_[after] == idle_since_[cpu] && after > cpu))) {
-    after = idle_prev_[after];
-  }
-  idle_prev_[cpu] = after;
-  idle_next_[cpu] = after == kInvalidCpu ? idle_head_[node] : idle_next_[after];
-  if (idle_next_[cpu] != kInvalidCpu) {
-    idle_prev_[idle_next_[cpu]] = cpu;
-  } else {
-    idle_tail_[node] = cpu;
-  }
-  if (after == kInvalidCpu) {
-    idle_head_[node] = cpu;
-  } else {
-    idle_next_[after] = cpu;
-  }
-  // NOHZ wheel: a new delegate joins. Its dues only move forward, so
-  // min-folding keeps nohz_all_due_ a sound lower bound (see scheduler.h).
-  idle_ndom_sum_ += wheel_[cpu].ndom;
-  nohz_all_due_ = std::min(nohz_all_due_, wheel_[cpu].all_idle);
-}
-
-void Scheduler::IdleIndexRemove(CpuId cpu) {
-  NodeId node = topo_->NodeOf(cpu);
-  if (idle_prev_[cpu] != kInvalidCpu) {
-    idle_next_[idle_prev_[cpu]] = idle_next_[cpu];
-  } else {
-    idle_head_[node] = idle_next_[cpu];
-  }
-  if (idle_next_[cpu] != kInvalidCpu) {
-    idle_prev_[idle_next_[cpu]] = idle_prev_[cpu];
-  } else {
-    idle_tail_[node] = idle_prev_[cpu];
-  }
-  idle_prev_[cpu] = kInvalidCpu;
-  idle_next_[cpu] = kInvalidCpu;
-  // nohz_all_due_ is left stale-low on purpose: raising it exactly would
-  // cost a full index scan here. A too-low bound only costs a fast-path
-  // miss; the next NOHZ slow pass recomputes it exactly.
-  idle_ndom_sum_ -= wheel_[cpu].ndom;
 }
 
 CpuId Scheduler::LongestIdleCpu(const CpuSet& allowed) const {
-  // Each node list is sorted ascending by (idle_since, cpu), so its first
-  // allowed entry is the node minimum, and the minimum over node minima is
-  // the machine minimum — the same cpu the old full scan produced: lowest
-  // idle_since, ties to the lowest cpu id.
+  // Ascending id order with a strict < keeps the tie-break: lowest
+  // idle_since, then lowest cpu id.
   CpuId best = kInvalidCpu;
   Time best_since = kTimeNever;
-  for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-    for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-      if (!allowed.Test(c)) {
-        continue;
-      }
-      Time since = idle_since_[c];
-      if (since < best_since || (since == best_since && c < best)) {
-        best_since = since;
-        best = c;
-      }
-      break;  // Later entries of this node can only have larger keys.
+  for (CpuId c : allowed & online_ & tickless_) {
+    if (idle_since_[c] < best_since) {
+      best_since = idle_since_[c];
+      best = c;
     }
   }
   return best;
 }
 
-bool Scheduler::ValidateIdleIndex() const {
-  std::vector<bool> in_index(cpus_.size(), false);
-  for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-    CpuId prev = kInvalidCpu;
-    for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-      if (topo_->NodeOf(c) != n || idle_prev_[c] != prev) {
-        return false;
-      }
-      if (!online_.Test(c) || tickless_[c] == 0 || in_index[c]) {
-        return false;
-      }
-      if (prev != kInvalidCpu &&
-          (idle_since_[prev] > idle_since_[c] ||
-           (idle_since_[prev] == idle_since_[c] && prev > c))) {
-        return false;
-      }
-      in_index[c] = true;
-      prev = c;
-    }
-    if (idle_tail_[n] != prev) {
-      return false;
-    }
-  }
-  for (CpuId c = 0; c < static_cast<CpuId>(cpus_.size()); ++c) {
-    if (in_index[c] != (online_.Test(c) && tickless_[c] != 0)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Scheduler::ValidateBalanceWheel() const {
-  // Write-through mirrors and the overload counter.
+bool Scheduler::ValidateStatMirrors() const {
   int overloaded = 0;
   for (CpuId c = 0; c < static_cast<CpuId>(cpus_.size()); ++c) {
     if (nr_running_[c] != cpus_[c].rq.nr_running() ||
@@ -320,72 +194,11 @@ bool Scheduler::ValidateBalanceWheel() const {
     if (nr_running_[c] >= 2) {
       overloaded += 1;
     }
-  }
-  if (overloaded != overloaded_cpus_) {
-    return false;
-  }
-  // Per-cpu due minima from scratch, and designation bits against the
-  // truth whenever their generation is current (stale generations are
-  // never consulted, so their bit contents are unconstrained — but the
-  // fire minima must still be the bit-derived subset minima, since
-  // RecomputeWheelDues rebuilds them from whatever bits it kept).
-  const Time factor = static_cast<Time>(tunables_.busy_balance_factor);
-  for (CpuId c = 0; c < static_cast<CpuId>(cpus_.size()); ++c) {
-    const BalanceWheel& w = wheel_[c];
-    const bool gen_current = w.desig_gen == node_idle_gen_[topo_->NodeOf(c)];
-    Time all_busy = kTimeNever;
-    Time all_idle = kTimeNever;
-    Time fire_busy = kTimeNever;
-    Time fire_idle = kTimeNever;
-    int i = 0;
-    for (const SchedDomain& sd : cpus_[c].domains.domains) {
-      const uint32_t bit = i < 32 ? (1u << i) : 0u;
-      Time due_idle = sd.last_balance + sd.balance_interval;
-      Time due_busy = sd.last_balance + sd.balance_interval * factor;
-      all_idle = std::min(all_idle, due_idle);
-      all_busy = std::min(all_busy, due_busy);
-      bool known = (w.desig_known & bit) != 0;
-      bool self = (w.desig_self & bit) != 0;
-      if (known && gen_current && self != (DesignatedCpu(c, sd) == c)) {
-        return false;  // A current-generation bit disagrees with the truth.
-      }
-      if (!known || self) {
-        fire_idle = std::min(fire_idle, due_idle);
-        fire_busy = std::min(fire_busy, due_busy);
-      }
-      ++i;
-    }
-    if (w.ndom != i || w.all_busy != all_busy || w.all_idle != all_idle) {
-      return false;
-    }
-    // fire minima may be *stale-high relative to cleared bits* never: they
-    // are recomputed whenever bits change. They must match the recorded
-    // bits exactly when those were folded in as valid, and must never be
-    // below the all-domain minimum.
-    if (w.fire_busy < w.all_busy || w.fire_idle < w.all_idle) {
-      return false;
-    }
-    if (gen_current && (w.fire_busy > fire_busy || w.fire_idle > fire_idle)) {
-      // Under a current generation the fast paths consult fire_*: they must
-      // not exceed the bit-derived minima, or a due+unknown/self domain
-      // could be skipped without a walk.
+    if (online_.Test(c) && tickless_.Test(c) != (nr_running_[c] == 0)) {
       return false;
     }
   }
-  // NOHZ wheel: the sum is exact over index members; the due bound is a
-  // lower bound (stale-low is sound, stale-high is not).
-  int sum = 0;
-  Time true_min = kTimeNever;
-  for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-    for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-      sum += wheel_[c].ndom;
-      true_min = std::min(true_min, wheel_[c].all_idle);
-    }
-  }
-  if (sum != idle_ndom_sum_ || nohz_all_due_ > true_min) {
-    return false;
-  }
-  return true;
+  return overloaded == overloaded_cpus_;
 }
 
 bool Scheduler::CanSteal(CpuId idle_cpu, CpuId busy_cpu) const {
@@ -581,24 +394,7 @@ void Scheduler::Tick(Time now, CpuId cpu) {
   }
 }
 
-CpuId Scheduler::NohzKickTarget() const {
-  // The replaced linear scan took the first online cpu, in ascending id
-  // order, with tickless && Idle — i.e. the minimum id over {online &&
-  // tickless && idle}. The idle index holds exactly the online tickless
-  // cpus, so the same minimum falls out of walking its node lists (sorted
-  // by idle_since, hence no early exit within a node, but the lists are
-  // short exactly when this check runs: the kicking cpu is overloaded).
-  // The Idle() re-check mirrors the old scan's condition verbatim.
-  CpuId best = kInvalidCpu;
-  for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-    for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-      if (nr_running_[c] == 0 && (best == kInvalidCpu || c < best)) {
-        best = c;
-      }
-    }
-  }
-  return best;
-}
+CpuId Scheduler::NohzKickTarget() const { return (online_ & tickless_).First(); }
 
 void Scheduler::RunNohzBalance(Time now, CpuId cpu) { policy_->NohzBalance(now, cpu); }
 
@@ -606,180 +402,35 @@ void Scheduler::CfsPeriodicBalance(Time now, CpuId cpu) {
   // Periodic load balancing: Algorithm 1, bottom-up over this core's
   // scheduling domains. This core is busy (it is taking a tick), so its
   // intervals are stretched by busy_balance_factor, as in the kernel.
-  //
-  // The common tick does O(1) work via the balance-due wheel: the walk it
-  // replaces is pure skip accounting unless some domain is both due and
-  // designated to this cpu, and the wheel's precomputed minima prove the
-  // negative without touching the domains (exactness argued at BalanceWheel
-  // and in EXPERIMENTS.md "Tick epoch-ization").
-  BalanceWheel& w = wheel_[cpu];
-  if (now < w.all_busy) {
-    // Every domain would interval-skip; account them in bulk.
-    stats_.balance_interval_skips += static_cast<uint64_t>(w.ndom);
-    return;
-  }
-  if (w.desig_gen == node_idle_gen_[topo_->NodeOf(cpu)] && now < w.fire_busy) {
-    // Some domain is due, but its cached designation says another cpu
-    // balances it (now < fire_busy leaves no due domain unknown or ours).
-    // Classify with integer compares only — no DesignatedCpu calls.
-    for (SchedDomain& sd : cpus_[cpu].domains.domains) {
-      Time interval = sd.balance_interval * static_cast<Time>(tunables_.busy_balance_factor);
-      if (now < sd.last_balance + interval) {
-        stats_.balance_interval_skips += 1;
-      } else {
-        stats_.balance_designation_skips += 1;
-      }
-    }
-    return;
-  }
   BalanceDomainsWalk(now, cpu, /*busy=*/true, ConsideredKind::kPeriodicBalance);
-  RecomputeWheelDues(cpu);
 }
 
 void Scheduler::CfsNohzBalance(Time now, CpuId cpu) {
   // The kicked core runs the periodic balancing routine for itself and on
-  // behalf of all tickless idle cores (§2.2.2).
-  //
-  // Fast path: nohz_all_due_ lower-bounds every idle-index member's
-  // earliest due time, so "now < nohz_all_due_" proves the whole delegated
-  // sweep would be interval skips — account them in bulk (idle_ndom_sum_)
-  // without visiting a single domain. The kicked cpu itself participates
-  // unconditionally; if it left the index since the kick (woke up busy),
-  // its own wheel must also clear.
-  if (now < nohz_all_due_) {
-    if (tickless_[cpu] != 0) {
-      // cpu is an index member: participants == index members exactly.
-      stats_.balance_interval_skips += static_cast<uint64_t>(idle_ndom_sum_);
-      return;
-    }
-    if (now < wheel_[cpu].all_idle) {
-      stats_.balance_interval_skips +=
-          static_cast<uint64_t>(idle_ndom_sum_) + static_cast<uint64_t>(wheel_[cpu].ndom);
-      return;
-    }
-  }
+  // behalf of all tickless idle cores (§2.2.2). Membership is re-read per
+  // cpu: a balance that pulls work onto one delegate changes idleness.
   for (CpuId x : online_) {
-    if (x != cpu && !(tickless_[x] != 0 && nr_running_[x] == 0)) {
-      continue;
+    if (x == cpu || tickless_.Test(x)) {
+      BalanceDomainsWalk(now, x, /*busy=*/false, ConsideredKind::kNohzBalance);
     }
-    BalanceWheel& w = wheel_[x];
-    if (now < w.all_idle) {
-      stats_.balance_interval_skips += static_cast<uint64_t>(w.ndom);
-      continue;
-    }
-    if (w.desig_gen == node_idle_gen_[topo_->NodeOf(x)] && now < w.fire_idle) {
-      for (SchedDomain& sd : cpus_[x].domains.domains) {
-        if (now < sd.last_balance + sd.balance_interval) {
-          stats_.balance_interval_skips += 1;
-        } else {
-          stats_.balance_designation_skips += 1;
-        }
-      }
-      continue;
-    }
-    BalanceDomainsWalk(now, x, /*busy=*/false, ConsideredKind::kNohzBalance);
-    RecomputeWheelDues(x);
   }
-  // The sweep may have fired balances (dues moved forward) or only proved
-  // the bound stale-low; either way re-derive the globals exactly.
-  RecomputeNohzGlobals();
 }
 
 void Scheduler::BalanceDomainsWalk(Time now, CpuId cpu, bool busy, ConsideredKind kind) {
-  // The pre-wheel per-domain loop, verbatim: interval check, designation
-  // check, fire. The only addition is bookkeeping — designation answers are
-  // recorded into the wheel (and served from it while its generation holds)
-  // so the next ticks can skip without calling DesignatedCpu at all.
-  NodeId node = topo_->NodeOf(cpu);
-  BalanceWheel& w = wheel_[cpu];
-  if (w.desig_gen != node_idle_gen_[node]) {
-    w.desig_known = 0;
-    w.desig_self = 0;
-    w.desig_gen = node_idle_gen_[node];
-  }
-  int i = 0;
   for (SchedDomain& sd : cpus_[cpu].domains.domains) {
-    // Levels beyond the 32 designation bits (never reached: trees are a
-    // handful of levels) simply stay unknown — conservative, not wrong.
-    const uint32_t bit = i < 32 ? (1u << i) : 0u;
-    ++i;
     Time interval = busy ? sd.balance_interval * static_cast<Time>(tunables_.busy_balance_factor)
                          : sd.balance_interval;
     if (now < sd.last_balance + interval) {
       stats_.balance_interval_skips += 1;
       continue;
     }
-    bool self;
-    if ((w.desig_known & bit) != 0 && w.desig_gen == node_idle_gen_[node]) {
-      self = (w.desig_self & bit) != 0;
-    } else {
-      self = DesignatedCpu(cpu, sd) == cpu;
-      w.desig_known |= bit;
-      if (self) {
-        w.desig_self |= bit;
-      } else {
-        w.desig_self &= ~bit;
-      }
-    }
-    if (!self) {
+    if (DesignatedCpu(cpu, sd) != cpu) {
       stats_.balance_designation_skips += 1;
       continue;
     }
     sd.last_balance = now;
     BalanceDomain(now, cpu, sd, kind);
   }
-  if (w.desig_gen != node_idle_gen_[node]) {
-    // A balance moved tasks and flipped idleness mid-walk: bits recorded
-    // above mix generations. Drop them all; the next walk refills.
-    w.desig_known = 0;
-    w.desig_self = 0;
-    w.desig_gen = node_idle_gen_[node];
-  }
-}
-
-void Scheduler::RecomputeWheelDues(CpuId cpu) {
-  BalanceWheel& w = wheel_[cpu];
-  const Time factor = static_cast<Time>(tunables_.busy_balance_factor);
-  const bool bits_valid = w.desig_gen == node_idle_gen_[topo_->NodeOf(cpu)];
-  Time all_busy = kTimeNever;
-  Time all_idle = kTimeNever;
-  Time fire_busy = kTimeNever;
-  Time fire_idle = kTimeNever;
-  int i = 0;
-  for (const SchedDomain& sd : cpus_[cpu].domains.domains) {
-    const uint32_t bit = i < 32 ? (1u << i) : 0u;
-    ++i;
-    Time due_idle = sd.last_balance + sd.balance_interval;
-    Time due_busy = sd.last_balance + sd.balance_interval * factor;
-    all_idle = std::min(all_idle, due_idle);
-    all_busy = std::min(all_busy, due_busy);
-    // fire_* drops only domains *known* to be someone else's; unknown ones
-    // are conservatively treated as would-fire.
-    bool known_not_self =
-        bits_valid && (w.desig_known & bit) != 0 && (w.desig_self & bit) == 0;
-    if (!known_not_self) {
-      fire_idle = std::min(fire_idle, due_idle);
-      fire_busy = std::min(fire_busy, due_busy);
-    }
-  }
-  w.all_busy = all_busy;
-  w.all_idle = all_idle;
-  w.fire_busy = fire_busy;
-  w.fire_idle = fire_idle;
-  w.ndom = i;
-}
-
-void Scheduler::RecomputeNohzGlobals() {
-  Time min_due = kTimeNever;
-  int sum = 0;
-  for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-    for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-      min_due = std::min(min_due, wheel_[c].all_idle);
-      sum += wheel_[c].ndom;
-    }
-  }
-  nohz_all_due_ = min_due;
-  idle_ndom_sum_ = sum;
 }
 
 void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
@@ -788,12 +439,6 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
     return;
   }
   if (!online) {
-    // If the core sits idle in the index, drop it first: offline cpus are
-    // never listed (the evacuation below re-checks idle state with the
-    // online bit already cleared, so it will not re-insert).
-    if (tickless_[cpu] != 0) {
-      IdleIndexRemove(cpu);
-    }
     online_.Clear(cpu);
 
     // Evacuate the runqueue: the running thread first, then queued ones.
@@ -840,12 +485,8 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
   } else {
     online_.Set(cpu);
     idle_since_[cpu] = now;
-    tickless_[cpu] = 1;
+    tickless_.Set(cpu);
     c.need_resched = false;
-    // The insert sums a wheel ndom that is stale (the offline tree was
-    // empty); RebuildDomains below recomputes the NOHZ globals exactly
-    // before any balancer can observe them.
-    IdleIndexInsert(cpu);
   }
   RebuildDomains();
 }
@@ -864,12 +505,10 @@ CpuId Scheduler::DesignatedCpu(CpuId cpu, const SchedDomain& sd) const {
       mask = node_cpus;
     }
   }
-  for (CpuId c : mask) {
-    if (nr_running_[c] == 0) {
-      return c;
-    }
-  }
-  return mask.First();
+  // tickless_ is exactly the idle set on online cpus (ValidateStatMirrors),
+  // so its first member in the mask is the first idle one.
+  CpuId idle = (mask & tickless_).First();
+  return idle != kInvalidCpu ? idle : mask.First();
 }
 
 void Scheduler::RebuildDomains() {
@@ -885,22 +524,6 @@ void Scheduler::RebuildDomains() {
   for (CpuId c = 0; c < topo_->n_cores(); ++c) {
     cpus_[c].domains = std::move(trees[c]);
   }
-  // Fresh trees mean fresh SchedDomain objects (last_balance reset) and a
-  // possibly-changed online mask: rebuild the whole wheel layer. Bumping
-  // every node generation drops all cached designation bits — the online
-  // mask is a DesignatedCpu input that the idle generations do not
-  // otherwise cover.
-  for (uint64_t& gen : node_idle_gen_) {
-    gen += 1;
-  }
-  for (CpuId c = 0; c < topo_->n_cores(); ++c) {
-    BalanceWheel& w = wheel_[c];
-    w.desig_known = 0;
-    w.desig_self = 0;
-    w.desig_gen = node_idle_gen_[topo_->NodeOf(c)];
-    RecomputeWheelDues(c);
-  }
-  RecomputeNohzGlobals();
 }
 
 }  // namespace wcores

@@ -133,16 +133,14 @@ class Scheduler {
   int NrRunning(CpuId cpu) const { return nr_running_[cpu]; }
   bool IsIdleCpu(CpuId cpu) const { return nr_running_[cpu] == 0; }
   Time IdleSince(CpuId cpu) const { return idle_since_[cpu]; }
-  bool IsTickless(CpuId cpu) const { return tickless_[cpu] != 0; }
+  bool IsTickless(CpuId cpu) const { return tickless_.Test(cpu); }
   // Some online cpu holds >= 2 runnable threads. O(1): the runqueues keep
   // the count of overloaded cpus current through their stat slots, so
   // policies gating their balancers on overload (COREIDLE) pay a counter
   // read instead of an O(cpus) NrRunning sweep per gate.
   bool AnyCpuOverloaded() const { return overloaded_cpus_ > 0; }
   // The cpu Tick's NOHZ-kick check would select at this instant: the
-  // lowest-id online tickless idle cpu, or kInvalidCpu. Served from the
-  // per-node idle index; tests cross-check it against the linear scan it
-  // replaced.
+  // lowest-id online tickless idle cpu, or kInvalidCpu.
   CpuId NohzKickTarget() const;
   ThreadId CurrentThread(CpuId cpu) const;
   // Memoized per-cpu load; defined inline below the class so the balance
@@ -152,16 +150,12 @@ class Scheduler {
   // From-scratch recomputation bypassing the RqLoad memo cache; the fuzzer
   // cross-checks the cached value against it.
   double RqLoadRecomputed(Time now, CpuId cpu) const;
-  // The per-node idle index is structurally sound and lists exactly the
-  // online tickless cpus, in (idle_since, cpu) order. Fuzzer cross-check,
-  // like RqLoadRecomputed for the RqLoad memo.
-  bool ValidateIdleIndex() const;
-  // The balance-due wheel matches a from-scratch recomputation: per-cpu due
-  // minima over the domain intervals, cached designation bits (when their
-  // generation is current), the write-through nr_running/load_version
-  // mirrors, the overloaded-cpu count, and the NOHZ wheel's lower-bound /
-  // sum invariants. Fuzzer cross-check, like ValidateIdleIndex.
-  bool ValidateBalanceWheel() const;
+  // The per-cpu stat mirrors match their sources: the write-through
+  // nr_running/load_version mirrors, the overloaded-cpu count, and the
+  // tickless mask — set on an online cpu exactly when its runqueue is empty,
+  // which DesignatedCpu, LongestIdleCpu and NohzKickTarget rely on. Fuzzer
+  // cross-check, like RqLoadRecomputed for the RqLoad memo.
+  bool ValidateStatMirrors() const;
   Time MinVruntime(CpuId cpu) const { return cpus_[cpu].rq.min_vruntime(); }
   // Runqueue structural invariants (test support; see CfsRunqueue).
   bool ValidateRq(CpuId cpu) const { return cpus_[cpu].rq.ValidateInvariants(); }
@@ -176,7 +170,8 @@ class Scheduler {
   // `busy_cpu` is allowed to run on `idle_cpu`.
   bool CanSteal(CpuId idle_cpu, CpuId busy_cpu) const;
 
-  // The longest-idle online cpu within `allowed`, or kInvalidCpu.
+  // The longest-idle online cpu within `allowed` (lowest idle_since, ties to
+  // the lowest id), or kInvalidCpu.
   CpuId LongestIdleCpu(const CpuSet& allowed) const;
 
   // The cpus a wakeup of `se` may land on: its affinity intersected with the
@@ -249,34 +244,6 @@ class Scheduler {
     double last_load_reported = -1.0;
   };
 
-  // Per-cpu balance-due wheel entry: the tick/NOHZ interval checks reduced
-  // to precomputed minima over this cpu's domains. all_* is the min of
-  // last_balance + interval over ALL domains (busy = interval stretched by
-  // busy_balance_factor, idle = base interval) — pure integer time
-  // arithmetic over the exact inputs the walk reads, so "now < all_busy"
-  // holds iff every domain would interval-skip. fire_* additionally drops
-  // domains whose cached designation says another cpu balances them, so
-  // "now < fire_busy" (under a current desig generation) means no domain
-  // would actually fire: the walk degenerates to skip accounting.
-  //
-  // Designation bits are filled lazily by the slow-path walk (only for
-  // domains whose interval check it passed; the rest stay unknown and are
-  // conservatively treated as would-fire) and are valid while the owning
-  // node's idle generation is unchanged: DesignatedCpu is a pure function
-  // of topology, the online mask, and the idleness of this cpu's node
-  // (its balance mask never leaves the node), and every idle flip bumps
-  // the node generation in UpdateIdleState.
-  struct BalanceWheel {
-    Time all_busy = 0;
-    Time all_idle = 0;
-    Time fire_busy = 0;
-    Time fire_idle = 0;
-    uint32_t desig_known = 0;  // Bit per domain level: designation cached.
-    uint32_t desig_self = 0;   // Valid where desig_known: this cpu fires it.
-    uint64_t desig_gen = 0;    // node_idle_gen_ snapshot for the bits.
-    int ndom = 0;
-  };
-
   // Aggregate load/occupancy of one scheduling group (Algorithm 1 lines
   // 10-12): the inputs to busiest-group selection.
   struct GroupLoadStats {
@@ -339,31 +306,12 @@ class Scheduler {
 
   void EnqueueWake(Time now, SchedEntity* se, CpuId cpu);
   void UpdateIdleState(Time now, CpuId cpu);
-  // Idle-index maintenance. Insert keeps the node list sorted by
-  // (idle_since, cpu); callers uphold the invariant "in the index iff
-  // online && tickless".
-  void IdleIndexInsert(CpuId cpu);
-  void IdleIndexRemove(CpuId cpu);
   void RebuildDomains();
 
-  // ---- Balance-due wheel maintenance (see BalanceWheel above) -------------
-
-  // The slow path shared by CfsPeriodicBalance and CfsNohzBalance: the
-  // original per-domain walk (interval check, lazy designation, balance),
-  // recording designation bits into the wheel as they are computed. Exactly
-  // the pre-wheel loop body — the wheel's fast paths only run when this
-  // would have been pure skip accounting.
+  // Algorithm 1 over `cpu`'s domains, bottom-up: interval check (stretched
+  // by busy_balance_factor when `busy`), designated-core check (lines 2-9),
+  // then balance. Shared by periodic and NOHZ balancing.
   void BalanceDomainsWalk(Time now, CpuId cpu, bool busy, ConsideredKind kind);
-
-  // Recomputes wheel_[cpu]'s due minima from its domain tree (designation
-  // bits untouched; fire minima re-derived from the current bits).
-  void RecomputeWheelDues(CpuId cpu);
-
-  // Recomputes the NOHZ wheel (nohz_all_due_, idle_ndom_sum_) exactly from
-  // the idle index. Called after every NOHZ slow pass and on rebuilds; in
-  // between, IdleIndexInsert/Remove maintain idle_ndom_sum_ incrementally
-  // and keep nohz_all_due_ a conservative lower bound.
-  void RecomputeNohzGlobals();
 
   // RqLoad's miss path: folds the runqueue (LoadAt) and refills the memo.
   // Out of line so the inline hit path stays a handful of compares.
@@ -392,12 +340,8 @@ class Scheduler {
   // arrays are exact, not eventually-consistent.
   std::vector<int> nr_running_;        // == cpus_[c].rq.nr_running().
   std::vector<uint64_t> load_version_; // == cpus_[c].rq.load_version().
-  std::vector<uint8_t> tickless_;      // Idle and not receiving ticks.
   std::vector<uint8_t> imbalanced_;    // A steal from this rq failed on affinity.
   std::vector<Time> idle_since_;       // Valid while nr_running_[c] == 0.
-  // Intrusive links of the per-node idle index (see idle_head_ below).
-  std::vector<CpuId> idle_prev_;
-  std::vector<CpuId> idle_next_;
 
   // RqLoad memo (see Scheduler::RqLoad), SoA: the last computed load per
   // cpu, valid while the query instant, the runqueue membership version,
@@ -418,41 +362,11 @@ class Scheduler {
   // so "online" needs no separate filter). Backs AnyCpuOverloaded().
   int overloaded_cpus_ = 0;
 
-  // ---- Balance-due wheel state --------------------------------------------
-  std::vector<BalanceWheel> wheel_;
-
-  // Per-node idle generation: bumped on every tickless flip of a cpu of the
-  // node (UpdateIdleState) and on every domain rebuild (all nodes). The
-  // validity key for BalanceWheel designation bits: DesignatedCpu(c, sd)
-  // reads only node-local idleness, the online mask, and the domain
-  // structure, all of which bump the generation when they change.
-  std::vector<uint64_t> node_idle_gen_;
-
-  // NOHZ wheel: a conservative monotone-stale lower bound on
-  // min(wheel_[x].all_idle) over the idle-index members. Sound because dues
-  // only move forward in time: IdleIndexInsert min-folds the newcomer in,
-  // removals and balance firings leave it stale-but-<=-true-min, and each
-  // NOHZ slow pass / rebuild recomputes it exactly (RecomputeNohzGlobals).
-  // "now < nohz_all_due_" therefore proves every delegated cpu would
-  // interval-skip every domain.
-  Time nohz_all_due_ = 0;
-  // Sum of wheel_[x].ndom over idle-index members: the bulk
-  // balance_interval_skips increment the NOHZ fast path owes, maintained
-  // incrementally in IdleIndexInsert/Remove.
-  int idle_ndom_sum_ = 0;
-
-  // Incremental idle-CPU index: one intrusive doubly-linked list per NUMA
-  // node (links in idle_prev_/idle_next_), sorted ascending by
-  // (idle_since, cpu) — the same total order the old linear scan minimized —
-  // holding exactly the online tickless cpus. LongestIdleCpu walks each
-  // node's list to its first allowed entry instead of scanning the whole
-  // machine; every wakeup on a mostly-busy machine goes from O(cpus) to
-  // O(nodes + idle). Maintained in UpdateIdleState and hotplug; inserts walk
-  // back from the tail, which is O(1) in practice because a cpu going idle
-  // *now* has the largest key of its node. The fuzzer audits membership and
-  // order against recomputation (ValidateIdleIndex).
-  std::vector<CpuId> idle_head_;
-  std::vector<CpuId> idle_tail_;
+  // Idle and not receiving ticks: the kernel's nohz.idle_cpus_mask. Set and
+  // cleared by UpdateIdleState and hotplug; on every online cpu it is set
+  // exactly when nr_running_ is 0 (ValidateStatMirrors). Offline cpus may
+  // keep a stale bit, so every reader masks with online_.
+  CpuSet tickless_;
 
   std::deque<SchedEntity> entities_;  // Indexed by tid; stable addresses.
   std::vector<Autogroup> autogroups_;

@@ -36,16 +36,8 @@ CpuId Scheduler::SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu,
     }
     CpuId longest = LongestIdleCpu(allowed);
     if (longest != kInvalidCpu) {
-      // The trace records every allowed idle core as considered; walk the
-      // idle index (exactly the online idle cpus) instead of re-scanning
-      // the whole machine for them.
-      for (NodeId n = 0; n < topo_->n_nodes(); ++n) {
-        for (CpuId c = idle_head_[n]; c != kInvalidCpu; c = idle_next_[c]) {
-          if (allowed.Test(c)) {
-            considered->Set(c);
-          }
-        }
-      }
+      // The trace records every allowed idle core as considered.
+      *considered |= allowed & online_ & tickless_;
       return longest;
     }
   }

@@ -89,8 +89,8 @@ class NumaLocalityModule : public WakeModule {
 
 // Spread load: suggest the longest-idle allowed core (the paper's
 // Overload-on-Wakeup fix, as a module). Cheap to consult on every wake:
-// LongestIdleCpu reads the scheduler's incremental per-node idle index,
-// O(nodes) on a busy machine rather than a full-machine scan.
+// LongestIdleCpu scans only the allowed cpus of the scheduler's tickless
+// mask, which is short on a busy machine.
 class LoadSpreadModule : public WakeModule {
  public:
   CpuId Suggest(const Scheduler& sched, const SchedEntity&,

@@ -1,34 +1,45 @@
 #include "src/topo/topology.h"
 
-#include <cassert>
 #include <cstdio>
 
+#include "src/simkit/check.h"
+
 namespace wcores {
+
+namespace {
+
+// Validates the machine shape before anything is sized from it: CpuSet holds
+// kMaxCpus bits, so a larger machine would write past its words.
+int CheckedCoreCount(int n_nodes, int cores_per_node, int smt_width) {
+  WC_CHECK(n_nodes >= 1, "topology: need at least one node");
+  WC_CHECK(cores_per_node >= 1, "topology: need at least one core per node");
+  WC_CHECK(smt_width >= 1 && cores_per_node % smt_width == 0,
+           "topology: smt width must divide cores per node");
+  WC_CHECK(cores_per_node <= kMaxCpus / n_nodes, "topology: more cores than kMaxCpus");
+  return n_nodes * cores_per_node;
+}
+
+}  // namespace
 
 Topology::Topology(int n_nodes, int cores_per_node, int smt_width,
                    std::vector<std::vector<int>> node_hops)
     : n_nodes_(n_nodes),
       cores_per_node_(cores_per_node),
       smt_width_(smt_width),
-      n_cores_(n_nodes * cores_per_node),
+      n_cores_(CheckedCoreCount(n_nodes, cores_per_node, smt_width)),
       node_hops_(std::move(node_hops)) {
-  assert(n_nodes >= 1);
-  assert(cores_per_node >= 1);
-  assert(smt_width >= 1 && cores_per_node % smt_width == 0);
-  assert(n_cores_ <= kMaxCpus);
-
   if (node_hops_.empty()) {
     node_hops_.assign(n_nodes_, std::vector<int>(n_nodes_, 1));
     for (int n = 0; n < n_nodes_; ++n) {
       node_hops_[n][n] = 0;
     }
   }
-  assert(static_cast<int>(node_hops_.size()) == n_nodes_);
+  WC_CHECK(static_cast<int>(node_hops_.size()) == n_nodes_, "topology: hops matrix size");
   for (int a = 0; a < n_nodes_; ++a) {
-    assert(static_cast<int>(node_hops_[a].size()) == n_nodes_);
-    assert(node_hops_[a][a] == 0);
+    WC_CHECK(static_cast<int>(node_hops_[a].size()) == n_nodes_, "topology: hops matrix size");
+    WC_CHECK(node_hops_[a][a] == 0, "topology: nonzero self distance");
     for (int b = 0; b < n_nodes_; ++b) {
-      assert(node_hops_[a][b] == node_hops_[b][a]);
+      WC_CHECK(node_hops_[a][b] == node_hops_[b][a], "topology: asymmetric hops");
       if (node_hops_[a][b] > max_hops_) {
         max_hops_ = node_hops_[a][b];
       }

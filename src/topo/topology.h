@@ -31,7 +31,10 @@ class Topology {
   // Cores are numbered node-major: node n owns cores [n*cpn, (n+1)*cpn).
   // Consecutive pairs of cores are SMT siblings when `smt_width` == 2.
   // `node_hops` is the symmetric inter-node hop matrix; when empty, every
-  // pair of distinct nodes is one hop apart (a "flat" interconnect).
+  // pair of distinct nodes is one hop apart (a "flat" interconnect). An
+  // invalid shape — no nodes or cores, an smt width that does not divide
+  // the node, more than kMaxCpus cores, a malformed hop matrix — aborts
+  // (WC_CHECK), in every build type.
   Topology(int n_nodes, int cores_per_node, int smt_width,
            std::vector<std::vector<int>> node_hops = {});
 

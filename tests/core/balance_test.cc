@@ -1,6 +1,7 @@
 // Focused load-balancer tests: the Group Imbalance metric in isolation,
-// taskset retries, cache-hot filtering, and the considered-core traces the
-// visualization tool relies on.
+// taskset retries, cache-hot filtering, the considered-core traces the
+// visualization tool relies on, and the periodic/NOHZ domain walk across
+// hotplug and mid-run feature toggles.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -225,6 +226,189 @@ TEST(ConsideredTraceTest, BalanceEventsCoverDomainSpan) {
     }
   }
   EXPECT_EQ(all, CpuSet::FirstN(4));
+}
+
+// The scan NohzKickTarget is pinned against: first online cpu, ascending
+// id, that is tickless and idle.
+CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
+  for (CpuId c = 0; c < n_cores; ++c) {
+    if (sched.IsOnline(c) && sched.IsTickless(c) && sched.IsIdleCpu(c)) {
+      return c;
+    }
+  }
+  return kInvalidCpu;
+}
+
+// The online cpu owning the domain with the earliest idle-path due time
+// (last_balance + interval).
+CpuId CpuHoldingNextDue(const Scheduler& sched, int n_cores) {
+  CpuId best = kInvalidCpu;
+  Time best_due = 0;
+  for (CpuId c = 0; c < n_cores; ++c) {
+    if (!sched.IsOnline(c)) {
+      continue;
+    }
+    for (const SchedDomain& sd : sched.Domains(c).domains) {
+      Time due = sd.last_balance + sd.balance_interval;
+      if (best == kInvalidCpu || due < best_due) {
+        best = c;
+        best_due = due;
+      }
+    }
+  }
+  return best;
+}
+
+// The periodic and NOHZ domain walk across reconfigurations: hotplug of the
+// cpu whose domain is due next, and feature toggles mid-run.
+class BalanceWalkTest : public ::testing::Test {
+ protected:
+  static constexpr int kCpus = 8;
+
+  void Build() {
+    topo_ = std::make_unique<Topology>(Topology::Flat(2, 4, 1));
+    sched_ = std::make_unique<Scheduler>(*topo_, SchedFeatures::AllFixed(),
+                                         SchedTunables::ForCpus(topo_->n_cores()), &client_);
+  }
+
+  // `threads` runnable threads per cpu in `busy`, running the first of
+  // each. Two threads makes the cpu overloaded (balancing has something to
+  // move); one keeps it busy but sterile (nothing stealable).
+  void Populate(const std::vector<CpuId>& busy, int threads) {
+    for (CpuId cpu : busy) {
+      for (int i = 0; i < threads; ++i) {
+        ThreadParams p;
+        p.parent_cpu = cpu;
+        sched_->CreateThread(clock_, p);
+      }
+      sched_->PickNext(clock_, cpu);
+    }
+  }
+
+  // Ticks every busy online cpu once per tick period for `rounds` periods,
+  // validating the stat mirrors after every instant. Busy-cpu balance
+  // intervals are stretched by busy_balance_factor (32x), so reaching a
+  // periodic fire takes spans of ~128 ms — callers pick `rounds` accordingly.
+  void TickRounds(int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      clock_ += Milliseconds(4);
+      for (CpuId c = 0; c < kCpus; ++c) {
+        if (sched_->IsOnline(c) && !sched_->IsIdleCpu(c)) {
+          sched_->Tick(clock_, c);
+        }
+      }
+      ASSERT_TRUE(sched_->ValidateStatMirrors()) << "t=" << clock_;
+    }
+  }
+
+  std::unique_ptr<Topology> topo_;
+  NullClient client_;
+  std::unique_ptr<Scheduler> sched_;
+  Time clock_ = 0;
+};
+
+TEST_F(BalanceWalkTest, OfflineCpuHoldingNextDueMidRun) {
+  Build();
+  Populate({0, 1, 2, 3, 4, 5}, /*threads=*/2);
+  ASSERT_TRUE(sched_->ValidateStatMirrors());
+
+  TickRounds(8);
+
+  // Offline precisely the cpu whose domain is due next: the rebuild gives
+  // every cpu fresh domains.
+  CpuId victim = CpuHoldingNextDue(*sched_, kCpus);
+  ASSERT_NE(victim, kInvalidCpu);
+  clock_ += Milliseconds(1);
+  sched_->SetCpuOnline(clock_, victim, false);
+  ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after offlining " << victim;
+
+  // Balancing must keep firing on the shrunken machine. 60 rounds spans
+  // the 32x busy interval of both remaining levels.
+  uint64_t calls_before = sched_->stats().balance_calls;
+  TickRounds(60);
+  EXPECT_GT(sched_->stats().balance_calls, calls_before)
+      << "periodic balancing stopped after hotplug of the next-due cpu";
+
+  // And back online: same story.
+  clock_ += Milliseconds(1);
+  sched_->SetCpuOnline(clock_, victim, true);
+  ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after onlining " << victim;
+  calls_before = sched_->stats().balance_calls;
+  TickRounds(60);
+  EXPECT_GT(sched_->stats().balance_calls, calls_before);
+}
+
+TEST_F(BalanceWalkTest, FeatureToggleMidRunKeepsBalancing) {
+  Build();
+  Populate({0, 1, 2, 3}, /*threads=*/2);
+  TickRounds(8);
+
+  // Flip every balance-relevant feature mid-run. Metric and autogroup flags
+  // take effect immediately (feature generation); domain-construction flags
+  // at the next rebuild.
+  sched_->UpdateFeatures(SchedFeatures::Stock());
+  ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after toggling features off";
+
+  uint64_t calls_before = sched_->stats().balance_calls;
+  TickRounds(60);
+  EXPECT_GT(sched_->stats().balance_calls, calls_before)
+      << "periodic balancing stopped after feature toggle";
+
+  // Force a rebuild under the flipped construction flags (hotplug round
+  // trip), then flip everything back on mid-run.
+  clock_ += Milliseconds(1);
+  sched_->SetCpuOnline(clock_, 7, false);
+  sched_->SetCpuOnline(clock_, 7, true);
+  ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after rebuild under flipped flags";
+
+  sched_->UpdateFeatures(SchedFeatures::AllFixed());
+  ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after toggling features back on";
+  calls_before = sched_->stats().balance_calls;
+  TickRounds(60);
+  EXPECT_GT(sched_->stats().balance_calls, calls_before);
+}
+
+TEST_F(BalanceWalkTest, NohzKickTargetMatchesLinearScan) {
+  Build();
+  // Start with everything idle: the constructor makes every cpu tickless.
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+
+  // Busy cpus 0 and 2 — one thread each, so newidle balancing elsewhere
+  // has nothing to steal and the busy/idle split stays put. The first
+  // tickless idle cpu is now 1.
+  Populate({0, 2}, /*threads=*/1);
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  ASSERT_EQ(sched_->NohzKickTarget(), 1);
+
+  // Busy cpu 1 as well: the target shifts past it.
+  Populate({1}, /*threads=*/1);
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  ASSERT_EQ(sched_->NohzKickTarget(), 3);
+
+  // Offline the would-be target: both sides must skip it.
+  clock_ += Milliseconds(1);
+  sched_->SetCpuOnline(clock_, 3, false);
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  ASSERT_EQ(sched_->NohzKickTarget(), 4);
+
+  // A busy cpu going idle re-enters both views.
+  clock_ += Milliseconds(1);
+  sched_->BlockCurrent(clock_, 2);
+  sched_->PickNext(clock_, 2);
+  ASSERT_TRUE(sched_->IsIdleCpu(2));
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  ASSERT_EQ(sched_->NohzKickTarget(), 2);
+
+  // Back online: the lower-id idle cpu 2 still wins, and cpu 3 reappears
+  // in both views once 2 is busy again.
+  clock_ += Milliseconds(1);
+  sched_->SetCpuOnline(clock_, 3, true);
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  Populate({2}, /*threads=*/1);
+  ASSERT_EQ(sched_->NohzKickTarget(), ScanKickTarget(*sched_, kCpus));
+  ASSERT_EQ(sched_->NohzKickTarget(), 3);
+
+  ASSERT_TRUE(sched_->ValidateStatMirrors());
 }
 
 }  // namespace

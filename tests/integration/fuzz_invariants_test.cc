@@ -97,7 +97,7 @@ void SpawnRandomMix(Simulator& sim, Rng& rng, int threads) {
   }
 }
 
-// The idle-index oracle: a from-scratch linear scan with the original
+// The LongestIdleCpu oracle: a from-scratch linear scan with the original
 // tie-break (lowest idle_since, then lowest cpu id).
 CpuId ScanLongestIdle(const Scheduler& sched, int n_cores) {
   CpuId best = kInvalidCpu;
@@ -112,6 +112,16 @@ CpuId ScanLongestIdle(const Scheduler& sched, int n_cores) {
     }
   }
   return best;
+}
+
+// The NohzKickTarget oracle: the first online tickless idle cpu, ascending.
+CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
+  for (CpuId cpu = 0; cpu < n_cores; ++cpu) {
+    if (sched.IsOnline(cpu) && sched.IsTickless(cpu) && sched.IsIdleCpu(cpu)) {
+      return cpu;
+    }
+  }
+  return kInvalidCpu;
 }
 
 // One invariant sweep over the whole machine at the current instant.
@@ -168,19 +178,16 @@ class InvariantChecker {
           << "cpu " << cpu << " cached load diverged from recomputation at t=" << now;
     }
 
-    // Idle-index coherence: structure (per-node order, link symmetry,
-    // membership == online && tickless) and the answer itself — the indexed
-    // LongestIdleCpu must match a fresh linear scan with the original
-    // tie-break (lowest idle_since, then lowest cpu).
-    ASSERT_TRUE(sched.ValidateIdleIndex()) << "idle index diverged at t=" << now;
+    // Stat mirrors: nr_running/load_version write-through, the overload
+    // count, and tickless == idle on every online cpu. The mask-served
+    // answers must match fresh linear scans: LongestIdleCpu with the
+    // original tie-break (lowest idle_since, then lowest cpu), and the
+    // NOHZ kick target (lowest online tickless idle cpu).
+    ASSERT_TRUE(sched.ValidateStatMirrors()) << "stat mirrors diverged at t=" << now;
     ASSERT_EQ(sched.LongestIdleCpu(sim_->topo().AllCpus()), ScanLongestIdle(sched, n_cores))
-        << "indexed LongestIdleCpu disagrees with linear scan at t=" << now;
-
-    // Balance-due wheel coherence: the per-cpu due minima, designation
-    // bits, write-through stat mirrors, and NOHZ globals all match a
-    // from-scratch recomputation over the domain trees.
-    ASSERT_TRUE(sched.ValidateBalanceWheel())
-        << "balance wheel diverged from recomputation at t=" << now;
+        << "LongestIdleCpu disagrees with linear scan at t=" << now;
+    ASSERT_EQ(sched.NohzKickTarget(), ScanKickTarget(sched, n_cores))
+        << "NohzKickTarget disagrees with linear scan at t=" << now;
 
     // Sanity-checker parity with an independent scan.
     bool expect_violation = false;
@@ -273,7 +280,7 @@ TEST(FuzzInvariants, RandomTopologiesAndWorkloads) {
     // Scheduled through the event queue so checks interleave
     // deterministically with scheduler activity.
     sim.After(kCheckInterval, RearmingCheck{&checker, &sim});
-    // Half the runs add hotplug churn, so the idle index, the RqLoad memo,
+    // Half the runs add hotplug churn, so the tickless mask, the RqLoad memo,
     // and domain regeneration are all fuzzed across offline/online
     // transitions, not just in the steady topology.
     Rng hotplug_rng(SplitMix64(sm));
@@ -331,21 +338,21 @@ TEST(FuzzInvariants, SanityCheckerFiresOnStealableBacklog) {
   }
 }
 
-// Regression (idle index vs. hotplug): repeatedly offline and online the
-// exact cpu the index would answer with — the head-of-list case, where a
-// stale link or a missed unlink corrupts every later query of that node's
-// list — and cross-check the indexed answer against the linear scan after
-// every transition and after scheduler activity in between.
+// Regression (idle state vs. hotplug): repeatedly offline and online the
+// exact cpu LongestIdleCpu answers with — where a stale tickless bit on an
+// offline cpu would leak into every later answer — and cross-check the
+// answer against the linear scan after every transition and after
+// scheduler activity in between.
 TEST(FuzzInvariants, IdleIndexSurvivesHotplugOfLongestIdleAnswer) {
   uint64_t seed = BaseSeed() + 4242ULL;
   SCOPED_TRACE(ReproCommand(seed));
   uint64_t sm = seed;
   Rng rng(SplitMix64(sm));
 
-  Topology topo = Topology::Bulldozer8x8();  // Multi-node: per-node idle lists.
+  Topology topo = Topology::Bulldozer8x8();
   Simulator::Options opts;
   opts.features = RandomFeatures(rng);
-  opts.features.fix_overload_wakeup = true;  // Wakeups consult the index too.
+  opts.features.fix_overload_wakeup = true;  // Wakeups call LongestIdleCpu too.
   opts.seed = seed;
   Simulator sim(topo, opts);
   SpawnRandomMix(sim, rng, 24);
@@ -365,25 +372,25 @@ TEST(FuzzInvariants, IdleIndexSurvivesHotplugOfLongestIdleAnswer) {
     offlined_rounds += 1;
 
     sim.SetCpuOnline(victim, false);
-    ASSERT_TRUE(sched.ValidateIdleIndex()) << "round " << round << " after offlining " << victim;
+    ASSERT_TRUE(sched.ValidateStatMirrors()) << "round " << round << " after offlining " << victim;
     ASSERT_EQ(sched.LongestIdleCpu(topo.AllCpus()), ScanLongestIdle(sched, n_cores))
         << "round " << round << " with cpu " << victim << " offline";
     ASSERT_NE(sched.LongestIdleCpu(topo.AllCpus()), victim);
 
     // Let wakeups, ticks, and balancing run against the shrunken topology.
     sim.Run(sim.Now() + rng.NextTime(Microseconds(300), Milliseconds(2)));
-    ASSERT_TRUE(sched.ValidateIdleIndex()) << "round " << round;
+    ASSERT_TRUE(sched.ValidateStatMirrors()) << "round " << round;
     ASSERT_EQ(sched.LongestIdleCpu(topo.AllCpus()), ScanLongestIdle(sched, n_cores))
         << "round " << round << " after running with cpu " << victim << " offline";
 
     sim.SetCpuOnline(victim, true);
-    ASSERT_TRUE(sched.ValidateIdleIndex()) << "round " << round << " after onlining " << victim;
+    ASSERT_TRUE(sched.ValidateStatMirrors()) << "round " << round << " after onlining " << victim;
     ASSERT_EQ(sched.LongestIdleCpu(topo.AllCpus()), ScanLongestIdle(sched, n_cores))
         << "round " << round << " with cpu " << victim << " back online";
 
     sim.Run(sim.Now() + rng.NextTime(Microseconds(300), Milliseconds(2)));
   }
-  EXPECT_GT(offlined_rounds, 10) << "machine was never idle enough to exercise the index";
+  EXPECT_GT(offlined_rounds, 10) << "machine was never idle enough to exercise hotplug";
 }
 
 // ---- Decay-forward exactness over random runnable sets ----------------------

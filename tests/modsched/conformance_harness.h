@@ -16,8 +16,9 @@
 //    accounting even when a policy picks non-leftmost entities).
 //  * Load-sum conservation — cached RqLoad equals a from-scratch
 //    recomputation, bit for bit.
-//  * Runqueue structure (red-black invariants, weight accounting) and the
-//    incremental idle index vs. a linear-scan oracle.
+//  * Runqueue structure (red-black invariants, weight accounting), the
+//    stat mirrors (ValidateStatMirrors), and LongestIdleCpu and
+//    NohzKickTarget vs. linear-scan oracles.
 //  * Sanity-checker parity — Algorithm 2's CheckOnce fires iff an
 //    independent scan finds an idle core next to a stealable backlog. (How
 //    *often* it fires is the policy's business — COREIDLE packs on purpose —
@@ -101,7 +102,7 @@ inline void SpawnRandomMix(Simulator& sim, Rng& rng, int threads) {
   }
 }
 
-// The idle-index oracle: from-scratch linear scan, original tie-break.
+// The LongestIdleCpu oracle: from-scratch linear scan, original tie-break.
 inline CpuId ScanLongestIdle(const Scheduler& sched, int n_cores) {
   CpuId best = kInvalidCpu;
   Time best_since = kTimeNever;
@@ -115,6 +116,16 @@ inline CpuId ScanLongestIdle(const Scheduler& sched, int n_cores) {
     }
   }
   return best;
+}
+
+// The NohzKickTarget oracle: the first online tickless idle cpu, ascending.
+inline CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
+  for (CpuId cpu = 0; cpu < n_cores; ++cpu) {
+    if (sched.IsOnline(cpu) && sched.IsTickless(cpu) && sched.IsIdleCpu(cpu)) {
+      return cpu;
+    }
+  }
+  return kInvalidCpu;
 }
 
 // One mechanism-invariant sweep over the whole machine at the current
@@ -175,9 +186,11 @@ class PolicyInvariantChecker {
           << "cpu " << cpu << " cached load diverged from recomputation at t=" << now;
     }
 
-    ASSERT_TRUE(sched.ValidateIdleIndex()) << "idle index diverged at t=" << now;
+    ASSERT_TRUE(sched.ValidateStatMirrors()) << "stat mirrors diverged at t=" << now;
     ASSERT_EQ(sched.LongestIdleCpu(sim_->topo().AllCpus()), ScanLongestIdle(sched, n_cores))
-        << "indexed LongestIdleCpu disagrees with linear scan at t=" << now;
+        << "LongestIdleCpu disagrees with linear scan at t=" << now;
+    ASSERT_EQ(sched.NohzKickTarget(), ScanKickTarget(sched, n_cores))
+        << "NohzKickTarget disagrees with linear scan at t=" << now;
 
     // Sanity-checker parity with an independent scan.
     bool expect_violation = false;

@@ -4,7 +4,8 @@
 //  1. Mechanism invariants under fuzz — seeded random topologies, feature
 //     sets, and workload mixes, with PolicyInvariantChecker sweeps at fixed
 //     virtual-time intervals (census, placement legality, vruntime/load
-//     conservation, rq structure, idle-index and sanity-checker parity).
+//     conservation, rq structure, stat mirrors, idle-cpu oracles and
+//     sanity-checker parity).
 //  2. Differential fold — the one-pass streaming analyzer and the
 //     whole-trace recorder observe the identical callback stream; every
 //     incremental accumulator must equal the from-scratch reduction, bit

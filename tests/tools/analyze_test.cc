@@ -595,7 +595,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
      public:
       CpuId SelectWakeCpu(Time now, Scheduler* sched, ThreadId tid, CpuId prev) {
         sched->IdleBalance(now, prev);
-        return static_cast<CpuId>(sched->wheel_.size());
+        return static_cast<CpuId>(sched->load_cache_value_.size());
       }
     };
     }  // namespace wcores
@@ -608,7 +608,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
                          "mechanism member Scheduler::IdleBalance"));
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
-                         "mechanism field Scheduler::wheel_"));
+                         "mechanism field Scheduler::load_cache_value_"));
   // The real policies stay clean even with the backdoor in the table.
   for (const Finding& f : r.findings) {
     if (f.rule == "A3") {

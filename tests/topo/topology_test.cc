@@ -161,5 +161,15 @@ TEST(BulldozerTest, SpecDescribesOpteron) {
   EXPECT_NE(topo.spec().interconnect.find("HyperTransport"), std::string::npos);
 }
 
+// Shape checks survive Release builds: a machine wider than kMaxCpus would
+// otherwise write past CpuSet's words.
+TEST(TopologyDeathTest, MoreCoresThanKMaxCpusAborts) {
+  EXPECT_DEATH(Topology::Flat(64, 8), "more cores than kMaxCpus");
+}
+
+TEST(TopologyDeathTest, ZeroNodesAborts) {
+  EXPECT_DEATH(Topology::Flat(0, 4), "need at least one node");
+}
+
 }  // namespace
 }  // namespace wcores
