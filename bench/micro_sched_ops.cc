@@ -244,8 +244,7 @@ BENCHMARK(BM_TickAllSkips);
 
 // Periodic balancing with per-instant churn: every iteration reweights one
 // queued thread on cpu 1, so cpu 1's load version changes between passes
-// while every other runqueue stays constant: the realistic mix of changed
-// and unchanged runqueues under the per-cpu RqLoad memo.
+// while every other runqueue's membership stays constant.
 void BM_PeriodicBalancePassChurn(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;
@@ -278,11 +277,10 @@ BENCHMARK(BM_PeriodicBalancePassChurn);
 
 // One newidle (idle-balance) pass: cpu 0 runs dry while cpus 1..7 of its
 // node hold ten pinned queued threads each (nothing stealable) and every
-// remote core runs one pinned hog. All trackers are born at exactly 1.0 and
-// stay in the constant domain, so across instants every remote member load
-// is served from the RqLoad memo; only cpu 0 — whose version the wake/block
-// churn bumps — must be re-folded per entity. This is the pass that
-// dominates fig2_make_r/fixed wall time.
+// remote core runs one pinned hog. Each pass runs at a fresh instant, so
+// every runqueue is folded once per pass and the RqLoad memo serves its
+// re-reads at the higher domain levels. This is the pass that dominates
+// fig2_make_r/fixed wall time.
 void BM_NewidlePass(benchmark::State& state) {
   Topology topo = Topology::Bulldozer8x8();
   NullClient client;
@@ -314,7 +312,7 @@ void BM_NewidlePass(benchmark::State& state) {
     sched.PickNext(now, 0);  // Empty runqueue: the measured newidle pass.
     sched.Wake(now + 1, toggler, 0);
     sched.PickNext(now + 1, 0);
-    now += Microseconds(50);  // Fresh instant per pass: cross-instant reuse.
+    now += Microseconds(50);  // Fresh instant per pass.
   }
   state.SetLabel("64 cores, 70 stacked on node0, newidle on cpu0");
 }

@@ -94,8 +94,8 @@ done
 
 echo "==== [asan-ubsan] fuzz suite ===="
 # Always run the randomized invariant fuzzer sanitized, even when the caller
-# filtered the matrix above with -R: the fuzzer is where hotplug churn, the
-# load-memo cross-checks, and the decay-forward property get their teeth.
+# filtered the matrix above with -R: the fuzzer is where hotplug churn and
+# the RqLoad memo cross-checks get their teeth.
 ctest --preset asan-ubsan -j "$JOBS" -R 'FuzzInvariants\.'
 
 echo "==== [tsan] configure ===="
@@ -190,6 +190,16 @@ if "$SWEEP" --threads=bogus 2>/dev/null; then
   echo "sweep_driver accepted a malformed --threads value" >&2
   exit 1
 fi
+# A signed horizon and a repeated axis value are --grid parse errors (exit 2),
+# not a wrapped horizon or a duplicate-name abort.
+for BAD_GRID in 'topo=flat1x4;horizon_ms=-1' 'topo=flat1x4,flat1x4;horizon_ms=40'; do
+  RC=0
+  "$SWEEP" --make-manifest="$FLEET/bad_grid.jsonl" --grid="$BAD_GRID" 2>/dev/null || RC=$?
+  if [ "$RC" -ne 2 ]; then
+    echo "sweep_driver --grid='$BAD_GRID' exited $RC, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "==== [simbench] selftest (build + pinned outcomes) ===="
 SIMBENCH_LOG="$SMOKE_OUT/simbench_selftest.log"

@@ -93,7 +93,7 @@ SchedEntity* CfsRunqueue::PickSpecific(SchedEntity* se, Time now) {
   WC_CHECK(se != nullptr && se->on_rq && !se->running && se->cpu == cpu_,
            "picked entity not queued on this cpu");
   // LoadAt folds curr first, then the tree in vruntime order, and the RqLoad
-  // memo replays cached sums under an unchanged load_version. Picking the
+  // memo serves a same-instant sum under an unchanged load_version. Picking the
   // leftmost preserves that fold sequence exactly, so the CFS path needs no
   // bump; a policy picking any *other* entity permutes the fold order, which
   // float addition does not forgive — invalidate the memo.

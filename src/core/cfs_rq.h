@@ -87,37 +87,20 @@ class CfsRunqueue {
   //
   // The fold order — curr first, then the tree in vruntime order — is part
   // of the contract: float addition does not commute bit-wise, and the
-  // RqLoad memo (scheduler.cc) replays cached sums verbatim, so every path
-  // that recomputes must fold in this exact order.
+  // RqLoad memo (scheduler.h) serves a cached sum for the rest of its
+  // instant, so every path that recomputes must fold in this exact order.
   template <typename DivisorFn>
   double LoadAt(Time now, DivisorFn&& divisor_of) const {
-    bool ignored;
-    // wc-lint: allow(A4 this IS the canonical fold the memo caches)
-    return LoadAt(now, divisor_of, &ignored);
-  }
-
-  // As above, additionally reporting whether every runnable entity's tracker
-  // is constant from `now` on (LoadTracker::ConstantFrom): if so, this exact
-  // sum — same doubles, same fold order — is what any later-instant
-  // recomputation would produce, as long as membership, weights, and
-  // divisors are unchanged. The scheduler's cross-instant load memos key on
-  // this.
-  template <typename DivisorFn>
-  double LoadAt(Time now, DivisorFn&& divisor_of, bool* all_constant) const {
     double total = 0;
-    bool all_const = true;
     if (curr_ != nullptr) {
-      // wc-lint: allow(A4 curr-first is the pinned fold order the memo replays)
+      // wc-lint: allow(A4 curr-first is the pinned fold order the memo caches)
       total += EntityLoad(*curr_, now, divisor_of(curr_->autogroup));
-      all_const = all_const && curr_->load.ConstantFrom(now);
     }
     tree_.ForEach([&](const SchedEntity* se) {
       // wc-lint: allow(A4 vruntime-order tree walk is the pinned fold order)
       total += EntityLoad(*se, now, divisor_of(se->autogroup));
-      all_const = all_const && se->load.ConstantFrom(now);
       return true;
     });
-    *all_constant = all_const;
     return total;
   }
 

@@ -36,8 +36,6 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   load_cache_now_.assign(n, kTimeNever);
   load_cache_version_.assign(n, 0);
   load_cache_epoch_.assign(n, 0);
-  load_cache_feat_.assign(n, 0);
-  load_cache_const_.assign(n, 0);
   load_cache_value_.assign(n, 0.0);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
     cpus_.emplace_back(c, &tunables_);
@@ -85,15 +83,11 @@ double Scheduler::AutogroupDivisor(AutogroupId id) const {
 double Scheduler::RqLoadFill(Time now, CpuId cpu) const {
   // The miss path of the inline memo in scheduler.h: recompute the fold and
   // snapshot every input the memo keys on.
-  bool all_const = false;
   // wc-lint: allow(A4 the memo's own fill path; every other balance read hits the cache above)
-  double load = cpus_[cpu].rq.LoadAt(
-      now, [this](AutogroupId id) { return AutogroupDivisor(id); }, &all_const);
+  double load = cpus_[cpu].rq.LoadAt(now, [this](AutogroupId id) { return AutogroupDivisor(id); });
   load_cache_now_[cpu] = now;
   load_cache_version_[cpu] = load_version_[cpu];
   load_cache_epoch_[cpu] = ag_epoch_;
-  load_cache_feat_[cpu] = feature_gen_;
-  load_cache_const_[cpu] = all_const ? 1 : 0;
   load_cache_value_[cpu] = load;
   return load;
 }
@@ -104,7 +98,7 @@ double Scheduler::RqLoadRecomputed(Time now, CpuId cpu) const {
 
 void Scheduler::UpdateFeatures(const SchedFeatures& features) {
   features_ = features;
-  feature_gen_ += 1;
+  ++ag_epoch_;
 }
 
 void Scheduler::SetNice(Time now, ThreadId tid, int nice) {

@@ -186,12 +186,11 @@ class Scheduler {
   double AutogroupDivisor(AutogroupId id) const;
 
   // Mid-run feature toggling (the ablation driver flips fixes while a
-  // scenario runs). Bumps the feature generation so every memoized value
-  // derived from the flags — autogroup divisors feed RqLoad — is
-  // invalidated instead of served stale. Domain construction flags take
-  // effect at the next rebuild (hotplug), as in the kernel.
+  // scenario runs). The flags feed autogroup divisors, so this bumps the
+  // divisor epoch and the RqLoad memo recomputes instead of serving a stale
+  // load. Domain construction flags take effect at the next rebuild
+  // (hotplug), as in the kernel.
   void UpdateFeatures(const SchedFeatures& features);
-  uint64_t feature_generation() const { return feature_gen_; }
 
   // Renices a thread mid-run; routes through its runqueue when runnable so
   // the load-version machinery sees the weight change.
@@ -344,17 +343,12 @@ class Scheduler {
   std::vector<Time> idle_since_;       // Valid while nr_running_[c] == 0.
 
   // RqLoad memo (see Scheduler::RqLoad), SoA: the last computed load per
-  // cpu, valid while the query instant, the runqueue membership version,
-  // the autogroup epoch, and the feature generation all still match — or,
-  // when load_cache_const_ is set, at *any later* instant under the same
-  // version/epochs: every member tracker was constant from load_cache_now_
-  // on (LoadTracker::ConstantFrom), so the cached sum is exactly what a
-  // recomputation would produce. mutable because RqLoad is logically const.
+  // cpu, valid while the query instant, the runqueue membership version and
+  // the divisor epoch all still match. mutable because RqLoad is logically
+  // const.
   mutable std::vector<Time> load_cache_now_;
   mutable std::vector<uint64_t> load_cache_version_;
   mutable std::vector<uint64_t> load_cache_epoch_;
-  mutable std::vector<uint64_t> load_cache_feat_;
-  mutable std::vector<uint8_t> load_cache_const_;
   mutable std::vector<double> load_cache_value_;
 
   // Count of online cpus with nr_running_ >= 2, maintained by the
@@ -370,13 +364,10 @@ class Scheduler {
 
   std::deque<SchedEntity> entities_;  // Indexed by tid; stable addresses.
   std::vector<Autogroup> autogroups_;
-  // Advances whenever any autogroup's divisor may change (nr_threads
-  // mutation); part of the RqLoad memo key.
+  // Advances whenever any autogroup's divisor may change: an nr_threads
+  // mutation (CreateThread, ExitCurrent) or a feature toggle
+  // (UpdateFeatures). Part of the RqLoad memo key.
   uint64_t ag_epoch_ = 0;
-
-  // Advances on UpdateFeatures: flags feed autogroup divisors (and thereby
-  // every cached load), so the RqLoad memo keys on it.
-  uint64_t feature_gen_ = 0;
 
   // Scratch for BalanceDomain's per-group stats. Balancing never nests and
   // the scheduler is single-threaded, so one buffer reused across calls
@@ -396,26 +387,15 @@ class Scheduler {
   static TraceSink* NullSink();
 };
 
-// Memoized exactly, so the cached value is bit-identical to a recompute:
-// the key covers everything LoadAt reads. Membership and weight changes
-// bump rq.load_version(); divisor changes bump ag_epoch_ or feature_gen_;
-// and a member tracker's SetState/Advance at the same instant leaves
-// ValueAt(now) unchanged (decay only accrues across instants), so same
-// (now, version, epochs) implies the same sum.
-//
-// Cross-instant: when load_cache_const is set, every member tracker was
-// constant from load_cache_now on (LoadTracker::ConstantFrom), so under an
-// unchanged version the sum at any later instant is the same doubles
-// folded in the same order — serve the cached value. The one tracker
-// mutation without a version bump, Tick's Advance on curr, cannot break
-// this: Advance of a constant tracker lands on avg == 1.0 and preserves
-// constancy, and a non-constant curr at fill time made load_cache_const
-// false to begin with.
+// Memoized exactly within one instant, so the cached value is bit-identical
+// to a recompute: the key covers everything LoadAt reads. Membership and
+// weight changes bump rq.load_version(); divisor changes bump ag_epoch_; and
+// a member tracker's SetState/Advance at the same instant leaves ValueAt(now)
+// unchanged (decay only accrues across instants), so same (now, version,
+// epoch) implies the same sum.
 inline double Scheduler::RqLoad(Time now, CpuId cpu) const {
-  if (load_cache_version_[cpu] == load_version_[cpu] && load_cache_epoch_[cpu] == ag_epoch_ &&
-      load_cache_feat_[cpu] == feature_gen_ &&
-      (load_cache_now_[cpu] == now ||
-       (load_cache_const_[cpu] != 0 && now > load_cache_now_[cpu]))) {
+  if (load_cache_now_[cpu] == now && load_cache_version_[cpu] == load_version_[cpu] &&
+      load_cache_epoch_[cpu] == ag_epoch_) {
     return load_cache_value_[cpu];
   }
   return RqLoadFill(now, cpu);

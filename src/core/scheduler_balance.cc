@@ -64,15 +64,11 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
   for (size_t g = 0; g < sd.groups.size(); ++g) {
     stats[g] = ComputeGroupStats(now, sd.groups[g].cpus);
   }
-  // The cores examined: every online member of every group. Folded once
-  // per domain rebuild, not once per pass — see considered_cache.
-  if (!sd.considered_cached) {
-    for (const SchedGroup& grp : sd.groups) {
-      sd.considered_cache |= grp.cpus & online_;
-    }
-    sd.considered_cached = true;
-  }
-  trace_->OnConsidered(now, cpu, sd.considered_cache, kind);
+  // The cores examined: every online member of every group, which is the
+  // span itself — BuildDomains restricts each group to online & span and
+  // covers the span at every level, and every online change rebuilds the
+  // domains.
+  trace_->OnConsidered(now, cpu, sd.span, kind);
 
   for (;;) {
     int excluded_at_pass_start = excluded.Count();

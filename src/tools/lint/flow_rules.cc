@@ -283,7 +283,7 @@ void RunA4(const SymbolTable& syms, const CallGraph& graph, const Reach& balance
         emit->Emit(r.def->file, cs.line, "A4",
                    "per-entity decayed-load read " + cs.callee +
                        "() reachable from balancing (" + chain +
-                       "); read group aggregates through the decay-forward memo");
+                       "); read group aggregates through RqLoad/ComputeGroupStats");
       }
       // An rq-tree mutation in balance-reachable code with no load-version
       // bump anywhere in the same body permutes the memoized float fold

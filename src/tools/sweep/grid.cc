@@ -1,6 +1,8 @@
 #include "src/tools/sweep/grid.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <set>
 
 #include "src/modsched/policy_registry.h"
 #include "src/simkit/check.h"
@@ -161,17 +163,32 @@ std::vector<std::string> SplitList(const std::string& s, char sep) {
   return out;
 }
 
+// Digits only: strtoull alone would accept a sign (wrapping "-1" to
+// 2^64-1) and saturate silently on overflow.
 bool ParseWholeU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
+  errno = 0;
+  unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
     return false;
   }
   *out = v;
   return true;
+}
+
+// True if an axis repeats a value. Every axis value is part of the scenario
+// name, so a repeat would expand to duplicate names.
+template <typename T>
+bool HasDuplicate(const std::vector<T>& values) {
+  std::set<T> seen;
+  for (const T& v : values) {
+    if (!seen.insert(v).second) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool ParseWholeDouble(const std::string& s, double* out) {
@@ -202,6 +219,7 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
   }
   GridSpec out;
   out.policies = {"cfs"};
+  std::set<std::string> keys;
   for (const std::string& pair : SplitList(text, ';')) {
     if (pair.empty()) {
       continue;
@@ -214,6 +232,9 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
     std::vector<std::string> values = SplitList(pair.substr(eq + 1), ',');
     if (values.empty() || (values.size() == 1 && values[0].empty())) {
       return fail("grid spec key '" + key + "' has no value");
+    }
+    if (!keys.insert(key).second) {
+      return fail("grid spec key '" + key + "' is repeated");
     }
     if (key == "topo") {
       out.topos.clear();
@@ -279,12 +300,18 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
       out.scale = v;
     } else if (key == "horizon_ms") {
       uint64_t n = 0;
-      if (values.size() != 1 || !ParseWholeU64(values[0], &n) || n < 1) {
+      if (values.size() != 1 || !ParseWholeU64(values[0], &n) || n < 1 ||
+          n >= kTimeNever / kMillisecond) {
         return fail("bad horizon_ms '" + pair.substr(eq + 1) + "'");
       }
       out.horizon = Milliseconds(n);
     } else {
       return fail("unknown grid spec key '" + key + "'");
+    }
+    if (HasDuplicate(out.topos) || HasDuplicate(out.workloads) ||
+        HasDuplicate(out.feature_sets) || HasDuplicate(out.policies) ||
+        HasDuplicate(out.mix_threads)) {
+      return fail("grid spec key '" + key + "' repeats a value");
     }
   }
   *spec = out;

@@ -49,13 +49,6 @@ struct SchedDomain {
 
   // Index of the group containing the owning cpu, set at build time.
   int local_group = -1;
-
-  // Lazily-filled union of online group members — the set every balance
-  // pass reports via OnConsidered. Valid until the next domain rebuild,
-  // which is the only path that changes the online mask or the group lists
-  // (and which constructs fresh SchedDomain objects, resetting the flag).
-  CpuSet considered_cache;
-  bool considered_cached = false;
 };
 
 // The bottom-up domain list owned by one cpu.

@@ -344,7 +344,7 @@ TEST_F(BalanceWalkTest, FeatureToggleMidRunKeepsBalancing) {
   TickRounds(8);
 
   // Flip every balance-relevant feature mid-run. Metric and autogroup flags
-  // take effect immediately (feature generation); domain-construction flags
+  // take effect immediately (divisor epoch); domain-construction flags
   // at the next rebuild.
   sched_->UpdateFeatures(SchedFeatures::Stock());
   ASSERT_TRUE(sched_->ValidateStatMirrors()) << "after toggling features off";

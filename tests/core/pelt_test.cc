@@ -92,13 +92,13 @@ TEST(PeltTest, StateIsVisible) {
   EXPECT_FALSE(t.runnable());
 }
 
-// ---- Decay-forward exactness (the balancer's cross-instant memos) ----------
+// ---- Exact values ----------------------------------------------------------
 //
 // The golden table below pins the exact IEEE-754 doubles Decay produces at
 // period multiples. If any of these drift — a different exp2, a different
-// fold, a "harmless" refactor to fixed-point — every cached load in the
-// scheduler changes and all sweep trace hashes break, so this test fails
-// first, with a readable diff.
+// fold, a "harmless" refactor to fixed-point — every load the balancer reads
+// changes and all sweep trace hashes break, so this test fails first, with a
+// readable diff.
 TEST(PeltDecayForwardTest, GoldenDecayTable) {
   struct Row {
     Time elapsed;
@@ -126,33 +126,12 @@ TEST(PeltDecayForwardTest, GoldenDecayTable) {
   }
 }
 
-// The closed form DecayPeriods(p, n) == Decay(n*p) is exact by construction;
-// the per-period multiplicative roll-forward Decay(p)^n is NOT the same
-// doubles. Both facts are part of the design contract: the balancer's caches
-// must never scale a sum by a decay product, because that product is not
-// bit-identical to re-evaluating the trackers.
-TEST(PeltDecayForwardTest, ClosedFormBeatsIteratedMultiply) {
-  const Time period = Milliseconds(3);
-  double iterated = 1.0;
-  bool any_divergence = false;
-  for (int n = 1; n <= 64; ++n) {
-    iterated *= LoadTracker::Decay(period);
-    double closed = LoadTracker::DecayPeriods(period, n);
-    EXPECT_EQ(closed, LoadTracker::Decay(period * static_cast<Time>(n)));
-    if (closed != iterated) {
-      any_divergence = true;
-    }
-  }
-  EXPECT_TRUE(any_divergence)
-      << "Decay(p)^n matched Decay(n*p) bit-for-bit across 64 periods; the "
-         "constancy-based memo design would be over-conservative";
-}
-
-// The identity ConstantFrom's case 1 rests on: for every decay factor k in
-// [0, 1], fl(1.0 * k + fl(1.0 - k)) == 1.0 — a fully-ramped runnable tracker
-// is a fixed point of ValueAt. Swept densely over elapsed times (which is
-// how k values arise in the tracker), including the sub-half-life range
-// where k > 0.5 (Sterbenz territory) and the deep tail where fl(1-k) rounds.
+// The identity ValueAt's saturation shortcut rests on: for every decay
+// factor k in [0, 1], fl(1.0 * k + fl(1.0 - k)) == 1.0 — a fully-ramped
+// runnable tracker is a fixed point of the decay blend. Swept densely over
+// elapsed times (which is how k values arise in the tracker), including the
+// sub-half-life range where k > 0.5 (Sterbenz territory) and the deep tail
+// where fl(1-k) rounds.
 TEST(PeltDecayForwardTest, FullyRampedRunnableIsFixedPoint) {
   for (Time elapsed = 1; elapsed <= LoadTracker::kSaturationHorizon + Milliseconds(1);
        elapsed += Microseconds(97)) {
@@ -169,66 +148,57 @@ TEST(PeltDecayForwardTest, FullyRampedRunnableIsFixedPoint) {
   }
 }
 
-TEST(PeltDecayForwardTest, ConstantFromTruthTable) {
+// Saturated trackers — fully ramped and runnable, fully decayed and blocked —
+// return the same double at every later instant; a tracker in motion reaches
+// its saturated value exactly once the saturation horizon has passed.
+TEST(PeltTest, SaturatedTrackersHoldTheirValue) {
   const Time t0 = Milliseconds(100);
 
-  // Case 1: born full and runnable from birth. (SetState at a later instant
-  // would decay the tracker first — trackers are born non-runnable.)
+  // Born full and runnable from birth. (SetState at a later instant would
+  // decay the tracker first — trackers are born non-runnable.)
   LoadTracker ramped(1.0);
   ramped.SetState(0, true);
-  EXPECT_TRUE(ramped.ConstantFrom(t0));
-  EXPECT_TRUE(ramped.ConstantFrom(t0 + Seconds(10)));
-
-  LoadTracker drained(0.0);  // Case 2: fully decayed and blocked.
+  LoadTracker drained(0.0);
   drained.SetState(t0, false);
-  EXPECT_TRUE(drained.ConstantFrom(t0));
-
-  LoadTracker ramping(0.5);  // Mid-ramp: value genuinely changes.
-  ramping.SetState(t0, true);
-  EXPECT_FALSE(ramping.ConstantFrom(t0));
-  EXPECT_FALSE(ramping.ConstantFrom(t0 + Milliseconds(1)));
-  // ...until the query instant clears the saturation horizon (case 3).
-  EXPECT_TRUE(ramping.ConstantFrom(t0 + LoadTracker::kSaturationHorizon + 1));
-
-  LoadTracker draining(0.5);  // Mid-decay: same, mirrored.
-  draining.SetState(t0, false);
-  EXPECT_FALSE(draining.ConstantFrom(t0 + Milliseconds(1)));
-  EXPECT_TRUE(draining.ConstantFrom(t0 + LoadTracker::kSaturationHorizon + 1));
-
-  // The predicate's promise, verified literally: once constant, ValueAt
-  // returns the same double at every later instant.
   for (const LoadTracker* t : {&ramped, &drained}) {
     double v0 = t->ValueAt(t0);
     for (int n = 1; n <= 64; ++n) {
       EXPECT_EQ(t->ValueAt(t0 + Milliseconds(7) * static_cast<Time>(n)), v0);
     }
   }
+
+  LoadTracker ramping(0.5);
+  ramping.SetState(t0, true);
+  EXPECT_NE(ramping.ValueAt(t0 + Milliseconds(1)), ramping.ValueAt(t0 + Milliseconds(2)));
+  EXPECT_EQ(ramping.ValueAt(t0 + LoadTracker::kSaturationHorizon + 1), 1.0);
+
+  LoadTracker draining(0.5);
+  draining.SetState(t0, false);
+  EXPECT_NE(draining.ValueAt(t0 + Milliseconds(1)), draining.ValueAt(t0 + Milliseconds(2)));
+  EXPECT_EQ(draining.ValueAt(t0 + LoadTracker::kSaturationHorizon + 1), 0.0);
 }
 
-// Advance cannot break an established constancy: committing a constant
-// tracker at a later instant re-derives the same fixed point.
-TEST(PeltDecayForwardTest, AdvancePreservesConstancy) {
+// Committing a saturated tracker at a later instant re-derives the same
+// fixed point.
+TEST(PeltTest, AdvanceKeepsSaturatedValue) {
   LoadTracker t(1.0);
   t.SetState(0, true);
-  ASSERT_TRUE(t.ConstantFrom(0));
   for (Time now = Milliseconds(5); now < Seconds(2); now += Milliseconds(173)) {
     t.Advance(now);
-    EXPECT_TRUE(t.ConstantFrom(now));
     EXPECT_EQ(t.ValueAt(now + Seconds(1)), 1.0);
   }
 }
 
 // A hog that was not born full converges to *exactly* 1.0 by rounding after
-// ~54 half-lives of continuous runnability — from then on it is in the
-// constant domain and the balancer's caches can roll it forward.
-TEST(PeltDecayForwardTest, ContinuousRunnabilityReachesExactOne) {
+// ~54 half-lives of continuous runnability, and stays there.
+TEST(PeltTest, ContinuousRunnabilityReachesExactOne) {
   LoadTracker t(0.0);
   t.SetState(0, true);
-  EXPECT_FALSE(t.ConstantFrom(Milliseconds(500)));
+  EXPECT_LT(t.ValueAt(Milliseconds(500)), 1.0);
   const Time converged = 54 * LoadTracker::kHalfLife;
   EXPECT_EQ(t.ValueAt(converged), 1.0);
   t.Advance(converged);
-  EXPECT_TRUE(t.ConstantFrom(converged));
+  EXPECT_EQ(t.ValueAt(converged + Seconds(10)), 1.0);
 }
 
 }  // namespace

@@ -125,6 +125,37 @@ TEST_F(SchedulerTest, RqLoadDividedByAutogroupSize) {
   EXPECT_NEAR(sched_->RqLoad(0, 1), 1024.0, 1.0);
 }
 
+// A fork into, or an exit from, an autogroup changes the divisor of every
+// member's runqueue — including runqueues whose membership did not change,
+// so their load_version stays put. The memo must still recompute at the
+// same instant.
+TEST_F(SchedulerTest, RqLoadMemoSeesSameInstantDivisorChange) {
+  Build(Topology::Flat(1, 4, 1));
+  AutogroupId group = sched_->CreateAutogroup();
+  ThreadParams params;
+  params.autogroup = group;
+  params.parent_cpu = 0;
+  sched_->CreateThread(0, params);
+  params.parent_cpu = 2;
+  ThreadId exiting = sched_->CreateThread(0, params);
+  ASSERT_EQ(sched_->PickNext(0, 2), exiting);
+
+  const Time t = Milliseconds(10);
+  const double two_members = sched_->RqLoad(t, 0);  // Fills the memo.
+
+  params.parent_cpu = 1;
+  ThreadId forked = sched_->CreateThread(t, params);
+  ASSERT_NE(sched_->Entity(forked).cpu, 0);
+  const double three_members = sched_->RqLoad(t, 0);
+  EXPECT_EQ(three_members, sched_->RqLoadRecomputed(t, 0));
+  EXPECT_NE(three_members, two_members);
+
+  sched_->ExitCurrent(t, 2);
+  const double after_exit = sched_->RqLoad(t, 0);
+  EXPECT_EQ(after_exit, sched_->RqLoadRecomputed(t, 0));
+  EXPECT_NE(after_exit, three_members);
+}
+
 // ---- Wakeup placement (§3.3) ----------------------------------------------------
 
 TEST_F(SchedulerTest, StockWakeStaysOnNodeEvenIfOtherNodeIdle) {

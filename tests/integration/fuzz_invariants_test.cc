@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/pelt.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
 #include "src/telemetry/stream/stream_sink.h"
@@ -391,115 +390,6 @@ TEST(FuzzInvariants, IdleIndexSurvivesHotplugOfLongestIdleAnswer) {
     sim.Run(sim.Now() + rng.NextTime(Microseconds(300), Milliseconds(2)));
   }
   EXPECT_GT(offlined_rounds, 10) << "machine was never idle enough to exercise hotplug";
-}
-
-// ---- Decay-forward exactness over random runnable sets ----------------------
-//
-// The balancer's cross-instant memos rest on one claim: when every member
-// tracker reports ConstantFrom(t0), the cached group sum at t0 *is* the
-// fresh per-entity re-sum at any later instant, bit for bit. This is that
-// claim as a property test — random populations, random weights, random
-// periods, 1..64 periods forward — rather than the directed cases in
-// pelt_test.cc.
-TEST(FuzzInvariants, DecayForwardBitIdenticalAcrossPeriods) {
-  uint64_t base = BaseSeed();
-  int const_seen = 0;
-  int nonconst_seen = 0;
-  int nonconst_moved = 0;
-  for (int run = 0; run < kRuns; ++run) {
-    uint64_t seed = base + 77000ULL + static_cast<uint64_t>(run);
-    SCOPED_TRACE(ReproCommand(seed));
-    uint64_t sm = seed;
-    Rng rng(SplitMix64(sm));
-
-    // A population built from the histories that reach the constant domain
-    // in production: born-full hogs, never-ran entities, ramped-to-
-    // saturation hogs, and long-blocked sleepers (constant by horizon).
-    std::vector<LoadTracker> grp;
-    std::vector<double> weight;
-    const int n = static_cast<int>(rng.NextInRange(4, 24));
-    for (int i = 0; i < n; ++i) {
-      switch (rng.NextBelow(4)) {
-        case 0: {  // Born full and runnable from t=0.
-          grp.emplace_back(1.0);
-          grp.back().SetState(0, true);
-          break;
-        }
-        case 1: {  // Fully decayed and blocked.
-          grp.emplace_back(0.0);
-          grp.back().SetState(rng.NextTime(0, Milliseconds(40)), false);
-          break;
-        }
-        case 2: {  // Hog that ramped to exactly 1.0 by rounding.
-          grp.emplace_back(0.0);
-          grp.back().SetState(0, true);
-          grp.back().Advance(54 * LoadTracker::kHalfLife +
-                             rng.NextTime(0, Milliseconds(20)));
-          break;
-        }
-        default: {  // Mid-value sleeper; constant once t0 clears the horizon.
-          grp.emplace_back(rng.NextDouble());
-          grp.back().SetState(rng.NextTime(0, Milliseconds(40)), false);
-          break;
-        }
-      }
-      weight.push_back(0.1 + 4.0 * rng.NextDouble());
-    }
-    // Past every last_update by more than the saturation horizon, so each
-    // of the four histories is constant through its own case of the proof.
-    const Time t0 = Seconds(3) + rng.NextTime(0, Seconds(1));
-    const Time period = rng.NextTime(Microseconds(50), Milliseconds(20));
-
-    double cached = 0;
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(grp[i].ConstantFrom(t0)) << "tracker " << i;
-      cached += weight[static_cast<size_t>(i)] * grp[i].ValueAt(t0);
-    }
-    for (int nper = 1; nper <= 64; ++nper) {
-      Time t1 = t0 + period * static_cast<Time>(nper);
-      double fresh = 0;  // Same fold order as the cached sum.
-      for (int i = 0; i < n; ++i) {
-        fresh += weight[static_cast<size_t>(i)] * grp[i].ValueAt(t1);
-      }
-      ASSERT_EQ(fresh, cached) << "period=" << period << " n=" << nper;
-    }
-
-    // Mixed population at a nearby instant: the per-entity form of the same
-    // claim. ConstantFrom(t0) must imply a bit-identical ValueAt at every
-    // later instant; trackers still in motion prove the test has teeth.
-    std::vector<LoadTracker> mixed;
-    for (int i = 0; i < n; ++i) {
-      if (rng.NextBool(0.2)) {  // Constant by value (case 1), at any instant.
-        mixed.emplace_back(1.0);
-        mixed.back().SetState(0, true);
-      } else {  // In motion; constant only once m0 clears the horizon (case 3).
-        mixed.emplace_back(rng.NextDouble());
-        mixed.back().SetState(rng.NextTime(0, Milliseconds(200)), rng.NextBool(0.5));
-      }
-    }
-    const Time m0 = Milliseconds(200) + rng.NextTime(0, Milliseconds(900));
-    for (int i = 0; i < n; ++i) {
-      const bool is_const = mixed[static_cast<size_t>(i)].ConstantFrom(m0);
-      const double v0 = mixed[static_cast<size_t>(i)].ValueAt(m0);
-      bool moved = false;
-      for (int nper = 1; nper <= 64; ++nper) {
-        double v1 = mixed[static_cast<size_t>(i)].ValueAt(m0 + period * static_cast<Time>(nper));
-        if (is_const) {
-          ASSERT_EQ(v1, v0) << "tracker " << i << " n=" << nper;
-        } else if (v1 != v0) {
-          moved = true;
-        }
-      }
-      const_seen += is_const ? 1 : 0;
-      nonconst_seen += is_const ? 0 : 1;
-      nonconst_moved += moved ? 1 : 0;
-    }
-  }
-  // The property must not hold vacuously: across the runs both populations
-  // appear, and some non-constant tracker actually changed value.
-  EXPECT_GT(const_seen, 0);
-  EXPECT_GT(nonconst_seen, 0);
-  EXPECT_GT(nonconst_moved, 0);
 }
 
 // ---- Streaming-parity invariant ---------------------------------------------

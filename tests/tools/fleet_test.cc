@@ -115,13 +115,41 @@ TEST(FleetGrid, FingerprintSensitivity) {
 TEST(FleetGrid, ParseGridSpecRejectsBadInput) {
   GridSpec spec;
   std::string error;
-  EXPECT_FALSE(ParseGridSpec("bogus_key=1", &spec, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(ParseGridSpec("topo=not_a_topo", &spec, &error));
-  EXPECT_FALSE(ParseGridSpec("mix=abc", &spec, &error));
-  EXPECT_FALSE(ParseGridSpec("seeds=0", &spec, &error));
+  for (const char* text : {
+           "bogus_key=1", "topo=not_a_topo", "mix=abc", "seeds=0",
+           // Digits only, and nothing that overflows uint64 or Time.
+           "horizon_ms=-1", "horizon_ms=+5", "horizon_ms= 5", "horizon_ms=99999999999999",
+           "horizon_ms=18446744073709551616", "seed=-1", "seed=18446744073709551616", "mix=-4",
+           "seeds=-1", "mix=0x10"}) {
+    error.clear();
+    EXPECT_FALSE(ParseGridSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  // The largest horizon whose Milliseconds() still fits in Time, and the
+  // largest seed, are accepted.
+  const uint64_t max_ms = kTimeNever / kMillisecond - 1;
+  ASSERT_TRUE(ParseGridSpec("horizon_ms=" + std::to_string(max_ms), &spec, &error)) << error;
+  EXPECT_EQ(spec.horizon, Milliseconds(max_ms));
+  ASSERT_TRUE(ParseGridSpec("seed=18446744073709551615", &spec, &error)) << error;
+  EXPECT_EQ(spec.base_seed, ~uint64_t{0});
   EXPECT_TRUE(ParseGridSpec("default", &spec, &error)) << error;
   EXPECT_EQ(ExpandGrid(spec).size(), ExpandGrid(DefaultFleetGrid()).size());
+}
+
+// A repeated axis value would expand to duplicate scenario names, which the
+// manifest writer refuses with an abort; a repeated key is ambiguous. Both
+// are parse errors instead.
+TEST(FleetGrid, ParseGridSpecRejectsRepeats) {
+  GridSpec spec;
+  std::string error;
+  for (const char* text : {"topo=flat1x4,flat1x4", "workload=mix,mix", "feat=stock,fixed,stock",
+                           "policy=cfs,cfs", "mix=6,6", "mix=6,06", "topo=flat1x4;topo=flat2x4",
+                           "seed=1;seed=1", "horizon_ms=20;mix=4;horizon_ms=40"}) {
+    error.clear();
+    EXPECT_FALSE(ParseGridSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  EXPECT_TRUE(ParseGridSpec("topo=flat1x4,flat2x4;mix=6,10;seed=1", &spec, &error)) << error;
 }
 
 // ---- Manifest --------------------------------------------------------------

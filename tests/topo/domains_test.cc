@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/simkit/rng.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -66,17 +67,44 @@ TEST(DomainsTest, NodeDomainGroupsAreSmtPairs) {
   }
 }
 
+// The balancer reports a domain's span as the set of cores a pass examined,
+// which is right only if the online groups cover exactly the span. Checked
+// on every machine shape, both group perspectives, with and without the
+// cross-node levels, under seeded random online masks.
 TEST(DomainsTest, GroupsCoverSpan) {
-  Topology topo = Topology::Bulldozer8x8();
-  for (const auto& opts : {Stock(), Fixed()}) {
-    auto trees = BuildDomains(topo, topo.AllCpus(), opts);
-    for (CpuId c = 0; c < topo.n_cores(); ++c) {
-      for (const SchedDomain& sd : trees[c].domains) {
-        CpuSet covered;
-        for (const SchedGroup& g : sd.groups) {
-          covered |= g.cpus;
+  const Topology topos[] = {Topology::Flat(1, 4), Topology::Flat(2, 4), Topology::Flat(4, 8),
+                            Topology::Bulldozer8x8()};
+  Rng rng(2016);
+  for (const Topology& topo : topos) {
+    for (GroupPerspective perspective : {GroupPerspective::kCore0, GroupPerspective::kPerCore}) {
+      for (bool cross_node : {true, false}) {
+        DomainBuildOptions opts;
+        opts.perspective = perspective;
+        opts.cross_node_levels = cross_node;
+        for (int round = 0; round < 32; ++round) {
+          CpuSet online = topo.AllCpus();
+          if (round > 0) {  // Round 0 keeps every cpu online.
+            const double p_online = 0.3 + 0.7 * rng.NextDouble();
+            online = CpuSet();
+            for (CpuId c = 0; c < topo.n_cores(); ++c) {
+              if (rng.NextBool(p_online)) {
+                online.Set(c);
+              }
+            }
+          }
+          auto trees = BuildDomains(topo, online, opts);
+          for (CpuId c : online) {
+            for (const SchedDomain& sd : trees[c].domains) {
+              CpuSet covered;
+              for (const SchedGroup& g : sd.groups) {
+                covered |= g.cpus;
+              }
+              EXPECT_EQ(covered, sd.span) << "cpu " << c << " domain " << sd.name << " online "
+                                          << online.ToString();
+              EXPECT_EQ(sd.span & online, sd.span) << "cpu " << c << " domain " << sd.name;
+            }
+          }
         }
-        EXPECT_EQ(covered, sd.span) << "cpu " << c << " domain " << sd.name;
       }
     }
   }
