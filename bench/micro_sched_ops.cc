@@ -15,7 +15,9 @@
 #include "src/core/scheduler.h"
 #include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
+#include "src/simkit/cpuset.h"
 #include "src/simkit/event_queue.h"
+#include "src/tools/sweep/trace_hash.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -344,6 +346,39 @@ void BM_NohzBalanceSweep(benchmark::State& state) {
   state.SetLabel("64 cores, 60 idle, load pinned to 4");
 }
 BENCHMARK(BM_NohzBalanceSweep);
+
+// ---- Per-member loops of a balance pass -------------------------------------
+
+// Range-for over a CpuSet of the first `n` cpus: the member walk every
+// group fold, steal loop and OnConsidered digest runs. /64 is one
+// top-level domain span of the 64-core machine.
+void BM_CpuSetIterate(benchmark::State& state) {
+  const CpuSet set = CpuSet::FirstN(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    int sum = 0;
+    for (CpuId c : set) {
+      sum += c;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CpuSetIterate)->Arg(64);
+
+// TraceHashSink::OnConsidered over a span of `n` cpus: one tag, the
+// initiator and kind, then one Mix per member cpu id.
+void BM_TraceHashConsidered(benchmark::State& state) {
+  const CpuSet span = CpuSet::FirstN(static_cast<int>(state.range(0)));
+  TraceHashSink sink;
+  Time now = 0;
+  for (auto _ : state) {
+    sink.OnConsidered(now, 0, span, ConsideredKind::kIdleBalance);
+    now += Microseconds(50);
+  }
+  benchmark::DoNotOptimize(sink.digest());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TraceHashConsidered)->Arg(64);
 
 // One schedule+fire round-trip through the event queue: the per-event
 // floor of everything the simulator does. This is the dispatch cost the

@@ -115,8 +115,11 @@ trap 'rm -rf "$SMOKE_OUT"' EXIT
 ./build-release/bench/micro_sched_ops --out="$SMOKE_OUT" --benchmark_min_time=0.001
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --threads=1 --scale=0.02 --random=1
 test -s "$SMOKE_OUT/BENCH_micro_sched_ops.json"
-# The per-policy setup diagnostic must stay registered.
+# The per-policy setup diagnostic and the balance-pass member-loop
+# diagnostics must stay registered.
 grep -q 'BM_SimulatorSetup' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
+grep -q 'BM_CpuSetIterate/64' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
+grep -q 'BM_TraceHashConsidered/64' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
 test -s "$SMOKE_OUT/BENCH_sweep.json"
 # The scaling key must be present either as a ratio (multi-core host) or as
 # an explicit null (1-core host / --threads=1, as in this smoke run) — never

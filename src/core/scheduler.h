@@ -18,7 +18,6 @@
 #define SRC_CORE_SCHEDULER_H_
 
 #include <deque>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -246,14 +245,14 @@ class Scheduler {
   // Aggregate load/occupancy of one scheduling group (Algorithm 1 lines
   // 10-12): the inputs to busiest-group selection.
   struct GroupLoadStats {
-    double sum_load = 0;
-    double min_load = std::numeric_limits<double>::infinity();
+    // The one load value busiest selection compares: the average member
+    // load under the stock metric, the minimum under fix_group_imbalance;
+    // 0.0 for a group with no online member.
+    double metric = 0.0;
     int n_cpus = 0;
     int nr_running = 0;
     bool imbalanced = false;
 
-    double AvgLoad() const { return n_cpus > 0 ? sum_load / n_cpus : 0.0; }
-    double MinLoad() const { return n_cpus > 0 ? min_load : 0.0; }
     bool Overloaded() const { return nr_running > n_cpus; }
 
     // Busiest-selection rank (line 13): overloaded groups first, then groups
@@ -269,9 +268,12 @@ class Scheduler {
     }
   };
 
-  // The stats of `cpus`, folded member by member off the RqLoad memo. The
-  // only sanctioned way for balancing code to aggregate per-entity loads;
-  // wc-analyze rule A4 flags direct per-entity reads reachable from balancing.
+  // The stats of `cpus` under the active metric, folded member by member
+  // off the RqLoad memo. Reads only the loads that metric needs: none for
+  // an empty runqueue (its load is exactly +0.0), and under the fix none
+  // once an idle member pins the minimum at 0.0. The only sanctioned way
+  // for balancing code to aggregate per-entity loads; wc-analyze rule A4
+  // flags direct per-entity reads reachable from balancing.
   GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
 
   // Wakeup placement; fills `considered` for the visualization tool.

@@ -2,6 +2,7 @@
 // balancing. The Group Imbalance bug/fix of §3.1 lives in the group metric.
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -9,31 +10,45 @@
 namespace wcores {
 
 Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& cpus) const {
+  // The metric that compares groups. Stock kernels compare *average* loads,
+  // which lets one high-load thread conceal idle cores on its node — the
+  // Group Imbalance bug. The fix compares the *minimum* loads: if some core
+  // in another group is busier than every core in ours is idle-ish, steal.
+  //
+  // An empty runqueue's load is exactly +0.0 (LoadAt's empty fold) and no
+  // member load is negative, so its read is skipped: the sum is unchanged
+  // (x + 0.0 == x for x >= +0), and the minimum is pinned at 0.0
+  // (min(m, 0.0) == 0.0 for m >= +0), after which no later member can move
+  // it. The integer census (n_cpus, nr_running, imbalanced) still visits
+  // every member.
+  const bool by_min = features_.fix_group_imbalance;
   GroupLoadStats gs;
+  double acc = by_min ? std::numeric_limits<double>::infinity() : 0.0;
+  bool idle_member = false;
   for (CpuId c : cpus) {
     if (!online_.Test(c)) {
       continue;
     }
-    double load = RqLoad(now, c);
-    gs.sum_load += load;
-    gs.min_load = std::min(gs.min_load, load);
+    int nr = nr_running_[c];
     gs.n_cpus += 1;
-    gs.nr_running += nr_running_[c];
+    gs.nr_running += nr;
     gs.imbalanced = gs.imbalanced || imbalanced_[c] != 0;
+    if (nr == 0) {
+      idle_member = true;
+    } else if (!by_min) {
+      acc += RqLoad(now, c);
+    } else if (!idle_member) {
+      acc = std::min(acc, RqLoad(now, c));
+    }
+  }
+  if (gs.n_cpus > 0) {
+    gs.metric = by_min ? (idle_member ? 0.0 : acc) : acc / gs.n_cpus;
   }
   return gs;
 }
 
 int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind) {
   stats_.balance_calls += 1;
-
-  // The metric that compares groups. Stock kernels compare *average* loads,
-  // which lets one high-load thread conceal idle cores on its node — the
-  // Group Imbalance bug. The fix compares the *minimum* loads: if some core
-  // in another group is busier than every core in ours is idle-ish, steal.
-  auto metric = [&](const GroupLoadStats& gs) {
-    return features_.fix_group_imbalance ? gs.MinLoad() : gs.AvgLoad();
-  };
 
   MigrationReason reason = kind == ConsideredKind::kPeriodicBalance
                                ? MigrationReason::kPeriodicBalance
@@ -46,9 +61,10 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
   // without it — the kernel's LBF_ALL_PINNED "redo" path.
   CpuSet excluded;
 
-  // Lines 10-12: average (and minimum) load of every scheduling group,
-  // computed once per call. Each member's load comes off the per-cpu RqLoad
-  // memo, so a fold is a few compares per cpu in the steady state.
+  // Lines 10-12: the load metric of every scheduling group, computed once
+  // per call. A fold visits every member for the integer census and reads a
+  // load (off the per-cpu RqLoad memo) only where the metric needs one; see
+  // ComputeGroupStats.
   //
   // Redo passes (the kernel's LBF_ALL_PINNED path) do NOT refold: within
   // one call, cpus are only ever excluded from the *busiest* group — the
@@ -82,7 +98,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
       }
       if (busiest < 0 || stats[g].Rank() > stats[busiest].Rank() ||
           (stats[g].Rank() == stats[busiest].Rank() &&
-           metric(stats[g]) > metric(stats[busiest]))) {
+           stats[g].metric > stats[busiest].metric)) {
         busiest = g;
       }
     }
@@ -92,7 +108,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
 
     // Lines 15-16: if the busiest group does not beat ours, the load is
     // considered balanced at this level.
-    if (metric(stats[busiest]) <= metric(stats[local])) {
+    if (stats[busiest].metric <= stats[local].metric) {
       stats_.balance_below_local += 1;
       return 0;
     }

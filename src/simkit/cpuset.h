@@ -180,24 +180,39 @@ class CpuSet {
   // Renders like "0-3,8,10-11".
   std::string ToString() const;
 
-  // Iteration support: for (CpuId c : set) { ... }
+  // Iteration support: for (CpuId c : set) { ... }, in ascending order.
+  //
+  // The iterator holds the current word's remaining bits and steps with
+  // ctz and `bits &= bits - 1`, loading the next word only when these run
+  // out. Each word is read once, so the loop body must not modify the set
+  // being iterated.
+  class Sentinel {};
   class Iterator {
    public:
-    Iterator(const CpuSet* set, CpuId cpu) : set_(set), cpu_(cpu) {}
-    CpuId operator*() const { return cpu_; }
+    explicit Iterator(const uint64_t* words) : words_(words), bits_(words[0]) { SkipEmpty(); }
+    CpuId operator*() const { return word_ * 64 + __builtin_ctzll(bits_); }
     Iterator& operator++() {
-      cpu_ = set_->Next(cpu_);
+      bits_ &= bits_ - 1;
+      SkipEmpty();
       return *this;
     }
-    bool operator!=(const Iterator& other) const { return cpu_ != other.cpu_; }
+    bool operator!=(Sentinel) const { return bits_ != 0; }
 
    private:
-    const CpuSet* set_;
-    CpuId cpu_;
+    // Leaves bits_ == 0 only past the last word.
+    void SkipEmpty() {
+      while (bits_ == 0 && word_ + 1 < kWords) {
+        bits_ = words_[++word_];
+      }
+    }
+
+    const uint64_t* words_;
+    int word_ = 0;
+    uint64_t bits_;
   };
 
-  Iterator begin() const { return Iterator(this, First()); }
-  Iterator end() const { return Iterator(this, kInvalidCpu); }
+  Iterator begin() const { return Iterator(words_); }
+  Sentinel end() const { return {}; }
 
  private:
   static constexpr int kWords = kMaxCpus / 64;

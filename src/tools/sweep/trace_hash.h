@@ -28,38 +28,44 @@ class Fnv1a {
   void Mix(uint64_t value) {
     // Canonically: eight rounds of h = (h ^ byte) * prime, bytes LSB-first.
     // A zero byte's round is h = (h ^ 0) * prime = h * prime, and multiply
-    // mod 2^64 is associative, so a run of k trailing zero bytes collapses
-    // into one multiply by prime^k — the same digest, bit for bit (the
-    // golden determinism hashes pin this equivalence in tests). Most mixed
-    // values are tiny (tags, cpu ids, nr counts), turning the serial
-    // 8-multiply dependency chain — this sink runs on every trace event —
-    // into two multiplies.
-    // Interior zero-byte runs (timestamps and double bit patterns carry
-    // plenty) collapse the same way mid-stream.
+    // mod 2^64 is associative, so a run of k zero bytes collapses into one
+    // multiply by prime^k — the same digest, bit for bit (the golden
+    // determinism hashes and Fnv1a.MatchesCanonicalByteRounds pin this).
+    // The last non-zero byte's round absorbs the zero tail after it:
+    // (h ^ b) * prime^(8 - bytes_before). Most mixed values are one byte
+    // (tags, cpu ids, nr counts), and this sink runs on every trace event,
+    // so the serial 8-multiply dependency chain becomes one multiply.
+    if (value == 0) {
+      hash_ *= kPrimePow[8];
+      return;
+    }
     uint64_t h = hash_;
     int bytes = 0;
-    while (value != 0) {
+    for (;;) {
       if ((value & 0xff) == 0) {
-        int run = __builtin_ctzll(value) >> 3;  // value != 0 here.
-        h *= kZeroTail[run];
+        int run = __builtin_ctzll(value) >> 3;  // value != 0 here, so run <= 7.
+        h *= kPrimePow[run];
         value >>= run * 8;
         bytes += run;
-      } else {
-        h = (h ^ (value & 0xff)) * kPrime;
-        value >>= 8;
-        ++bytes;
       }
+      uint64_t b = value & 0xff;
+      value >>= 8;
+      if (value == 0) {
+        hash_ = (h ^ b) * kPrimePow[8 - bytes];
+        return;
+      }
+      h = (h ^ b) * kPrime;
+      ++bytes;
     }
-    hash_ = h * kZeroTail[8 - bytes];
   }
   void MixDouble(double value);
 
   uint64_t digest() const { return hash_; }
 
  private:
-  // kZeroTail[k] = kPrime^k mod 2^64: the collapsed factor for k all-zero
-  // trailing bytes (see Mix).
-  static constexpr auto kZeroTail = [] {
+  // kPrimePow[k] = kPrime^k mod 2^64: the collapsed factor for k rounds
+  // (see Mix).
+  static constexpr auto kPrimePow = [] {
     std::array<uint64_t, 9> t{};
     t[0] = 1;
     for (int k = 1; k < 9; ++k) {

@@ -18,6 +18,8 @@
 // reproducible locally; every failure message carries the repro command.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -175,6 +177,13 @@ class InvariantChecker {
       // Load-sum conservation: cached == recomputed, exactly.
       ASSERT_EQ(sched.RqLoad(now, cpu), sched.RqLoadRecomputed(now, cpu))
           << "cpu " << cpu << " cached load diverged from recomputation at t=" << now;
+
+      // The group fold's premise (ComputeGroupStats skips these reads): an
+      // online empty runqueue's load is exactly +0.0, bit for bit.
+      if (sched.OnlineCpus().Test(cpu) && sched.NrRunning(cpu) == 0) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(sched.RqLoad(now, cpu)), uint64_t{0})
+            << "cpu " << cpu << " is empty but its load is not +0.0 at t=" << now;
+      }
     }
 
     // Stat mirrors: nr_running/load_version write-through, the overload

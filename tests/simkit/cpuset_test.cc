@@ -75,6 +75,70 @@ TEST(CpuSetTest, Iteration) {
   EXPECT_EQ(seen, (std::vector<CpuId>{3, 70, 130}));
 }
 
+// The word-at-a-time range-for against two independent views of the same
+// set: a Test() scan over every cpu, and the First()/Next() chain.
+TEST(CpuSetTest, IterationMatchesTestScan) {
+  auto check = [](const CpuSet& s) {
+    std::vector<CpuId> scanned;
+    for (CpuId c = 0; c < kMaxCpus; ++c) {
+      if (s.Test(c)) {
+        scanned.push_back(c);
+      }
+    }
+    std::vector<CpuId> chained;
+    for (CpuId c = s.First(); c != kInvalidCpu; c = s.Next(c)) {
+      chained.push_back(c);
+    }
+    std::vector<CpuId> iterated;
+    for (CpuId c : s) {
+      iterated.push_back(c);
+    }
+    EXPECT_EQ(iterated, scanned) << s.ToString();
+    EXPECT_EQ(iterated, chained) << s.ToString();
+  };
+
+  check(CpuSet{});
+  check(CpuSet::FirstN(kMaxCpus));
+  CpuSet edges;
+  for (CpuId c : {0, 63, 64, 127, 128, 191, 192, 255}) {
+    check(CpuSet::Single(c));
+    edges.Set(c);
+  }
+  check(edges);
+  check(~edges);
+
+  Rng rng(20260417);
+  for (int i = 0; i < 500; ++i) {
+    // Densities from empty-ish to full, so whole words are skipped, sparse,
+    // or saturated.
+    double density = rng.NextDouble();
+    CpuSet a;
+    CpuSet b;
+    for (CpuId c = 0; c < kMaxCpus; ++c) {
+      if (rng.NextBool(density)) {
+        a.Set(c);
+      }
+      if (rng.NextBool(density)) {
+        b.Set(c);
+      }
+    }
+    check(a);
+    check(a | b);
+    // Iterating a temporary: the range-for keeps it alive for the loop.
+    std::vector<CpuId> from_temporary;
+    for (CpuId c : a & b) {
+      from_temporary.push_back(c);
+    }
+    std::vector<CpuId> expected;
+    for (CpuId c = 0; c < kMaxCpus; ++c) {
+      if (a.Test(c) && b.Test(c)) {
+        expected.push_back(c);
+      }
+    }
+    ASSERT_EQ(from_temporary, expected);
+  }
+}
+
 TEST(CpuSetTest, AndOrNot) {
   CpuSet a = CpuSet::FirstN(8);
   CpuSet b;

@@ -3,6 +3,7 @@
 // determinism properties live in tests/integration/determinism_test.cc.
 #include <gtest/gtest.h>
 
+#include "src/simkit/rng.h"
 #include "src/tools/sweep/scenario.h"
 #include "src/tools/sweep/sweep.h"
 #include "src/tools/sweep/trace_hash.h"
@@ -39,6 +40,44 @@ TEST(Fnv1a, OneUlpChangesDigest) {
   Fnv1a b;
   b.MixDouble(1.5000000000000002);  // 1.5 + 1 ulp.
   EXPECT_NE(a.digest(), b.digest());
+}
+
+// Mix collapses zero-byte rounds into powers of the prime; it must equal the
+// textbook FNV-1a: eight rounds of h = (h ^ byte) * prime, bytes LSB-first.
+TEST(Fnv1a, MatchesCanonicalByteRounds) {
+  uint64_t reference = Fnv1a::kOffset;
+  Fnv1a fnv;
+  auto mix_both = [&](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      reference = (reference ^ ((value >> (8 * i)) & 0xff)) * Fnv1a::kPrime;
+    }
+    fnv.Mix(value);
+    ASSERT_EQ(fnv.digest(), reference) << "after mixing 0x" << std::hex << value;
+  };
+
+  for (uint64_t v = 0; v <= 256; ++v) {
+    mix_both(v);
+  }
+  mix_both(~0ULL);
+  // Interior zero bytes, leading zero bytes and a zero top byte.
+  for (uint64_t v : {0x0100000000000001ULL, 0xff00ff00ff00ff00ULL, 0x00ff00ff00ff00ffULL,
+                     0x8000000000000000ULL, 0x0000010000000000ULL, 0x1200003400000056ULL,
+                     0x00000000ffffffffULL, 0xffffffff00000000ULL}) {
+    mix_both(v);
+  }
+  Rng rng(4242);
+  for (int i = 0; i < 10000; ++i) {
+    uint64_t v = rng.Next();
+    // Knock out a random subset of bytes, so zero runs appear at every
+    // position and length.
+    uint64_t keep = rng.Next();
+    for (int b = 0; b < 8; ++b) {
+      if ((keep >> b & 1) == 0) {
+        v &= ~(0xffULL << (8 * b));
+      }
+    }
+    mix_both(rng.NextBool(0.5) ? v : rng.Next());
+  }
 }
 
 TEST(TraceHashSink, IdenticalStreamsIdenticalDigests) {
