@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/telemetry/telemetry.h"
+#include "src/tools/sweep/jsonl.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -262,43 +263,7 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
 // The perf trajectory is tracked by checked-in BENCH_*.json files. Every
 // bench that wants to participate reduces its run to a BenchReport; the
 // JSON shape is deliberately flat so diffs between commits read naturally.
-
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-inline std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
-  }
-  char buf[32];
-  // %.17g round-trips doubles; trim to %g when exact so small integers stay
-  // readable ("4" rather than "4.0000000000000000").
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  double back = std::strtod(buf, nullptr);
-  if (back != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
+// Strings and numbers are written by jsonl.h, as the fleet receipts are.
 
 struct BenchReport {
   std::string bench;  // Short name: "sweep", "micro_sched_ops", ...
@@ -313,27 +278,27 @@ struct BenchReport {
   std::map<std::string, std::string> context;    // e.g. build_type.
 
   std::string ToJson() const {
-    std::string out = "{\n  \"bench\": \"" + JsonEscape(bench) + "\",\n  \"context\": {";
+    std::string out = "{\n  \"bench\": " + QuoteJson(bench) + ",\n  \"context\": {";
     bool first = true;
     for (const auto& [k, v] : context) {
       out += first ? "" : ", ";
-      out += "\"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
+      out += QuoteJson(k) + ": " + QuoteJson(v);
       first = false;
     }
     for (const auto& [k, v] : context_num) {
       out += first ? "" : ", ";
-      out += "\"" + JsonEscape(k) + "\": " + JsonNumber(v);
+      out += QuoteJson(k) + ": " + NumberJson(v);
       first = false;
     }
     out += "},\n  \"results\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
-      out += "    {\"name\": \"" + JsonEscape(row.name) + "\"";
+      out += "    {\"name\": " + QuoteJson(row.name);
       for (const auto& [k, v] : row.labels) {
-        out += ", \"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
+        out += ", " + QuoteJson(k) + ": " + QuoteJson(v);
       }
       for (const auto& [k, v] : row.metrics) {
-        out += ", \"" + JsonEscape(k) + "\": " + JsonNumber(v);
+        out += ", " + QuoteJson(k) + ": " + NumberJson(v);
       }
       out += i + 1 < rows.size() ? "},\n" : "}\n";
     }

@@ -19,15 +19,14 @@
 // with a per-policy replay-determinism check, a per-scenario leaderboard,
 // and BENCH_policy_arena.json.
 //
-// Fleet-scale sweep service (src/tools/sweep/{grid,manifest,receipts,shard}):
-//   --make-manifest=FILE [--grid=SPEC]   expand a parameter grid and
-//       materialize the manifest of scenario instances (SPEC defaults to
-//       the 540-instance default fleet grid; see grid.h for the syntax).
-//   --shard=I/N --manifest=FILE --results=DIR [--threads=T]   claim work
-//       from the manifest with flock-based work stealing, append one JSON
-//       receipt line per completed scenario to DIR/shard-I.jsonl, and skip
-//       anything already receipted (resume). Merge and verify the shards
-//       with `wc-trend merge`.
+// Fleet-scale sweep service (src/tools/sweep/{grid,receipts,shard}):
+//   --shard=I/N [--grid=SPEC] --results=DIR [--threads=T]   expand the
+//       parameter grid (SPEC defaults to the 540-instance default fleet
+//       grid; see grid.h for the syntax), claim its scenarios with
+//       flock-based work stealing, append one JSON receipt line per
+//       completed scenario to DIR/shard-I.jsonl, and skip anything already
+//       receipted (resume). Merge and verify the shards with
+//       `wc-trend merge --grid=SPEC`.
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -39,7 +38,6 @@
 #include "src/modsched/policy_registry.h"
 #include "src/simkit/check.h"
 #include "src/tools/sweep/grid.h"
-#include "src/tools/sweep/manifest.h"
 #include "src/tools/sweep/shard.h"
 #include "src/tools/sweep/sweep.h"
 
@@ -120,11 +118,7 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
       row.name = policy + "/" + r.name;
       row.labels["policy"] = policy;
       row.labels["scenario"] = r.name;
-      row.labels["trace_hash"] = [&] {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(r.trace_hash));
-        return std::string(buf);
-      }();
+      row.labels["trace_hash"] = Hex16(r.trace_hash);
       row.metrics["sim_events"] = static_cast<double>(r.sim_events);
       row.metrics["context_switches"] = static_cast<double>(r.context_switches);
       row.metrics["migrations"] = static_cast<double>(r.migrations);
@@ -234,11 +228,10 @@ int RunBigMix(const BenchOptions& opts, uint64_t min_events, uint64_t seed) {
   return 0;
 }
 
-// Expand --grid into a manifest file: the materialization half of the
-// fleet service. Exits through the hard-error path on a bad spec.
-int RunMakeManifest(const std::string& path, const std::string& grid_spec) {
-  PrintHeader("Fleet sweep: materialize scenario-grid manifest",
-              "§4 methodology at fleet scale: parameter grid -> manifest of instances");
+// One shard of a fleet run: expand the grid, claim its scenarios, append
+// receipts, resume past anything already done. A bad spec exits 2.
+int RunShardMode(const std::string& grid_spec, int shard_index, int shard_count,
+                 const std::string& results_dir, int threads) {
   GridSpec spec;
   std::string error;
   if (!ParseGridSpec(grid_spec, &spec, &error)) {
@@ -246,36 +239,17 @@ int RunMakeManifest(const std::string& path, const std::string& grid_spec) {
                  error.c_str());
     return 2;
   }
-  std::vector<Scenario> scenarios = ExpandGrid(spec);
-  WriteManifest(path, scenarios);
-  std::printf("manifest %s: %zu scenario instances\n", path.c_str(), scenarios.size());
-  std::printf("  axes: %zu topos x %zu workloads x %zu feature sets x %zu policies x %zu"
-              " mixes x %d seeds\n",
-              spec.topos.size(), spec.workloads.size(), spec.feature_sets.size(),
-              spec.policies.size(), spec.mix_threads.size(), spec.seeds_per_cell);
-  return 0;
-}
-
-// One shard of a fleet run: claim scenarios from the manifest, append
-// receipts, resume past anything already done.
-int RunShardMode(const std::string& manifest_path, int shard_index, int shard_count,
-                 const std::string& results_dir, int threads) {
-  PrintHeader("Fleet sweep: sharded manifest runner",
+  PrintHeader("Fleet sweep: sharded grid runner",
               "§4 methodology at fleet scale: receipts make distributed runs verifiable");
-  Manifest manifest;
-  std::string error;
-  if (!LoadManifest(manifest_path, &manifest, &error)) {
-    std::fprintf(stderr, "sweep_driver: %s\n", error.c_str());
-    return 1;
-  }
+  std::vector<Scenario> scenarios = ExpandGrid(spec);
   std::printf("shard %d/%d over %zu scenarios -> %s (threads=%d)\n", shard_index, shard_count,
-              manifest.scenarios.size(), results_dir.c_str(), threads);
+              scenarios.size(), results_dir.c_str(), threads);
   ShardOptions shard_opts;
   shard_opts.results_dir = results_dir;
   shard_opts.shard_index = shard_index;
   shard_opts.shard_count = shard_count;
   shard_opts.threads = threads;
-  ShardReport report = RunShard(manifest.scenarios, shard_opts);
+  ShardReport report = RunShard(scenarios, shard_opts);
   std::printf("shard %d/%d done: ran=%d skipped=%d contended=%d requeued=%d"
               " (scenario wall %.1f ms)\n",
               shard_index, shard_count, report.ran, report.skipped, report.contended,
@@ -286,7 +260,7 @@ int RunShardMode(const std::string& manifest_path, int shard_index, int shard_co
 
 int Main(int argc, char** argv) {
   std::string threads_s, scale_s, random_s, seed_s, bigmix_s, policy_s;
-  std::string manifest_s, results_s, shard_s, make_manifest_s, grid_s;
+  std::string results_s, shard_s, grid_s;
   BenchOptions opts = ParseBenchArgs(
       argc, argv, TelemetryFlag::kAccepted,
       {
@@ -298,11 +272,8 @@ int Main(int argc, char** argv) {
            "skip the matrix; run one huge streamed random mix and assert >= this many events"},
           {"policy", &policy_s,
            "cross-policy arena: run the matrix under this policy name, or 'all'"},
-          {"make-manifest", &make_manifest_s,
-           "expand --grid and write the fleet manifest to this path, then exit"},
-          {"grid", &grid_s, "grid spec for --make-manifest ('default' or key=v;... syntax)"},
-          {"shard", &shard_s, "run as fleet shard I/N over --manifest into --results"},
-          {"manifest", &manifest_s, "manifest file for --shard"},
+          {"shard", &shard_s, "run as fleet shard I/N over --grid into --results"},
+          {"grid", &grid_s, "grid spec for --shard ('default' or key=v;... syntax)"},
           {"results", &results_s, "results directory for --shard (receipts + claims)"},
       });
   HostCores host = DetectHostCores();
@@ -313,12 +284,9 @@ int Main(int argc, char** argv) {
   uint64_t seed = ParseU64Flag("seed", seed_s, 99);
 
   if (!opts.telemetry_dir.empty() &&
-      !(make_manifest_s.empty() && shard_s.empty() && bigmix_s.empty() && policy_s.empty())) {
+      !(shard_s.empty() && bigmix_s.empty() && policy_s.empty())) {
     std::fprintf(stderr, "--telemetry only applies to the scenario matrix\n");
     return 2;
-  }
-  if (!make_manifest_s.empty()) {
-    return RunMakeManifest(make_manifest_s, grid_s.empty() ? "default" : grid_s);
   }
   if (!shard_s.empty()) {
     size_t slash = shard_s.find('/');
@@ -329,16 +297,15 @@ int Main(int argc, char** argv) {
         ParseIntFlag("shard", shard_s.substr(slash + 1), -1, 1, 1 << 20));
     int shard_index = static_cast<int>(
         ParseIntFlag("shard", shard_s.substr(0, slash), -1, 0, shard_count - 1));
-    if (manifest_s.empty() || results_s.empty()) {
-      std::fprintf(stderr, "--shard requires --manifest=FILE and --results=DIR\n");
+    if (results_s.empty()) {
+      std::fprintf(stderr, "--shard requires --results=DIR\n");
       return 2;
     }
-    return RunShardMode(manifest_s, shard_index, shard_count, results_s,
+    return RunShardMode(grid_s, shard_index, shard_count, results_s,
                         threads_s.empty() ? 1 : max_threads);
   }
-  if (!manifest_s.empty() || !results_s.empty() || !grid_s.empty()) {
-    std::fprintf(stderr,
-                 "--manifest/--results/--grid only apply with --shard or --make-manifest\n");
+  if (!results_s.empty() || !grid_s.empty()) {
+    std::fprintf(stderr, "--results/--grid only apply with --shard\n");
     return 2;
   }
 
@@ -422,11 +389,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.migrations), r.wall_ms);
     BenchReport::Row row;
     row.name = r.name;
-    row.labels["trace_hash"] = [&] {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(r.trace_hash));
-      return std::string(buf);
-    }();
+    row.labels["trace_hash"] = Hex16(r.trace_hash);
     row.metrics["sim_events"] = static_cast<double>(r.sim_events);
     row.metrics["context_switches"] = static_cast<double>(r.context_switches);
     row.metrics["migrations"] = static_cast<double>(r.migrations);
@@ -451,8 +414,7 @@ int Main(int argc, char** argv) {
     std::string jsonl;
     for (const ScenarioResult& r : last.results) {
       std::printf("STREAM %s %s\n", r.name.c_str(), r.stream_summary.c_str());
-      jsonl += "{\"name\": \"" + JsonEscape(r.name) + "\", \"stream\": " + r.stream_summary +
-               "}\n";
+      jsonl += "{\"name\": " + QuoteJson(r.name) + ", \"stream\": " + r.stream_summary + "}\n";
       WC_CHECK(r.stream_within_budget, "stream aggregator memory exceeded budget in the sweep");
       WC_CHECK(r.stream_events == r.trace_events,
                "stream analyzed a different event count than the trace hash saw");

@@ -45,8 +45,8 @@
 #                a caller's -R filter on the matrix can't skip it — plus a
 #                sweep_driver --policy=all smoke that must emit the
 #                BENCH_policy_arena.json leaderboard.
-#   7. fleet   - the sharded-sweep kill/resume drill: expand a small grid
-#                into a manifest, run a single-process reference, then run
+#   7. fleet   - the sharded-sweep kill/resume drill: name a small grid
+#                by its --grid spec, run a single-process reference, then run
 #                two concurrent shard processes into one results store —
 #                SIGKILLing one mid-run and resuming it — and require the
 #                wc-trend merge of the sharded store to be byte-identical
@@ -155,25 +155,25 @@ echo "==== [arena] sweep_driver --policy=all smoke ===="
 test -s "$SMOKE_OUT/BENCH_policy_arena.json"
 grep -q '"policy_arena"' "$SMOKE_OUT/BENCH_policy_arena.json"
 
-echo "==== [fleet] grid manifest + sharded kill/resume + merge bit-identity ===="
+echo "==== [fleet] grid spec + sharded kill/resume + merge bit-identity ===="
 FLEET="$SMOKE_OUT/fleet"
 mkdir -p "$FLEET"
 SWEEP=./build-release/bench/sweep_driver
 TREND=./build-release/src/tools/wc-trend
 # A grid big enough that a kill lands mid-run but small enough for CI:
 # 2 topos x 2 feature sets x 2 policies x 2 mixes x 2 seeds = 32 scenarios.
-"$SWEEP" --make-manifest="$FLEET/manifest.jsonl" \
-  --grid='topo=flat1x4,flat2x4;workload=mix;feat=stock,fixed;policy=cfs,o1;mix=6,10;seeds=2;scale=0.02;horizon_ms=40;seed=7'
+# Every shard and merge below expands this same spec in process.
+GRID='topo=flat1x4,flat2x4;workload=mix;feat=stock,fixed;policy=cfs,o1;mix=6,10;seeds=2;scale=0.02;horizon_ms=40;seed=7'
 # Single-process reference run and merge.
-"$SWEEP" --shard=0/1 --manifest="$FLEET/manifest.jsonl" --results="$FLEET/ref"
-"$TREND" merge --manifest="$FLEET/manifest.jsonl" --results="$FLEET/ref" \
+"$SWEEP" --shard=0/1 --grid="$GRID" --results="$FLEET/ref"
+"$TREND" merge --grid="$GRID" --results="$FLEET/ref" \
   --out="$FLEET/ref_merged.jsonl"
 # Two concurrent shard processes into one store; SIGKILL shard 1 mid-run.
 # The kill may land after shard 1 already exited on a fast host — that is
 # fine, the drill only requires that a killed shard resumes correctly.
-"$SWEEP" --shard=0/2 --manifest="$FLEET/manifest.jsonl" --results="$FLEET/two" &
+"$SWEEP" --shard=0/2 --grid="$GRID" --results="$FLEET/two" &
 FLEET_S0=$!
-"$SWEEP" --shard=1/2 --manifest="$FLEET/manifest.jsonl" --results="$FLEET/two" &
+"$SWEEP" --shard=1/2 --grid="$GRID" --results="$FLEET/two" &
 FLEET_S1=$!
 sleep 0.2
 kill -9 "$FLEET_S1" 2>/dev/null || true
@@ -182,12 +182,20 @@ wait "$FLEET_S0"           # Shard 0 must succeed on its own.
 # Resume the killed shard: its flock claims died with it, its receipt file
 # may have a dirty tail; the resumed process self-repairs and finishes
 # whatever the store still misses.
-"$SWEEP" --shard=1/2 --manifest="$FLEET/manifest.jsonl" --results="$FLEET/two"
-"$TREND" merge --manifest="$FLEET/manifest.jsonl" --results="$FLEET/two" \
+"$SWEEP" --shard=1/2 --grid="$GRID" --results="$FLEET/two"
+"$TREND" merge --grid="$GRID" --results="$FLEET/two" \
   --out="$FLEET/two_merged.jsonl"
 # The fleet contract: sharded + killed + resumed == single process, to the byte.
 cmp "$FLEET/ref_merged.jsonl" "$FLEET/two_merged.jsonl"
 "$TREND" diff "$FLEET/ref_merged.jsonl" "$FLEET/two_merged.jsonl" | grep -q 'identical'
+# The receipts' fingerprints tie a store to its grid: merging the reference
+# store under another base seed must fail verification (exit 1).
+RC=0
+"$TREND" merge --grid="${GRID%seed=7}seed=8" --results="$FLEET/ref" >/dev/null || RC=$?
+if [ "$RC" -ne 1 ]; then
+  echo "wc-trend merge under a different --grid exited $RC, want 1" >&2
+  exit 1
+fi
 # Malformed numeric flags must take the hard-error path, not a stoi throw.
 if "$SWEEP" --threads=bogus 2>/dev/null; then
   echo "sweep_driver accepted a malformed --threads value" >&2
@@ -197,9 +205,9 @@ fi
 # not a wrapped horizon or a duplicate-name abort.
 for BAD_GRID in 'topo=flat1x4;horizon_ms=-1' 'topo=flat1x4,flat1x4;horizon_ms=40'; do
   RC=0
-  "$SWEEP" --make-manifest="$FLEET/bad_grid.jsonl" --grid="$BAD_GRID" 2>/dev/null || RC=$?
+  "$SWEEP" --shard=0/1 --grid="$BAD_GRID" --results="$FLEET/bad_grid" 2>/dev/null || RC=$?
   if [ "$RC" -ne 2 ]; then
-    echo "sweep_driver --grid='$BAD_GRID' exited $RC, want 2" >&2
+    echo "sweep_driver --shard --grid='$BAD_GRID' exited $RC, want 2" >&2
     exit 1
   fi
 done

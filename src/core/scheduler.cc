@@ -46,7 +46,7 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   autogroups_.push_back(Autogroup{kRootAutogroup, 0});
 
   // Boot-time domain construction always includes the cross-NUMA levels; the
-  // Missing Scheduling Domains bug only manifests on *regeneration* (§3.4).
+  // Missing Scheduling Domains bug only shows on *regeneration* (§3.4).
   DomainBuildOptions opts;
   opts.perspective = features_.fix_group_construction ? GroupPerspective::kPerCore
                                                       : GroupPerspective::kCore0;

@@ -44,8 +44,6 @@ void MixString(Fnv1a* fnv, const std::string& s) {
   fnv->Mix(s.size());
 }
 
-}  // namespace
-
 const char* TopoName(Scenario::Topo topo) {
   for (const TopoEntry& e : kTopos) {
     if (e.topo == topo) {
@@ -83,6 +81,8 @@ bool WorkloadByName(const std::string& name, Scenario::Workload* out) {
   }
   return false;
 }
+
+}  // namespace
 
 bool FeatureSetByName(const std::string& name, SchedFeatures* out) {
   if (name == "stock") {

@@ -10,11 +10,11 @@
 // existed.
 //
 // ScenarioFingerprint is the canonical identity of an instance: an FNV-1a
-// fold over every behavior-affecting Scenario field in a fixed order. The
-// manifest stores it, receipts are keyed by it, and resume compares it —
-// if a grid definition changes under a results store, the fingerprints
-// stop matching and the affected scenarios re-run instead of silently
-// reusing stale receipts.
+// fold over every behavior-affecting Scenario field in a fixed order.
+// Receipts carry it, claims are keyed by it, and resume compares it — if a
+// grid definition changes under a results store, the fingerprints stop
+// matching and the affected scenarios re-run instead of silently reusing
+// stale receipts.
 #ifndef SRC_TOOLS_SWEEP_GRID_H_
 #define SRC_TOOLS_SWEEP_GRID_H_
 
@@ -63,12 +63,6 @@ uint64_t ScenarioFingerprint(const Scenario& s);
 
 // Named feature sets for the grid axis. Returns false on an unknown name.
 bool FeatureSetByName(const std::string& name, SchedFeatures* out);
-
-// Axis-value vocabulary shared by the grid parser and the manifest codec.
-const char* TopoName(Scenario::Topo topo);
-bool TopoByName(const std::string& name, Scenario::Topo* out);
-const char* WorkloadName(Scenario::Workload workload);
-bool WorkloadByName(const std::string& name, Scenario::Workload* out);
 
 }  // namespace wcores
 

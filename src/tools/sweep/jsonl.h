@@ -1,17 +1,12 @@
-// Minimal JSON text helpers for the fleet-sweep stores (manifest lines,
-// receipt lines, merged trend output).
+// Minimal JSON text helpers: the one writer for the fleet-sweep stores
+// (receipt lines, merged trend output) and the BENCH_*.json reports.
 //
-// These stores are *canonical*: the same logical record must serialize to
-// the same bytes on every host and in every process, because the merge tool
+// The stores are *canonical*: the same logical record must serialize to the
+// same bytes on every host and in every process, because the merge tool
 // compares sharded runs to single-process runs with a byte equality check.
 // That rules out std::to_string for doubles (locale-dependent) and demands a
 // fixed round-trip format, so the helpers live here instead of each caller
 // improvising.
-//
-// (bench/bench_util.h carries similar helpers for the BENCH_*.json reports;
-// they are deliberately not shared — bench_util is a header-only host-side
-// convenience, while these definitions are part of the receipt format
-// contract and are versioned with the sweep library.)
 #ifndef SRC_TOOLS_SWEEP_JSONL_H_
 #define SRC_TOOLS_SWEEP_JSONL_H_
 

@@ -1,6 +1,7 @@
 #include "src/tools/sweep/receipts.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -85,9 +86,14 @@ bool ParseReceiptLine(const std::string& line, Receipt* out, std::string* error)
     const JsonValue* v = root.Find(key);
     return v != nullptr && v->type == JsonValue::Type::kString && ParseHex16(v->str, value);
   };
+  // Counts are written with std::to_string and read back through a double,
+  // which holds every whole number below 2^53 exactly. A fraction, or a
+  // value at or above 2^53, cannot have come from the writer (and a cast
+  // from past 2^64 would be undefined).
   auto count_field = [&](const char* key, uint64_t* value) {
     const JsonValue* v = root.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kNumber || v->number < 0) {
+    if (v == nullptr || v->type != JsonValue::Type::kNumber || !(v->number >= 0) ||
+        !(v->number < 0x1p53) || std::trunc(v->number) != v->number) {
       return false;
     }
     *value = static_cast<uint64_t>(v->number);

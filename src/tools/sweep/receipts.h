@@ -11,7 +11,7 @@
 //
 // Resume semantics (shard.h relies on these, fleet_test pins them):
 //  - a scenario is DONE iff the store holds at least one receipt whose
-//    fingerprint matches the manifest's, and every such receipt agrees on
+//    fingerprint matches the scenario's, and every such receipt agrees on
 //    (trace_hash, trace_events);
 //  - a fingerprint mismatch means the grid definition changed under the
 //    store: the receipt is stale and the scenario re-runs;

@@ -88,22 +88,22 @@ struct DoneIndex {
 
 }  // namespace
 
-ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& options) {
+ShardReport RunShard(const std::vector<Scenario>& scenarios, const ShardOptions& options) {
   WC_CHECK(options.shard_count >= 1, "shard count must be >= 1");
   WC_CHECK(options.shard_index >= 0 && options.shard_index < options.shard_count,
            "shard index out of range");
   WC_CHECK(!options.results_dir.empty(), "shard runner needs a results dir");
 
   // Names key receipts and fingerprints key claims, so both must be unique
-  // across the manifest (the manifest loader enforces this for files; this
-  // guards direct callers).
+  // across the scenarios (ParseGridSpec rejects the repeated axis values
+  // that would break this; this guards direct callers).
   {
     std::set<std::string> names;
     std::set<uint64_t> fingerprints;
-    for (const Scenario& s : manifest) {
-      WC_CHECK(names.insert(s.name).second, "duplicate scenario name in shard manifest");
+    for (const Scenario& s : scenarios) {
+      WC_CHECK(names.insert(s.name).second, "duplicate scenario name in shard run");
       WC_CHECK(fingerprints.insert(ScenarioFingerprint(s)).second,
-               "fingerprint collision in shard manifest");
+               "fingerprint collision in shard run");
     }
   }
 
@@ -135,26 +135,26 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
   std::ofstream receipts_out(receipts_path, std::ios::app);
   WC_CHECK(receipts_out.good(), "cannot open shard receipts file for append");
 
-  std::vector<uint64_t> fingerprints(manifest.size());
-  for (size_t i = 0; i < manifest.size(); ++i) {
-    fingerprints[i] = ScenarioFingerprint(manifest[i]);
+  std::vector<uint64_t> fingerprints(scenarios.size());
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    fingerprints[i] = ScenarioFingerprint(scenarios[i]);
   }
 
   // Startup resume scan, shared read-only by all workers. Post-claim
   // rechecks load fresh copies (one per scenario actually run, so the
-  // rescan cost is proportional to fresh work, not manifest size).
+  // rescan cost is proportional to fresh work, not grid size).
   DoneIndex startup = DoneIndex::Load(options.results_dir);
 
   // Claim order: our own stripe first, then everyone else's (stealing).
   std::vector<size_t> order;
-  order.reserve(manifest.size());
-  for (size_t i = 0; i < manifest.size(); ++i) {
+  order.reserve(scenarios.size());
+  for (size_t i = 0; i < scenarios.size(); ++i) {
     if (i % static_cast<size_t>(options.shard_count) ==
         static_cast<size_t>(options.shard_index)) {
       order.push_back(i);
     }
   }
-  for (size_t i = 0; i < manifest.size(); ++i) {
+  for (size_t i = 0; i < scenarios.size(); ++i) {
     if (i % static_cast<size_t>(options.shard_count) !=
         static_cast<size_t>(options.shard_index)) {
       order.push_back(i);
@@ -171,7 +171,7 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
         return;
       }
       size_t i = order[slot];
-      const Scenario& s = manifest[i];
+      const Scenario& s = scenarios[i];
       uint64_t fingerprint = fingerprints[i];
 
       bool had_receipts = false;
@@ -222,8 +222,8 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
   if (threads < 1) {
     threads = 1;
   }
-  if (threads > static_cast<int>(manifest.size()) && !manifest.empty()) {
-    threads = static_cast<int>(manifest.size());
+  if (threads > static_cast<int>(scenarios.size()) && !scenarios.empty()) {
+    threads = static_cast<int>(scenarios.size());
   }
   if (threads == 1) {
     worker();

@@ -1,8 +1,8 @@
-// Sharded, resumable execution of a sweep manifest across processes.
+// Sharded, resumable execution of a scenario grid across processes.
 //
-// Each `sweep_driver --shard=I/N` process calls RunShard with the same
-// manifest and results directory. Coordination is file-based and
-// crash-safe:
+// Each `sweep_driver --shard=I/N --grid=SPEC` process expands the same grid
+// and calls RunShard with its scenarios and the same results directory.
+// Coordination is file-based and crash-safe:
 //
 //  - CLAIMS: before running a scenario, a worker takes an exclusive
 //    flock(2) on `<results>/claims/<fingerprint>.lock`. flock is advisory,
@@ -29,7 +29,7 @@
 //
 // Thread-count invariance of scenario results (pinned by determinism_test)
 // is what makes this sharding determinism-free: any partition of the
-// manifest across any number of processes yields byte-identical canonical
+// scenarios across any number of processes yields byte-identical canonical
 // receipts, which `wc-trend merge` verifies rather than assumes.
 #ifndef SRC_TOOLS_SWEEP_SHARD_H_
 #define SRC_TOOLS_SWEEP_SHARD_H_
@@ -57,7 +57,7 @@ struct ShardReport {
   std::string receipts_path;
 };
 
-ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& options);
+ShardReport RunShard(const std::vector<Scenario>& scenarios, const ShardOptions& options);
 
 }  // namespace wcores
 

@@ -1,9 +1,11 @@
 // wc-trend CLI: merge/verify sharded sweep results, diff merged stores.
 //
-//   wc-trend merge --manifest=FILE --results=DIR [--out=FILE]
-//       Union shard receipts, verify against the manifest, write the
+//   wc-trend merge [--grid=SPEC] --results=DIR [--out=FILE]
+//       Expand the grid (SPEC defaults to "default"; see grid.h), union
+//       shard receipts, verify them against the grid's scenarios, write the
 //       canonical merged store. Exit 0 iff the store is complete and
-//       consistent; 1 on missing/conflicting/corrupt receipts.
+//       consistent; 1 on missing/conflicting/corrupt receipts; 2 on a bad
+//       spec.
 //
 //   wc-trend diff A.jsonl B.jsonl
 //       Compare two merged stores (e.g. two commits' runs): added/removed
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/tools/sweep/grid.h"
 #include "src/tools/sweep/jsonl.h"
 #include "src/tools/trend/trend.h"
 
@@ -25,16 +28,16 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  wc-trend merge --manifest=FILE --results=DIR [--out=FILE]\n"
+               "  wc-trend merge [--grid=SPEC] --results=DIR [--out=FILE]\n"
                "  wc-trend diff A.jsonl B.jsonl\n");
   return 2;
 }
 
 int RunMerge(const std::vector<std::string>& args) {
-  std::string manifest_path, results_dir, out_path;
+  std::string grid_spec = "default", results_dir, out_path;
   for (const std::string& arg : args) {
-    if (arg.rfind("--manifest=", 0) == 0) {
-      manifest_path = arg.substr(11);
+    if (arg.rfind("--grid=", 0) == 0) {
+      grid_spec = arg.substr(7);
     } else if (arg.rfind("--results=", 0) == 0) {
       results_dir = arg.substr(10);
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -44,15 +47,17 @@ int RunMerge(const std::vector<std::string>& args) {
       return Usage();
     }
   }
-  if (manifest_path.empty() || results_dir.empty()) {
+  if (results_dir.empty()) {
     return Usage();
   }
-  Manifest manifest;
+  GridSpec spec;
   std::string error;
-  if (!LoadManifest(manifest_path, &manifest, &error)) {
-    std::fprintf(stderr, "wc-trend: %s\n", error.c_str());
-    return 1;
+  if (!ParseGridSpec(grid_spec, &spec, &error)) {
+    std::fprintf(stderr, "wc-trend: invalid value '%s' for --grid: %s\n", grid_spec.c_str(),
+                 error.c_str());
+    return 2;
   }
+  std::vector<Scenario> scenarios = ExpandGrid(spec);
   ResultsStore store;
   if (!LoadResultsStore(results_dir, &store, &error)) {
     std::fprintf(stderr, "wc-trend: %s\n", error.c_str());
@@ -61,11 +66,11 @@ int RunMerge(const std::vector<std::string>& args) {
   for (const std::string& warning : store.warnings) {
     std::fprintf(stderr, "wc-trend: warning: dropped receipt line: %s\n", warning.c_str());
   }
-  MergeReport report = MergeResults(manifest, store);
+  MergeReport report = MergeResults(scenarios, store);
   std::printf(
       "merge: %zu scenarios, %d receipts in %d shard files -> %d unique"
       " (%d duplicate, %d stale, %d trailing dropped)\n",
-      manifest.scenarios.size(), report.receipts, store.files, report.unique,
+      scenarios.size(), report.receipts, store.files, report.unique,
       report.duplicates, report.stale, report.dropped_trailing);
   std::printf("combined_hash=%s\n", Hex16(report.combined_hash).c_str());
   for (const std::string& name : report.missing) {

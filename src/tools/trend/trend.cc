@@ -10,14 +10,14 @@
 
 namespace wcores {
 
-MergeReport MergeResults(const Manifest& manifest, const ResultsStore& store) {
+MergeReport MergeResults(const std::vector<Scenario>& scenarios, const ResultsStore& store) {
   MergeReport report;
   report.receipts = static_cast<int>(store.receipts.size());
   report.dropped_trailing = store.dropped_trailing;
   report.dropped_interior = store.dropped_interior;
 
   std::map<std::string, uint64_t> expected;  // name -> current fingerprint.
-  for (const Scenario& s : manifest.scenarios) {
+  for (const Scenario& s : scenarios) {
     expected[s.name] = ScenarioFingerprint(s);
   }
 
@@ -40,7 +40,7 @@ MergeReport MergeResults(const Manifest& manifest, const ResultsStore& store) {
   report.orphans.assign(orphan_names.begin(), orphan_names.end());
 
   Fnv1a combined;
-  for (const Scenario& s : manifest.scenarios) {
+  for (const Scenario& s : scenarios) {
     auto it = current.find(s.name);
     if (it == current.end()) {
       report.missing.push_back(s.name);

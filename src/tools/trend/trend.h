@@ -1,11 +1,11 @@
 // wc-trend: merge, verify, and diff fleet-sweep result stores.
 //
 // MERGE unions every shard's receipt file under a results directory,
-// verifies the store against its manifest — every scenario receipted, all
-// fingerprints current, no conflicting receipts, no interior corruption —
-// and emits one canonical line per scenario in manifest order. Because
-// canonical receipt lines are byte-stable (receipts.h), the merged output
-// of any sharding of a manifest equals the merged output of a
+// verifies the store against the grid's scenarios — every scenario
+// receipted, all fingerprints current, no conflicting receipts, no interior
+// corruption — and emits one canonical line per scenario in grid order.
+// Because canonical receipt lines are byte-stable (receipts.h), the merged
+// output of any sharding of a grid equals the merged output of a
 // single-process run `cmp`-bit-for-bit; ci.sh stage 7 enforces exactly
 // that, with a kill/resume in the middle.
 //
@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "src/tools/sweep/manifest.h"
 #include "src/tools/sweep/receipts.h"
+#include "src/tools/sweep/scenario.h"
 
 namespace wcores {
 
@@ -34,10 +34,10 @@ struct MergeReport {
   int stale = 0;       // Fingerprint-mismatched receipts (ignored).
   int dropped_trailing = 0;   // Tolerated killed-mid-append tails.
   int dropped_interior = 0;   // Store damage: fails verification.
-  std::vector<std::string> missing;    // Manifest names with no receipt.
+  std::vector<std::string> missing;    // Scenario names with no receipt.
   std::vector<std::string> conflicts;  // Names with disagreeing receipts.
-  std::vector<std::string> orphans;    // Receipt names not in the manifest.
-  std::string canonical;  // One canonical line per scenario, manifest order.
+  std::vector<std::string> orphans;    // Receipt names not in the grid.
+  std::string canonical;  // One canonical line per scenario, grid order.
   uint64_t combined_hash = 0;  // Same fold as SweepReport::CombinedHash.
 
   bool ok() const {
@@ -45,7 +45,7 @@ struct MergeReport {
   }
 };
 
-MergeReport MergeResults(const Manifest& manifest, const ResultsStore& store);
+MergeReport MergeResults(const std::vector<Scenario>& scenarios, const ResultsStore& store);
 
 struct DiffReport {
   std::vector<std::string> added;    // In B only.

@@ -9,6 +9,7 @@
 #include "bench/bench_util.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/chrome_trace.h"
+#include "src/tools/sweep/jsonl.h"
 
 namespace wcores {
 namespace {
@@ -180,16 +181,17 @@ TEST(BenchHostCores, AlwaysAtLeastOne) {
   }
 }
 
+// BenchReport writes through jsonl.h's QuoteJson and NumberJson.
 TEST(BenchJson, EscapesStrings) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(QuoteJson("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
 }
 
 TEST(BenchJson, NumbersRoundTrip) {
-  EXPECT_EQ(JsonNumber(4), "4");
-  EXPECT_EQ(JsonNumber(0.5), "0.5");
+  EXPECT_EQ(NumberJson(4), "4");
+  EXPECT_EQ(NumberJson(0.5), "0.5");
   // A value %g cannot represent exactly falls back to %.17g.
   double v = 1.0 / 3.0;
-  EXPECT_EQ(std::strtod(JsonNumber(v).c_str(), nullptr), v);
+  EXPECT_EQ(std::strtod(NumberJson(v).c_str(), nullptr), v);
 }
 
 TEST(BenchJson, ReportIsValidJson) {

@@ -1,5 +1,4 @@
-// Fleet sweep service tests: grid expansion, manifest round-trip, receipt
-// stores, resume semantics (truncated tails, stale fingerprints, conflicting
+// Fleet sweep service tests: grid expansion, receipt stores, resume semantics (truncated tails, stale fingerprints, conflicting
 // receipts), sharded execution equivalence, and the wc-trend merge/diff
 // contracts. The cross-process kill/resume path is exercised by ci.sh stage
 // "fleet"; everything here is in-process so it runs under ctest -j.
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "src/tools/sweep/grid.h"
-#include "src/tools/sweep/manifest.h"
 #include "src/tools/sweep/receipts.h"
 #include "src/tools/sweep/shard.h"
 #include "src/tools/sweep/sweep.h"
@@ -137,8 +135,8 @@ TEST(FleetGrid, ParseGridSpecRejectsBadInput) {
 }
 
 // A repeated axis value would expand to duplicate scenario names, which the
-// manifest writer refuses with an abort; a repeated key is ambiguous. Both
-// are parse errors instead.
+// shard runner refuses with an abort; a repeated key is ambiguous. Both are
+// parse errors instead.
 TEST(FleetGrid, ParseGridSpecRejectsRepeats) {
   GridSpec spec;
   std::string error;
@@ -150,70 +148,6 @@ TEST(FleetGrid, ParseGridSpecRejectsRepeats) {
     EXPECT_FALSE(error.empty()) << text;
   }
   EXPECT_TRUE(ParseGridSpec("topo=flat1x4,flat2x4;mix=6,10;seed=1", &spec, &error)) << error;
-}
-
-// ---- Manifest --------------------------------------------------------------
-
-TEST(FleetManifest, RoundTripsEveryField) {
-  std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
-  std::string path = TempPath("manifest.jsonl");
-  WriteManifest(path, scenarios);
-
-  Manifest loaded;
-  std::string error;
-  ASSERT_TRUE(LoadManifest(path, &loaded, &error)) << error;
-  ASSERT_EQ(loaded.scenarios.size(), scenarios.size());
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(loaded.scenarios[i].name, scenarios[i].name);
-    EXPECT_EQ(ScenarioFingerprint(loaded.scenarios[i]), ScenarioFingerprint(scenarios[i]));
-    EXPECT_EQ(ScenarioToJsonLine(loaded.scenarios[i]), ScenarioToJsonLine(scenarios[i]));
-  }
-}
-
-TEST(FleetManifest, LoaderRejectsTamperedLine) {
-  std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
-  std::string path = TempPath("tampered.jsonl");
-  WriteManifest(path, scenarios);
-
-  // Flip a parameter without updating the fingerprint: the loader must
-  // notice (this is what catches hand-edited or version-skewed manifests).
-  std::string content = ReadAll(path);
-  size_t pos = content.find("\"mix_threads\": 4");
-  ASSERT_NE(pos, std::string::npos);
-  content.replace(pos, std::string("\"mix_threads\": 4").size(), "\"mix_threads\": 9");
-  WriteAll(path, content);
-
-  Manifest loaded;
-  std::string error;
-  EXPECT_FALSE(LoadManifest(path, &loaded, &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
-}
-
-TEST(FleetManifest, LoaderRejectsDuplicateNames) {
-  std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
-  std::string path = TempPath("dup.jsonl");
-  WriteManifest(path, scenarios);
-  std::string content = ReadAll(path);
-  // Duplicate the first scenario line verbatim and bump the header count.
-  size_t header_end = content.find('\n');
-  size_t first_end = content.find('\n', header_end + 1);
-  std::string first_line = content.substr(header_end + 1, first_end - header_end);
-  std::string doctored = "{\"wc_manifest\": 1, \"count\": " +
-                         std::to_string(scenarios.size() + 1) + "}\n" +
-                         content.substr(header_end + 1) + first_line;
-  WriteAll(path, doctored);
-
-  Manifest loaded;
-  std::string error;
-  EXPECT_FALSE(LoadManifest(path, &loaded, &error));
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-}
-
-TEST(FleetManifestDeathTest, WriterChecksDuplicateNames) {
-  std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
-  scenarios.push_back(scenarios[0]);
-  EXPECT_DEATH(WriteManifest(TempPath("never.jsonl"), scenarios),
-               "duplicate scenario name in manifest");
 }
 
 // ---- Receipts --------------------------------------------------------------
@@ -252,6 +186,35 @@ TEST(FleetReceipts, RoundTrip) {
   ASSERT_TRUE(ParseReceiptLine(ReceiptCanonical(r), &canon, &error)) << error;
   EXPECT_EQ(ReceiptCanonical(canon), ReceiptCanonical(r));
   EXPECT_EQ(canon.wall_ms, 0);
+}
+
+// Counts round-trip through the parser's double, so only whole numbers
+// below 2^53 are counts the writer could have produced.
+TEST(FleetReceipts, RejectsNonIntegralOrHugeCounts) {
+  const std::string line = ReceiptLine(MakeReceipt("grid/a", 1, 10));
+  // The line with `field` (as written) replaced by `replacement`.
+  auto with = [&](const std::string& field, const std::string& replacement) {
+    std::string edited = line;
+    size_t pos = edited.find(field);
+    EXPECT_NE(pos, std::string::npos) << field;
+    if (pos != std::string::npos) {
+      edited.replace(pos, field.size(), replacement);
+    }
+    return edited;
+  };
+  Receipt r;
+  std::string error;
+  for (const std::string bad : {"1.5", "1e30", "2e16"}) {
+    EXPECT_FALSE(ParseReceiptLine(with("\"trace_events\": 42", "\"trace_events\": " + bad), &r,
+                                  &error))
+        << bad;
+  }
+  EXPECT_FALSE(ParseReceiptLine(with("\"all_exited\": 1", "\"all_exited\": 2"), &r, &error));
+  // The largest whole number a double holds exactly is accepted.
+  ASSERT_TRUE(ParseReceiptLine(
+      with("\"trace_events\": 42", "\"trace_events\": 9007199254740991"), &r, &error))
+      << error;
+  EXPECT_EQ(r.trace_events, 9007199254740991u);
 }
 
 TEST(FleetReceipts, TruncatedTrailingLineIsTolerated) {
@@ -312,12 +275,10 @@ std::string ReferenceCanonical(const std::vector<Scenario>& scenarios,
   ShardReport report = RunShard(scenarios, opts);
   EXPECT_EQ(report.ran, static_cast<int>(scenarios.size()));
 
-  Manifest manifest;
-  manifest.scenarios = scenarios;
   ResultsStore store;
   std::string error;
   EXPECT_TRUE(LoadResultsStore(results_dir, &store, &error)) << error;
-  MergeReport merge = MergeResults(manifest, store);
+  MergeReport merge = MergeResults(scenarios, store);
   EXPECT_TRUE(merge.ok());
   if (combined != nullptr) {
     *combined = merge.combined_hash;
@@ -348,12 +309,10 @@ TEST(FleetShard, TwoShardsMergeBitIdenticalToSingleProcess) {
   EXPECT_EQ(r0.ran + r0.skipped + r1.ran + r1.skipped + r0.contended + r1.contended,
             static_cast<int>(scenarios.size()) * 2);
 
-  Manifest manifest;
-  manifest.scenarios = scenarios;
   ResultsStore store;
   std::string error;
   ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
-  MergeReport merge = MergeResults(manifest, store);
+  MergeReport merge = MergeResults(scenarios, store);
   EXPECT_TRUE(merge.ok()) << (merge.missing.empty() ? "" : merge.missing[0]);
   EXPECT_EQ(merge.canonical, ref);  // Bit-identical to single-process run.
   EXPECT_EQ(merge.combined_hash, ref_hash);
@@ -390,12 +349,10 @@ TEST(FleetShard, TruncatedTailReRunsThatScenarioOnly) {
   // the merged canonical output matches an uninterrupted run.
   uint64_t ref_hash = 0;
   std::string ref = ReferenceCanonical(scenarios, TempPath("kill_ref"), &ref_hash);
-  Manifest manifest;
-  manifest.scenarios = scenarios;
   ResultsStore store;
   std::string error;
   ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
-  MergeReport merge = MergeResults(manifest, store);
+  MergeReport merge = MergeResults(scenarios, store);
   EXPECT_TRUE(merge.ok());
   EXPECT_EQ(merge.dropped_interior, 0);
   EXPECT_EQ(merge.canonical, ref);
@@ -439,7 +396,7 @@ TEST(FleetShard, ConflictingReceiptsForceReExecution) {
   EXPECT_EQ(resumed.skipped, static_cast<int>(scenarios.size()) - 1);
 }
 
-TEST(FleetShardDeathTest, DuplicateManifestNamesAreRejected) {
+TEST(FleetShardDeathTest, DuplicateScenarioNamesAreRejected) {
   std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
   scenarios.push_back(scenarios[0]);
   ShardOptions opts{TempPath("dup_shard"), 0, 1, 1};
@@ -458,15 +415,13 @@ TEST(FleetTrend, MergeDetectsMissingAndConflict) {
   std::string error;
   ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
 
-  // Missing: a manifest with one extra scenario nothing receipted.
+  // Missing: one extra scenario nothing receipted.
   std::vector<Scenario> wider = scenarios;
   Scenario extra = scenarios[0];
   extra.name = "grid/extra";
   extra.seed = 999;
   wider.push_back(extra);
-  Manifest manifest;
-  manifest.scenarios = wider;
-  MergeReport missing = MergeResults(manifest, store);
+  MergeReport missing = MergeResults(wider, store);
   EXPECT_FALSE(missing.ok());
   ASSERT_EQ(missing.missing.size(), 1u);
   EXPECT_EQ(missing.missing[0], "grid/extra");
@@ -475,18 +430,17 @@ TEST(FleetTrend, MergeDetectsMissingAndConflict) {
   Receipt forged = store.receipts[0];
   forged.trace_hash ^= 0xff;
   store.receipts.push_back(forged);
-  manifest.scenarios = scenarios;
-  MergeReport conflict = MergeResults(manifest, store);
+  MergeReport conflict = MergeResults(scenarios, store);
   EXPECT_FALSE(conflict.ok());
   ASSERT_EQ(conflict.conflicts.size(), 1u);
   EXPECT_EQ(conflict.conflicts[0], forged.name);
 
-  // Orphan: a receipt whose name the manifest does not know.
+  // Orphan: a receipt whose name the scenarios do not include.
   store.receipts.pop_back();
   Receipt orphan = store.receipts[0];
   orphan.name = "grid/ghost";
   store.receipts.push_back(orphan);
-  MergeReport orphaned = MergeResults(manifest, store);
+  MergeReport orphaned = MergeResults(scenarios, store);
   EXPECT_FALSE(orphaned.ok());
   ASSERT_EQ(orphaned.orphans.size(), 1u);
   EXPECT_EQ(orphaned.orphans[0], "grid/ghost");
@@ -507,9 +461,7 @@ TEST(FleetTrend, MergeDedupsByteIdenticalDuplicates) {
   dup.wall_ms += 5;
   store.receipts.push_back(dup);
 
-  Manifest manifest;
-  manifest.scenarios = scenarios;
-  MergeReport merge = MergeResults(manifest, store);
+  MergeReport merge = MergeResults(scenarios, store);
   EXPECT_TRUE(merge.ok());
   EXPECT_EQ(merge.duplicates, 1);
   EXPECT_EQ(merge.unique, static_cast<int>(scenarios.size()));
@@ -553,12 +505,10 @@ TEST(FleetTrend, MergedStoreRoundTripsThroughFile) {
   ShardOptions opts{dir, 0, 1, 2};
   RunShard(scenarios, opts);
 
-  Manifest manifest;
-  manifest.scenarios = scenarios;
   ResultsStore store;
   std::string error;
   ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
-  MergeReport merge = MergeResults(manifest, store);
+  MergeReport merge = MergeResults(scenarios, store);
   ASSERT_TRUE(merge.ok());
 
   std::string path = TempPath("merged.jsonl");
