@@ -145,6 +145,20 @@ echo "==== [stream] streamed sweep matrix + pure-observer cross-check ===="
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --threads=2 --scale=0.02 \
   --random=1 --telemetry="$SMOKE_OUT/stream"
 test -s "$SMOKE_OUT/stream/sweep_stream.jsonl"
+# Every streamed summary is within its memory budget, and every non-empty
+# machine distribution reads min <= p50 <= p95 <= p99 <= max.
+python3 - "$SMOKE_OUT/stream/sweep_stream.jsonl" <<'PY'
+import json, sys
+for line in open(sys.argv[1]):
+    row = json.loads(line)
+    s = row["stream"]
+    if s["within_budget"] is not True:
+        sys.exit("%s: stream over budget" % row["name"])
+    for metric, d in s["machine"].items():
+        chain = [d["min_ns"], d["p50_ns"], d["p95_ns"], d["p99_ns"], d["max_ns"]]
+        if d["count"] > 0 and chain != sorted(chain):
+            sys.exit("%s %s: quantiles out of order: %s" % (row["name"], metric, chain))
+PY
 
 echo "==== [arena] cross-policy conformance (Release + ASan/UBSan) ===="
 ctest --preset release -j "$JOBS" -R 'modsched\.'

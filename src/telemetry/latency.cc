@@ -3,13 +3,12 @@
 namespace wcores {
 
 void LatencyAccountant::OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) {
-  per_cpu_[cpu].rq_wait.Add(static_cast<double>(waited));
+  per_cpu_[cpu].rq_wait.Add(waited);
 
   if (tid < static_cast<ThreadId>(pending_migration_.size()) &&
       pending_migration_[tid].when != kTimeNever) {
-    double cost = static_cast<double>(now - pending_migration_[tid].when);
+    per_cpu_[cpu].migration_cost.Add(now - pending_migration_[tid].when);
     pending_migration_[tid].when = kTimeNever;
-    per_cpu_[cpu].migration_cost.Add(cost);
   }
 }
 
@@ -18,13 +17,13 @@ void LatencyAccountant::OnSwitchOut(Time now, CpuId cpu, ThreadId tid, Time ran,
   (void)now;
   (void)tid;
   (void)still_runnable;
-  per_cpu_[cpu].timeslice.Add(static_cast<double>(ran));
+  per_cpu_[cpu].timeslice.Add(ran);
 }
 
 void LatencyAccountant::OnWakeupLatency(Time now, CpuId cpu, ThreadId tid, Time latency) {
   (void)now;
   (void)tid;
-  per_cpu_[cpu].wakeup_latency.Add(static_cast<double>(latency));
+  per_cpu_[cpu].wakeup_latency.Add(latency);
 }
 
 void LatencyAccountant::OnMigration(Time now, ThreadId tid, CpuId from, CpuId to,

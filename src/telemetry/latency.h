@@ -2,14 +2,16 @@
 //
 // The paper's diagnosis of every bug started from "cores idle while work
 // waits"; this sink turns that observation into numbers a user can act on:
-// exact per-cpu distributions of
+// per-cpu distributions of
 //   * wakeup latency   — wakeup -> first run (perf sched latency),
 //   * runqueue wait    — runnable -> running (sched_stat_wait),
 //   * timeslice        — how long each stint on a core lasted
 //                        (sched_stat_runtime),
 //   * migration cost   — migration -> first run on the new core,
-// plus per-cpu idle occupancy. It is a TraceSink; attach it (alone or via
-// MultiSink) to a Scheduler/Simulator and read the summaries afterwards.
+// plus per-cpu idle occupancy. Each distribution is a LogHistogram: fixed
+// memory per (cpu, metric), exact counts and maxima, quantiles within 1/128.
+// It is a TraceSink; attach it (alone or via MultiSink) to a
+// Scheduler/Simulator and read the histograms afterwards.
 #ifndef SRC_TELEMETRY_LATENCY_H_
 #define SRC_TELEMETRY_LATENCY_H_
 
@@ -25,10 +27,10 @@ namespace wcores {
 
 // One cpu's (or a cpu set's) latency distributions, in nanoseconds.
 struct LatencyDistributions {
-  Summary wakeup_latency;
-  Summary rq_wait;
-  Summary timeslice;
-  Summary migration_cost;
+  LogHistogram wakeup_latency;
+  LogHistogram rq_wait;
+  LogHistogram timeslice;
+  LogHistogram migration_cost;
 
   void Merge(const LatencyDistributions& other) {
     wakeup_latency.Merge(other.wakeup_latency);

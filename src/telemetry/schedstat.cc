@@ -1,8 +1,9 @@
 #include "src/telemetry/schedstat.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "src/tools/profiler.h"
 
@@ -18,12 +19,13 @@ void AppendCounter(std::string* out, const char* name, uint64_t value) {
 }
 
 void AppendLatencyLine(std::string* out, const std::string& scope, const char* metric,
-                       const Summary& s) {
+                       const LogHistogram& s) {
   char buf[160];
-  // Summary samples are nanoseconds (as doubles); report in microseconds.
+  // Samples are nanoseconds; report in microseconds.
   std::snprintf(buf, sizeof(buf), "lat %s %s %llu %.3f %.3f %.3f %.3f\n", scope.c_str(), metric,
                 static_cast<unsigned long long>(s.Count()), s.Quantile(0.50) / 1000.0,
-                s.Quantile(0.95) / 1000.0, s.Quantile(0.99) / 1000.0, s.Max() / 1000.0);
+                s.Quantile(0.95) / 1000.0, s.Quantile(0.99) / 1000.0,
+                static_cast<double>(s.Max()) / 1000.0);
   *out += buf;
 }
 
@@ -32,6 +34,24 @@ void AppendScope(std::string* out, const std::string& scope, const LatencyDistri
   AppendLatencyLine(out, scope, "rq_wait", d.rq_wait);
   AppendLatencyLine(out, scope, "timeslice", d.timeslice);
   AppendLatencyLine(out, scope, "migration", d.migration_cost);
+}
+
+std::vector<std::string> Fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  std::string field;
+  while (in >> field) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+// A whole field only: no sign on unsigned values, no trailing junk.
+template <typename T>
+bool ParseNumber(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -102,38 +122,40 @@ bool ParseSchedstatReport(const std::string& report, ParsedSchedstat* out) {
   bool have_header = false;
   bool have_shape = false;
   while (std::getline(in, line)) {
+    std::vector<std::string> f = Fields(line);
     if (line.rfind("schedstat version ", 0) == 0) {
-      out->version = std::atoi(line.c_str() + std::strlen("schedstat version "));
+      // The version may be followed by a free-text description.
+      if (f.size() < 3 || !ParseNumber(f[2], &out->version)) {
+        return false;
+      }
       have_header = true;
     } else if (line.rfind("timestamp_ns ", 0) == 0) {
-      out->timestamp = std::strtoull(line.c_str() + std::strlen("timestamp_ns "), nullptr, 10);
+      if (f.size() != 2 || !ParseNumber(f[1], &out->timestamp)) {
+        return false;
+      }
     } else if (line.rfind("cpus ", 0) == 0) {
-      if (std::sscanf(line.c_str(), "cpus %d nodes %d online %d", &out->cpus, &out->nodes,
-                      &out->online) != 3) {
+      if (f.size() != 6 || f[2] != "nodes" || f[4] != "online" || !ParseNumber(f[1], &out->cpus) ||
+          !ParseNumber(f[3], &out->nodes) || !ParseNumber(f[5], &out->online)) {
         return false;
       }
       have_shape = true;
     } else if (line.rfind("counter ", 0) == 0) {
-      char name[64];
-      unsigned long long value = 0;
-      if (std::sscanf(line.c_str(), "counter %63s %llu", name, &value) != 2) {
+      uint64_t value = 0;
+      if (f.size() != 3 || !ParseNumber(f[2], &value)) {
         return false;
       }
-      out->counters[name] = value;
+      out->counters[f[1]] = value;
     } else if (line.rfind("lat ", 0) == 0) {
       if (line.rfind("lat scope ", 0) == 0) {
         continue;  // Column-header line.
       }
-      char scope[32];
-      char metric[32];
-      unsigned long long count = 0;
       ParsedSchedstat::LatencyLine ll;
-      if (std::sscanf(line.c_str(), "lat %31s %31s %llu %lf %lf %lf %lf", scope, metric, &count,
-                      &ll.p50_us, &ll.p95_us, &ll.p99_us, &ll.max_us) != 7) {
+      if (f.size() != 8 || !ParseNumber(f[3], &ll.count) || !ParseNumber(f[4], &ll.p50_us) ||
+          !ParseNumber(f[5], &ll.p95_us) || !ParseNumber(f[6], &ll.p99_us) ||
+          !ParseNumber(f[7], &ll.max_us)) {
         return false;
       }
-      ll.count = count;
-      out->latencies[std::string(scope) + " " + metric] = ll;
+      out->latencies[f[1] + " " + f[2]] = ll;
     }
     // Prose sections (verdict table, cpustate) are informational; cpustate
     // lines are left to ad-hoc consumers.

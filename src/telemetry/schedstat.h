@@ -51,9 +51,11 @@ struct ParsedSchedstat {
   std::map<std::string, LatencyLine> latencies;
 };
 
-// Parses a report back. Returns false on malformed input (missing header,
-// malformed lat/counter lines). Prose sections (the verdict table) are
-// skipped, not parsed.
+// Parses a report back. Returns false on malformed input: a missing header,
+// or a header, shape, counter or lat line whose field count is wrong or
+// whose numbers are not whole well-formed fields (a sign on an unsigned
+// value, trailing junk). Prose sections (the verdict table) are skipped, not
+// parsed.
 bool ParseSchedstatReport(const std::string& report, ParsedSchedstat* out);
 
 }  // namespace wcores

@@ -19,22 +19,12 @@ TelemetryStream::Options TelemetryStream::ForTopology(const Topology& topo,
                                                       Time starvation_horizon) {
   Options opts;
   opts.n_cpus = topo.n_cores();
-  opts.cpu_node.resize(topo.n_cores());
-  for (int cpu = 0; cpu < topo.n_cores(); ++cpu) {
-    opts.cpu_node[cpu] = topo.NodeOf(cpu);
-  }
   opts.starvation_horizon = starvation_horizon;
   return opts;
 }
 
 TelemetryStream::TelemetryStream(Options opts) : opts_(std::move(opts)) {
-  cpus_.resize(opts_.n_cpus > 0 ? opts_.n_cpus : 1);
-  int max_node = 0;
-  for (int node : opts_.cpu_node) {
-    max_node = std::max(max_node, node);
-  }
-  nodes_.resize(max_node + 1);
-  open_.resize(cpus_.size());
+  open_.resize(opts_.n_cpus > 0 ? opts_.n_cpus : 1);
   spans_.resize(opts_.span_capacity > 0 ? opts_.span_capacity : 1);
   findings_.reserve(opts_.max_stored_findings);
   heap_.reserve(64);
@@ -59,14 +49,6 @@ const TelemetryStream::TaskStats& TelemetryStream::Task(ThreadId tid) const {
   return tasks_[tid];
 }
 
-TelemetryStream::ScopeStats& TelemetryStream::NodeOf(CpuId cpu) {
-  size_t node = 0;
-  if (cpu >= 0 && static_cast<size_t>(cpu) < opts_.cpu_node.size()) {
-    node = static_cast<size_t>(opts_.cpu_node[cpu]);
-  }
-  return nodes_[node < nodes_.size() ? node : 0];
-}
-
 void TelemetryStream::Advance(Time now) {
   ProcessDeadlines(now);
   ++events_;
@@ -76,11 +58,6 @@ void TelemetryStream::OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited)
   Advance(now);
   TaskStats& t = Slot(tid);
   t.wait_ns += waited;
-  t.rq_wait.Add(waited);
-  if (CpuOk(cpu)) {
-    cpus_[cpu].rq_wait.Add(waited);
-    NodeOf(cpu).rq_wait.Add(waited);
-  }
   machine_.rq_wait.Add(waited);
   // Wakeup-origin starvation is only visible here, retroactively: the
   // queued wait ended at least `waited` after it began.
@@ -99,18 +76,8 @@ void TelemetryStream::OnSwitchOut(Time now, CpuId cpu, ThreadId tid, Time ran,
   Advance(now);
   TaskStats& t = Slot(tid);
   t.runtime_ns += ran;
-  t.oncpu.Add(ran);
   ++t.switches;
-  if (CpuOk(cpu)) {
-    ScopeStats& c = cpus_[cpu];
-    c.oncpu.Add(ran);
-    ++c.switches;
-    ScopeStats& n = NodeOf(cpu);
-    n.oncpu.Add(ran);
-    ++n.switches;
-  }
   machine_.oncpu.Add(ran);
-  ++machine_.switches;
   if (still_runnable) {
     // Preempted while runnable: the starvation clock starts now.
     t.waiting_since = now;
@@ -137,10 +104,6 @@ void TelemetryStream::OnWakeupLatency(Time now, CpuId cpu, ThreadId tid, Time la
     ++t.wakeup_moves;
   }
   t.last_wake_cpu = static_cast<int16_t>(cpu);
-  if (CpuOk(cpu)) {
-    cpus_[cpu].wakeup.Add(latency);
-    NodeOf(cpu).wakeup.Add(latency);
-  }
   machine_.wakeup.Add(latency);
 }
 
@@ -257,9 +220,6 @@ void TelemetryStream::FlushSpans() {
 uint64_t TelemetryStream::AggregatorBytes() const {
   uint64_t bytes = sizeof(*this);
   bytes += tasks_.capacity() * sizeof(TaskStats);
-  bytes += cpus_.capacity() * sizeof(ScopeStats);
-  bytes += nodes_.capacity() * sizeof(ScopeStats);
-  bytes += opts_.cpu_node.capacity() * sizeof(int);
   bytes += open_.capacity() * sizeof(OpenSpan);
   bytes += spans_.capacity() * sizeof(Span);
   bytes += heap_.capacity() * sizeof(Deadline);
@@ -271,14 +231,13 @@ uint64_t TelemetryStream::AggregatorBytes() const {
 }
 
 uint64_t TelemetryStream::BudgetBytes() const {
-  // Linear in (tasks, cpus, nodes) with constants the structures themselves
+  // Linear in (tasks, cpus) with constants the structures themselves
   // dictate: 2x on each vector for amortized-doubling slack, a fixed base
-  // for the analyzer body, the span window, and the findings cap (digest
-  // strings included at 512B each).
+  // for the analyzer body, the machine histograms, the span window, and the
+  // findings cap (digest strings included at 512B each).
   uint64_t per_task = 2 * (sizeof(TaskStats) + sizeof(Deadline)) + 64;
-  uint64_t per_scope = 2 * sizeof(ScopeStats) + 2 * sizeof(OpenSpan) + sizeof(int);
-  return 256 * 1024 + tasks_.size() * per_task +
-         (cpus_.size() + nodes_.size() + 1) * per_scope +
+  return 256 * 1024 + sizeof(MachineStats) + tasks_.size() * per_task +
+         open_.size() * 2 * sizeof(OpenSpan) +
          spans_.capacity() * sizeof(Span) +
          opts_.max_stored_findings * (sizeof(StreamFinding) + 512);
 }
@@ -295,13 +254,13 @@ void AppendU64(std::string* out, const char* key, uint64_t v) {
   *out += buf;
 }
 
-void AppendDist(std::string* out, const char* key, const StreamingDistribution& d) {
+void AppendDist(std::string* out, const char* key, const LogHistogram& d) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"%s\":{\"count\":%" PRIu64 ",\"mean_ns\":%.1f,\"min_ns\":%" PRIu64
                 ",\"p50_ns\":%.1f,\"p95_ns\":%.1f,\"p99_ns\":%.1f,\"max_ns\":%" PRIu64 "}",
-                key, d.count, d.Mean(), d.count == 0 ? 0 : d.min_ns, d.p50.Value(),
-                d.p95.Value(), d.p99.Value(), d.max_ns);
+                key, d.Count(), d.Mean(), d.Min(), d.Quantile(0.50), d.Quantile(0.95),
+                d.Quantile(0.99), d.Max());
   *out += buf;
 }
 
@@ -313,9 +272,7 @@ std::string TelemetryStream::SummaryJson() const {
   out += ",";
   AppendU64(&out, "tasks", tasks_.size());
   out += ",";
-  AppendU64(&out, "cpus", cpus_.size());
-  out += ",";
-  AppendU64(&out, "nodes", nodes_.size());
+  AppendU64(&out, "cpus", open_.size());
   out += ",";
   AppendU64(&out, "agg_bytes_peak", PeakAggregatorBytes());
   out += ",";
@@ -329,11 +286,11 @@ std::string TelemetryStream::SummaryJson() const {
   out += ",";
   AppendDist(&out, "wakeup", machine_.wakeup);
   out += "},\"totals\":{";
-  AppendU64(&out, "runtime_ns", machine_.oncpu.sum_ns);
+  AppendU64(&out, "runtime_ns", machine_.oncpu.Sum());
   out += ",";
-  AppendU64(&out, "wait_ns", machine_.rq_wait.sum_ns);
+  AppendU64(&out, "wait_ns", machine_.rq_wait.Sum());
   out += ",";
-  AppendU64(&out, "switches", machine_.switches);
+  AppendU64(&out, "switches", machine_.oncpu.Count());
   out += ",";
   AppendU64(&out, "wakeups", wakeups_);
   out += ",";

@@ -4,10 +4,9 @@
 // O(tasks + cpus) memory — the replacement for whole-trace post-processing
 // on runs too large to buffer. Maintained incrementally:
 //   * per-task accumulators — runtime, queued wait, context switches,
-//     wakeups (and wakeup placement moves), migrations — plus P² sketches of
-//     rq-wait and on-cpu stint length per task;
-//   * the same two sketches per cpu, per NUMA node, and machine-wide, plus a
-//     machine wakeup-latency sketch;
+//     wakeups (and wakeup placement moves), migrations;
+//   * machine-wide LogHistograms of rq-wait, on-cpu stint length and wakeup
+//     latency — the one scope SummaryJson reports;
 //   * a windowed Gantt/timeline emitter that flushes completed spans
 //     (tid, cpu, start, end, preempted) to an output stream instead of
 //     retaining the trace;
@@ -25,8 +24,8 @@
 // the `waited` payload. Each episode yields at most one finding, and its
 // digest is taken at the callback that confirms it.
 //
-// Everything is indexed by dense ids (tid, cpu, node) — never by pointer,
-// never hashed — so the fold order is the callback order and the stream is
+// Everything is indexed by dense ids (tid, cpu) — never by pointer, never
+// hashed — so the fold order is the callback order and the stream is
 // deterministic by construction. It never mutates scheduler state, so trace
 // hashes are byte-identical with or without it. Attach alone or via
 // MultiSink; call Finish(now) after the run, then SummaryJson() for the
@@ -42,7 +41,7 @@
 
 #include "src/core/trace.h"
 #include "src/simkit/time.h"
-#include "src/telemetry/stream/quantile.h"
+#include "src/metrics/histogram.h"
 
 namespace wcores {
 
@@ -62,8 +61,6 @@ class TelemetryStream : public TraceSink {
  public:
   struct Options {
     int n_cpus = 0;
-    // Node index per cpu; empty means a single node.
-    std::vector<int> cpu_node;
     Time starvation_horizon = Milliseconds(100);
     // Called when a finding is confirmed; the result is stored in
     // StreamFinding::digest (same contract as SanityChecker's
@@ -83,8 +80,6 @@ class TelemetryStream : public TraceSink {
     uint64_t wakeups = 0;
     uint64_t wakeup_moves = 0;  // Wakeup placed on a different cpu than last.
     uint64_t migrations = 0;
-    StreamingDistribution rq_wait;
-    StreamingDistribution oncpu;
     // Starvation bookkeeping.
     Time waiting_since = kTimeNever;
     uint32_t epoch = 0;
@@ -94,14 +89,13 @@ class TelemetryStream : public TraceSink {
     bool seen = false;
   };
 
-  struct ScopeStats {
-    StreamingDistribution rq_wait;
-    StreamingDistribution oncpu;
-    StreamingDistribution wakeup;
-    uint64_t switches = 0;
+  struct MachineStats {
+    LogHistogram rq_wait;
+    LogHistogram oncpu;
+    LogHistogram wakeup;
   };
 
-  // Convenience: options wired for `topo` (n_cpus + cpu->node map).
+  // Convenience: options wired for `topo`.
   static Options ForTopology(const Topology& topo,
                              Time starvation_horizon = Milliseconds(100));
 
@@ -132,14 +126,10 @@ class TelemetryStream : public TraceSink {
 
   // Callbacks folded so far.
   uint64_t events() const { return events_; }
-  int n_cpus() const { return static_cast<int>(cpus_.size()); }
-  int n_nodes() const { return static_cast<int>(nodes_.size()); }
   // Number of task slots (max tid + 1 observed).
   size_t tasks() const { return tasks_.size(); }
   const TaskStats& Task(ThreadId tid) const;
-  const ScopeStats& Cpu(CpuId cpu) const { return cpus_[cpu]; }
-  const ScopeStats& Node(int node) const { return nodes_[node]; }
-  const ScopeStats& Machine() const { return machine_; }
+  const MachineStats& Machine() const { return machine_; }
 
   uint64_t migrations() const { return migrations_; }
   uint64_t wakeups() const { return wakeups_; }
@@ -158,12 +148,13 @@ class TelemetryStream : public TraceSink {
   // High-water mark of AggregatorBytes over the run.
   uint64_t PeakAggregatorBytes() const { return peak_bytes_; }
   // The O(tasks + cpus) budget the footprint must stay under: a fixed base
-  // plus linear terms in observed tasks and configured cpus/nodes (each with
-  // a 2x factor covering vector doubling). CI asserts peak <= budget.
+  // plus the machine histograms plus linear terms in observed tasks and
+  // configured cpus (each with a 2x factor covering vector doubling). CI
+  // asserts peak <= budget.
   uint64_t BudgetBytes() const;
   bool WithinBudget() const { return PeakAggregatorBytes() <= BudgetBytes(); }
 
-  // One JSON object on one line: counters, per-scope percentile estimates,
+  // One JSON object on one line: counters, machine-wide percentiles,
   // the memory contract, and the starvation verdict. Stable key order,
   // deterministic values.
   std::string SummaryJson() const;
@@ -192,9 +183,8 @@ class TelemetryStream : public TraceSink {
   // Every callback starts here: confirm the starvation deadlines that
   // expired by `now`, then count the event.
   void Advance(Time now);
-  bool CpuOk(CpuId cpu) const { return cpu >= 0 && static_cast<size_t>(cpu) < cpus_.size(); }
+  bool CpuOk(CpuId cpu) const { return cpu >= 0 && static_cast<size_t>(cpu) < open_.size(); }
   TaskStats& Slot(ThreadId tid);
-  ScopeStats& NodeOf(CpuId cpu);
   void ProcessDeadlines(Time now);
   void PushDeadline(Time at, ThreadId tid, uint32_t epoch);
   void RaiseFinding(ThreadId tid, Time since, Time detected_at, Time waited, bool retroactive);
@@ -209,11 +199,9 @@ class TelemetryStream : public TraceSink {
   Time idle_ns_ = 0;
 
   std::vector<TaskStats> tasks_;  // Indexed by tid, grown on demand.
-  std::vector<ScopeStats> cpus_;  // Indexed by cpu, fixed at construction.
-  std::vector<ScopeStats> nodes_;
-  ScopeStats machine_;
+  MachineStats machine_;
 
-  std::vector<OpenSpan> open_;  // Indexed by cpu.
+  std::vector<OpenSpan> open_;  // Indexed by cpu, fixed at construction.
   std::vector<Span> spans_;     // Fixed window, flushed when full.
   size_t spans_buffered_ = 0;
   uint64_t spans_emitted_ = 0;

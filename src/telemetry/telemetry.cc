@@ -12,11 +12,11 @@ namespace wcores {
 
 namespace {
 
-void AppendDigest(std::string* out, const char* name, const Summary& s) {
+void AppendDigest(std::string* out, const char* name, const LogHistogram& s) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "%s p50=%.1fus p99=%.1fus max=%s n=%llu", name,
                 s.Quantile(0.50) / 1000.0, s.Quantile(0.99) / 1000.0,
-                FormatTime(static_cast<Time>(s.Max())).c_str(),
+                FormatTime(s.Max()).c_str(),
                 static_cast<unsigned long long>(s.Count()));
   *out += buf;
 }

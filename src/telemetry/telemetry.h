@@ -1,7 +1,7 @@
 // The telemetry subsystem's front door: one object that owns every sink.
 //
 // A TelemetrySession bundles an EventRecorder (raw event array, Chrome trace
-// source), a LatencyAccountant (exact latency percentiles) and, optionally,
+// source), a LatencyAccountant (per-cpu latency histograms) and, optionally,
 // the TelemetryStream behind a single TraceSink, and writes the report
 // artifacts — a /proc/schedstat-style text report, a Perfetto-loadable trace
 // JSON, and the stream's summary and Gantt spans — into a directory.

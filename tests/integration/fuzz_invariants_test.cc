@@ -478,8 +478,8 @@ TEST(FuzzInvariants, StreamingAccumulatorsMatchRecorderBitForBit) {
       sum_wait += t.wait;
     }
     // And the machine-level totals are the per-task sums, also exactly.
-    ASSERT_EQ(stream.Machine().oncpu.sum_ns, sum_runtime);
-    ASSERT_EQ(stream.Machine().rq_wait.sum_ns, sum_wait);
+    ASSERT_EQ(stream.Machine().oncpu.Sum(), sum_runtime);
+    ASSERT_EQ(stream.Machine().rq_wait.Sum(), sum_wait);
     ASSERT_EQ(stream.idle_ns(), static_cast<Time>(idle_ns));
   }
 }

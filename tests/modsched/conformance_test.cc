@@ -194,8 +194,8 @@ TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
         sum_runtime += t.runtime;
         sum_wait += t.wait;
       }
-      ASSERT_EQ(stream.Machine().oncpu.sum_ns, sum_runtime);
-      ASSERT_EQ(stream.Machine().rq_wait.sum_ns, sum_wait);
+      ASSERT_EQ(stream.Machine().oncpu.Sum(), sum_runtime);
+      ASSERT_EQ(stream.Machine().rq_wait.Sum(), sum_wait);
     }
   }
 }

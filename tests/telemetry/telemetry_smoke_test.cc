@@ -6,8 +6,9 @@
 //   * the Chrome trace JSON validates (per-cpu tracks, counter tracks,
 //     monotonic timestamps, balanced slices),
 //   * the fixed scheduler's p99 runqueue wait is measurably lower than the
-//     stock scheduler's — the bug is visible in the new metrics, which is
-//     the point of collecting them.
+//     stock scheduler's, in both the schedstat report and the stream — the
+//     bug is visible in the new metrics, which is the point of collecting
+//     them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,6 +28,7 @@ struct SmokeRun {
   ChromeTraceCheck trace;
   uint64_t counter_records = 0;
   double p99_rq_wait_us = 0;
+  double stream_p99_rq_wait_ns = 0;
 };
 
 // The Figure 2 workload (64-thread make + 2 R processes) at the bench's own
@@ -35,6 +37,7 @@ struct SmokeRun {
 SmokeRun RunGroupImbalance(bool fixed) {
   Topology topo = Topology::Bulldozer8x8();
   TelemetrySession telemetry(topo.n_cores());
+  TelemetryStream& stream = telemetry.AttachStream(TelemetryStream::ForTopology(topo));
   Simulator::Options opts;
   opts.features.fix_group_imbalance = fixed;
   opts.seed = 3001;
@@ -45,6 +48,7 @@ SmokeRun RunGroupImbalance(bool fixed) {
   MakeRWorkload wl(&sim, config);
   wl.Setup();
   sim.Run(Seconds(10));
+  stream.Finish(sim.Now());
 
   SmokeRun run;
   std::string report = telemetry.Schedstat(sim.sched(), sim.Now());
@@ -56,6 +60,7 @@ SmokeRun RunGroupImbalance(bool fixed) {
   run.p99_rq_wait_us = run.stats.latencies.count("machine rq_wait")
                            ? run.stats.latencies.at("machine rq_wait").p99_us
                            : 0;
+  run.stream_p99_rq_wait_ns = stream.Machine().rq_wait.Quantile(0.99);
   return run;
 }
 
@@ -89,6 +94,10 @@ TEST(TelemetrySmoke, GroupImbalanceIsVisibleInLatencyTelemetry) {
   EXPECT_LT(fixed.p99_rq_wait_us, stock.p99_rq_wait_us)
       << "fixed p99 rq_wait " << fixed.p99_rq_wait_us << "us vs stock "
       << stock.p99_rq_wait_us << "us";
+  ASSERT_GT(fixed.stream_p99_rq_wait_ns, 0.0);
+  EXPECT_LT(fixed.stream_p99_rq_wait_ns, stock.stream_p99_rq_wait_ns)
+      << "streamed fixed p99 rq_wait " << fixed.stream_p99_rq_wait_ns << "ns vs stock "
+      << stock.stream_p99_rq_wait_ns << "ns";
 }
 
 }  // namespace

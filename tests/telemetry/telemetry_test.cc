@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "src/metrics/histogram.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/latency.h"
@@ -19,41 +18,6 @@
 namespace wcores {
 namespace {
 
-// ---- Summary percentiles ---------------------------------------------------
-
-TEST(SummaryTest, QuantilesOfKnownDistribution) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(i);
-  }
-  EXPECT_DOUBLE_EQ(s.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(1.0), 100.0);
-  // Linear interpolation over 100 samples: p50 = 50.5, p95 = 95.05.
-  EXPECT_NEAR(s.Quantile(0.50), 50.5, 1e-9);
-  EXPECT_NEAR(s.Quantile(0.95), 95.05, 1e-9);
-  EXPECT_NEAR(s.Quantile(0.99), 99.01, 1e-9);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-}
-
-TEST(SummaryTest, MergeFoldsSamples) {
-  Summary a;
-  Summary b;
-  a.Add(1);
-  a.Add(3);
-  b.Add(2);
-  b.Add(4);
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), 4u);
-  EXPECT_DOUBLE_EQ(a.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 4.0);
-  EXPECT_NEAR(a.Quantile(0.5), 2.5, 1e-9);
-  // Merge after a quantile query (sorted state) still works.
-  Summary c;
-  c.Add(0.5);
-  a.Merge(c);
-  EXPECT_DOUBLE_EQ(a.Min(), 0.5);
-}
-
 // ---- LatencyAccountant -----------------------------------------------------
 
 TEST(LatencyAccountantTest, AccountsSwitchAndWakeupEvents) {
@@ -63,9 +27,9 @@ TEST(LatencyAccountantTest, AccountsSwitchAndWakeupEvents) {
   acct.OnSwitchOut(Milliseconds(14), 1, 7, /*ran=*/Milliseconds(4), /*still_runnable=*/true);
 
   EXPECT_EQ(acct.Cpu(1).rq_wait.Count(), 1u);
-  EXPECT_DOUBLE_EQ(acct.Cpu(1).rq_wait.Max(), static_cast<double>(Microseconds(100)));
+  EXPECT_EQ(acct.Cpu(1).rq_wait.Max(), Microseconds(100));
   EXPECT_EQ(acct.Cpu(1).wakeup_latency.Count(), 1u);
-  EXPECT_DOUBLE_EQ(acct.Cpu(1).timeslice.Max(), static_cast<double>(Milliseconds(4)));
+  EXPECT_EQ(acct.Cpu(1).timeslice.Max(), Milliseconds(4));
   // Untouched cpus read as empty.
   EXPECT_EQ(acct.Cpu(3).rq_wait.Count(), 0u);
 }
@@ -77,7 +41,7 @@ TEST(LatencyAccountantTest, MigrationCostIsMigrationToFirstRun) {
   // First switch-in after the migration resolves the pending stamp.
   acct.OnSwitchIn(Milliseconds(7), 2, 9, Microseconds(50));
   ASSERT_EQ(acct.Cpu(2).migration_cost.Count(), 1u);
-  EXPECT_DOUBLE_EQ(acct.Cpu(2).migration_cost.Max(), static_cast<double>(Milliseconds(2)));
+  EXPECT_EQ(acct.Cpu(2).migration_cost.Max(), Milliseconds(2));
   EXPECT_EQ(acct.MigrationsInto(2), 1u);
   // A second switch-in does not double-count the migration.
   acct.OnSwitchIn(Milliseconds(9), 2, 9, Microseconds(10));
@@ -100,7 +64,7 @@ TEST(LatencyAccountantTest, NodeAndMachineAggregation) {
   acct.OnSwitchIn(3, 2, 3, 300);
   CpuSet node0 = CpuSet::FirstN(2);
   EXPECT_EQ(acct.AggregateCpus(node0).rq_wait.Count(), 2u);
-  EXPECT_DOUBLE_EQ(acct.AggregateCpus(node0).rq_wait.Max(), 200.0);
+  EXPECT_EQ(acct.AggregateCpus(node0).rq_wait.Max(), 200u);
   EXPECT_EQ(acct.Machine().rq_wait.Count(), 3u);
 }
 
@@ -229,6 +193,18 @@ TEST(SchedstatParseTest, RejectsMalformedReports) {
   EXPECT_FALSE(ParseSchedstatReport("schedstat version 1\n", &parsed));  // No shape/lat lines.
   EXPECT_FALSE(ParseSchedstatReport(
       "schedstat version 1\ncpus 2 nodes 1 online 2\nlat cpu0 rq_wait oops\n", &parsed));
+  // Numbers must be whole, well-formed fields.
+  const std::string lat = "lat cpu0 rq_wait 3 1.000 2.000 3.000 4.000\n";
+  const std::string shape = "cpus 2 nodes 1 online 2\n";
+  ASSERT_TRUE(ParseSchedstatReport("schedstat version 1\n" + shape + lat, &parsed));
+  EXPECT_FALSE(
+      ParseSchedstatReport("schedstat version 1\n" + shape + "counter forks -5\n" + lat, &parsed));
+  EXPECT_FALSE(
+      ParseSchedstatReport("schedstat version 1\n" + shape + "counter forks 12x\n" + lat, &parsed));
+  EXPECT_FALSE(ParseSchedstatReport("schedstat version abc\n" + shape + lat, &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(
+      "schedstat version 1\n" + shape + "lat cpu0 rq_wait 3 1.000 2.000 3.000 4.000 junk\n",
+      &parsed));
 }
 
 // ---- Chrome trace JSON -----------------------------------------------------
