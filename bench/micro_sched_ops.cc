@@ -380,22 +380,26 @@ void BM_TraceHashConsidered(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceHashConsidered)->Arg(64);
 
-// One schedule+fire round-trip through the event queue: the per-event
-// floor of everything the simulator does. This is the dispatch cost the
-// InlineCallback rewrite targets (slot alloc + heap push + pop + invoke,
-// no type-erasure allocation).
+// One schedule+fire round-trip through the event queue (slot alloc, push,
+// pop, invoke) with `depth` events pending at each push: the per-event floor
+// of everything the simulator does. /1 is the bare path; /44 is nas_spin's
+// mean pending depth, with a third of pushes due now as in its census.
 void BM_EventDispatch(benchmark::State& state) {
   EventQueue q;
+  Rng rng(1);
   uint64_t fired = 0;
   uint64_t* p = &fired;
+  for (int64_t i = 1; i < state.range(0); ++i) {
+    q.ScheduleAfter(1 + rng.NextBelow(1000), [p] { ++*p; });
+  }
   for (auto _ : state) {
-    q.ScheduleAfter(1, [p] { ++*p; });
+    q.ScheduleAfter(rng.NextBelow(3) == 0 ? 0 : 1 + rng.NextBelow(1000), [p] { ++*p; });
     q.RunOne();
   }
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(static_cast<int64_t>(fired));
 }
-BENCHMARK(BM_EventDispatch);
+BENCHMARK(BM_EventDispatch)->Arg(1)->Arg(44);
 
 // A full simulated second of a busy 64-core machine: events per second of
 // host time is the simulator's throughput metric.

@@ -120,6 +120,8 @@ test -s "$SMOKE_OUT/BENCH_micro_sched_ops.json"
 grep -q 'BM_SimulatorSetup' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
 grep -q 'BM_CpuSetIterate/64' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
 grep -q 'BM_TraceHashConsidered/64' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
+# The event-engine diagnostic at nas_spin's pending depth.
+grep -q 'BM_EventDispatch/44' "$SMOKE_OUT/BENCH_micro_sched_ops.json"
 test -s "$SMOKE_OUT/BENCH_sweep.json"
 # The scaling key must be present either as a ratio (multi-core host) or as
 # an explicit null (1-core host / --threads=1, as in this smoke run) — never

@@ -59,8 +59,8 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
 
   policy_->Attach(this);
   if (policy_->WantsQueueEvents()) {
-    for (Cpu& c : cpus_) {
-      c.rq.set_observer(policy_);
+    for (CpuId c = 0; c < topo.n_cores(); ++c) {
+      cpus_[c].rq.set_observer(policy_);
     }
   }
 }

@@ -17,7 +17,6 @@
 #ifndef SRC_CORE_SCHEDULER_H_
 #define SRC_CORE_SCHEDULER_H_
 
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "src/core/stats.h"
 #include "src/core/trace.h"
 #include "src/simkit/cpuset.h"
+#include "src/simkit/stable_vector.h"
 #include "src/simkit/time.h"
 #include "src/topo/domains.h"
 #include "src/topo/topology.h"
@@ -225,7 +225,7 @@ class Scheduler {
  private:
   // Per-cpu state that is *not* read by balance folds. Everything a group
   // stats pass or a due check streams over lives in the dense parallel
-  // arrays below (structure-of-arrays): a deque<Cpu> element is hundreds of
+  // arrays below (structure-of-arrays): a Cpu element is hundreds of
   // bytes of runqueue, so folding nr_running/load/idle state through it
   // pointer-chases one cache line per cpu, while the arrays put eight
   // members' worth of each field on a line or two.
@@ -329,7 +329,7 @@ class Scheduler {
   SchedPolicy* policy_ = nullptr;              // Never null after construction.
   std::unique_ptr<SchedPolicy> owned_policy_;  // Set iff no policy was passed in.
 
-  std::deque<Cpu> cpus_;  // deque: Cpu is neither copyable nor movable.
+  StableVector<Cpu> cpus_;  // Cpu is neither copyable nor movable.
   CpuSet online_;
 
   // ---- Structure-of-arrays balance stats ----------------------------------
@@ -364,7 +364,7 @@ class Scheduler {
   // keep a stale bit, so every reader masks with online_.
   CpuSet tickless_;
 
-  std::deque<SchedEntity> entities_;  // Indexed by tid; stable addresses.
+  StableVector<SchedEntity> entities_;  // Indexed by tid; stable addresses.
   std::vector<Autogroup> autogroups_;
   // Advances whenever any autogroup's divisor may change: an nr_threads
   // mutation (CreateThread, ExitCurrent) or a feature toggle

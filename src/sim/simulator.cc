@@ -397,6 +397,12 @@ void Simulator::NotifySpinner(ThreadId tid) {
   }
 }
 
+const std::vector<ThreadId>& Simulator::TakeWaiters(std::vector<ThreadId>& waiters) {
+  wake_scratch_.assign(waiters.begin(), waiters.end());
+  waiters.clear();
+  return wake_scratch_;
+}
+
 // ---- Blocking helpers -----------------------------------------------------------------
 
 void Simulator::BlockAndSwitch(CpuId cpu, SimThread& t) {
@@ -541,14 +547,10 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       b.arrived = 0;
       b.generation += 1;
       b.crossings += 1;
-      std::vector<ThreadId> spinners = std::move(b.spinners);
-      b.spinners.clear();
-      for (ThreadId spinner : spinners) {
+      for (ThreadId spinner : TakeWaiters(b.spinners)) {
         NotifySpinner(spinner);
       }
-      std::vector<ThreadId> sleepers = std::move(b.sleepers);
-      b.sleepers.clear();
-      for (ThreadId sleeper : sleepers) {
+      for (ThreadId sleeper : TakeWaiters(b.sleepers)) {
         WakeThreadInternal(sleeper, cpu);
       }
       return true;  // The last arrival passes straight through.
@@ -572,9 +574,7 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       b.arrived = 0;
       b.generation += 1;
       b.crossings += 1;
-      std::vector<ThreadId> sleepers = std::move(b.sleepers);
-      b.sleepers.clear();
-      for (ThreadId sleeper : sleepers) {
+      for (ThreadId sleeper : TakeWaiters(b.sleepers)) {
         WakeThreadInternal(sleeper, cpu);
       }
       return true;

@@ -14,7 +14,6 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "src/sim/thread.h"
 #include "src/simkit/event_queue.h"
 #include "src/simkit/rng.h"
+#include "src/simkit/stable_vector.h"
 
 namespace wcores {
 
@@ -156,6 +156,10 @@ class Simulator : public SchedClient {
   bool TryCompleteSpin(SimThread& t);
   void OnSpinRecheck(CpuId cpu, ThreadId tid);
   void NotifySpinner(ThreadId tid);  // Schedule a recheck if it is on a core.
+  // Copies a barrier's waiter list into wake_scratch_ and empties the list
+  // in place, so it keeps its capacity for the next generation's arrivals.
+  // The copy lets the wake loop run over a list no wake can touch.
+  const std::vector<ThreadId>& TakeWaiters(std::vector<ThreadId>& waiters);
 
   void BlockAndSwitch(CpuId cpu, SimThread& t);
   void WakeThreadInternal(ThreadId tid, CpuId waker_cpu);
@@ -166,18 +170,19 @@ class Simulator : public SchedClient {
   EventQueue queue_;
   Rng rng_;
   std::unique_ptr<Scheduler> sched_;
-  std::deque<SimThread> threads_;
+  StableVector<SimThread> threads_;
   std::vector<Core> cores_;
   CpuAccounting acct_;
   int alive_ = 0;
   uint64_t context_switches_ = 0;
 
-  std::deque<SpinLock> spin_locks_;
-  std::deque<Mutex> mutexes_;
-  std::deque<SpinBarrier> spin_barriers_;
-  std::deque<BlockingBarrier> blocking_barriers_;
-  std::deque<SpinVar> vars_;
-  std::deque<SyncEvent> events_;
+  StableVector<SpinLock> spin_locks_;
+  StableVector<Mutex> mutexes_;
+  StableVector<SpinBarrier> spin_barriers_;
+  StableVector<BlockingBarrier> blocking_barriers_;
+  StableVector<SpinVar> vars_;
+  StableVector<SyncEvent> events_;
+  std::vector<ThreadId> wake_scratch_;  // See TakeWaiters.
 };
 
 }  // namespace wcores

@@ -3,71 +3,142 @@
 #include "src/simkit/check.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace wcores {
 
+// The two overflow checks below guard the packed key. A unit test would need
+// about 16M simultaneously queued events to reach the slot bound, and 2^40
+// schedules to reach the seq bound, so neither is death-tested.
 EventHandle EventQueue::ScheduleAt(Time when, Callback fn) {
   WC_CHECK(when >= now_, "cannot schedule events in the past");
   WC_CHECK(static_cast<bool>(fn), "cannot schedule an empty callback");
+  WC_CHECK(next_seq_ < kSeqLimit, "event seq overflows its 40 key bits (2^40 schedules)");
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
+    WC_CHECK(slots_.size() <= kSlotMask,
+             "event slot overflows its 24 key bits (2^24 queued events)");
     slot = static_cast<uint32_t>(slots_.size());
-    // wc-lint: allow(A2 slot pool grows to the pending-event high-water mark, then recycles)
+    // wc-lint: allow(A2 slot pool grows to the queued-key high-water mark, then recycles)
     slots_.emplace_back();
   }
-  uint64_t generation = slots_[slot].generation;
-  Push(Entry{when, next_seq_++, generation, slot, std::move(fn)});
-  return EventHandle(this, slot, generation);
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  uint64_t low = next_seq_++ << kSlotBits | slot;
+  if (when == now_) {
+    // wc-lint: allow(A2 now-lane capacity tops out at the most events due in one instant)
+    lane_.push_back(low);
+  } else {
+    HeapPush(Key{when} << 64 | low);
+  }
+  return EventHandle(this, slot, s.generation);
 }
 
-void EventQueue::ReleaseSlot(uint32_t slot) {
-  ++slots_[slot].generation;
+void EventQueue::FreeSlot(uint32_t slot) {
+  slots_[slot].cancelled = false;
   // wc-lint: allow(A2 free list capacity tops out at the slot-pool high-water mark)
   free_slots_.push_back(slot);
 }
 
-// A plain binary heap. A 4-ary hole-sifting variant was measured ~4% slower
-// on whole-sim throughput: the pending-event set is small enough that the
-// extra per-level child comparisons outweigh the halved depth (see
-// EXPERIMENTS.md "Hot-path overhaul").
-void EventQueue::Push(Entry entry) {
+// A binary heap. With 16-byte keys a 4-ary heap was re-measured and gained
+// nothing on whole-sim throughput (EXPERIMENTS.md "Event engine"): the
+// queue averages ~40 pending keys, so halving the depth does not repay the
+// extra child comparisons per level.
+void EventQueue::HeapPush(Key key) {
   // wc-lint: allow(A2 heap capacity tops out at the pending-event high-water mark)
-  heap_.push_back(std::move(entry));
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const Entry& a, const Entry& b) { return Earlier(b, a); });
+  heap_.push_back(key);
+  SiftUp(heap_.size() - 1, key);
 }
 
-void EventQueue::Pop() {
-  std::pop_heap(heap_.begin(), heap_.end(),
-                [](const Entry& a, const Entry& b) { return Earlier(b, a); });
+void EventQueue::SiftUp(size_t hole, Key key) {
+  Key* h = heap_.data();
+  while (hole > 0) {
+    size_t parent = (hole - 1) / 2;
+    if (!(key < h[parent])) {
+      break;
+    }
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = key;
+}
+
+void EventQueue::HeapPop() {
+  Key last = heap_.back();
   heap_.pop_back();
+  size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  Key* h = heap_.data();
+  size_t hole = 0;
+  size_t child;
+  // Keys are unique, so the smaller child is picked without a tie branch.
+  while ((child = 2 * hole + 2) < n) {
+    child -= static_cast<size_t>(h[child - 1] < h[child]);
+    h[hole] = h[child];
+    hole = child;
+  }
+  if (child == n) {  // A lone left child.
+    h[hole] = h[n - 1];
+    hole = n - 1;
+  }
+  SiftUp(hole, last);
+}
+
+void EventQueue::PopFront(bool from_lane) {
+  if (!from_lane) {
+    HeapPop();
+  } else if (++lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
 }
 
 bool EventQueue::RunOne(Time until) {
-  // Skip cancelled entries (their slot was already released on Cancel()).
-  while (!heap_.empty() && !EntryLive(heap_.front())) {
-    Pop();
+  Key key;
+  bool from_lane;
+  uint32_t slot;
+  for (;;) {
+    if (lane_head_ < lane_.size()) {
+      key = Key{now_} << 64 | lane_[lane_head_];
+      from_lane = heap_.empty() || key < heap_.front();
+      if (!from_lane) {
+        key = heap_.front();
+      }
+    } else if (!heap_.empty()) {
+      key = heap_.front();
+      from_lane = false;
+    } else {
+      return false;
+    }
+    slot = SlotOf(static_cast<uint64_t>(key));
+    if (!slots_[slot].cancelled) {
+      break;
+    }
+    // A cancelled key leaves the queue; only now is its slot reusable.
+    PopFront(from_lane);
+    FreeSlot(slot);
   }
-  if (heap_.empty()) {
-    return false;
-  }
-  if (heap_.front().when > until) {
+  Time when = static_cast<Time>(key >> 64);
+  if (when > until) {
     if (until != kTimeNever) {
       now_ = std::max(now_, until);
     }
     return false;
   }
-  Entry entry = std::move(heap_.front());
-  Pop();
-  now_ = entry.when;
-  ReleaseSlot(entry.slot);  // Marks the handle non-pending once fired.
+  PopFront(from_lane);
+  now_ = when;
+  // Move the callback out first: it may schedule, which can reuse this slot
+  // or grow the slot table under it.
+  Callback fn = std::move(slots_[slot].fn);
+  ++slots_[slot].generation;  // Marks the handle non-pending once fired.
+  FreeSlot(slot);
   ++executed_;
-  entry.fn();
+  fn();
   return true;
 }
 
@@ -75,10 +146,11 @@ bool EventQueue::Empty() const { return LiveCount() == 0; }
 
 size_t EventQueue::LiveCount() const {
   size_t n = 0;
-  for (const auto& entry : heap_) {
-    if (EntryLive(entry)) {
-      ++n;
-    }
+  for (Key key : heap_) {
+    n += !slots_[SlotOf(static_cast<uint64_t>(key))].cancelled;
+  }
+  for (size_t i = lane_head_; i < lane_.size(); ++i) {
+    n += !slots_[SlotOf(lane_[i])].cancelled;
   }
   return n;
 }

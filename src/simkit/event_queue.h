@@ -5,17 +5,26 @@
 // instant fire in scheduling order. Determinism of the whole simulation
 // follows from this total order plus seeded RNG.
 //
-// Events can be cancelled cheaply: Schedule() returns an EventHandle whose
-// cancellation marks the heap entry dead; dead entries are skipped on pop
-// (lazy deletion). This is how per-core tick timers and sleep timers are
-// retargeted without heap surgery.
+// Keys and payloads live apart. The binary heap holds only 16-byte keys,
+// `when` in the high half and `seq << kSlotBits | slot` in the low half, so
+// one unsigned 128-bit compare is the (when, seq) order and a sift moves
+// trivially copyable words. The callback, the handle generation and a
+// cancelled flag live in a pooled slot table. A slot is held by its key and
+// freed only when that key leaves the queue (fired, or popped after
+// cancellation), so a key's slot never changes owner while it is queued.
 //
-// Cancellation state lives in a pooled slot table inside the queue rather
-// than in a per-event heap allocation: a handle is (queue, slot, generation)
-// and a heap entry is dead when its slot's generation has moved on. Slots
-// are recycled through a free list, so steady-state scheduling allocates
-// nothing. Handles must not outlive their queue (the simulator guarantees
-// this by declaring the queue before everything that stores handles).
+// Events scheduled at now() skip the heap: they append to a FIFO "now-lane"
+// whose entries all carry `when == now()` and whose seqs grow in order.
+// RunOne takes the lane head unless the heap top is due now with a smaller
+// seq, so extraction stays exactly the (when, seq) order.
+//
+// Cancellation is lazy: Cancel() bumps the slot's generation and marks it
+// cancelled; the dead key is dropped when it reaches the front. A handle is
+// (queue, slot, generation), pending while the slot's generation matches.
+// Slots are recycled through a free list, so steady-state scheduling
+// allocates nothing. Handles must not outlive their queue (the simulator
+// guarantees this by declaring the queue before everything that stores
+// handles).
 #ifndef SRC_SIMKIT_EVENT_QUEUE_H_
 #define SRC_SIMKIT_EVENT_QUEUE_H_
 
@@ -72,7 +81,7 @@ class EventQueue {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // True if no live (non-cancelled) events remain. O(heap size).
+  // True if no live (non-cancelled) events remain. O(queue size).
   bool Empty() const;
 
   size_t LiveCount() const;
@@ -94,44 +103,47 @@ class EventQueue {
  private:
   friend class EventHandle;
 
-  struct Entry {
-    Time when;
-    uint64_t seq;
-    uint64_t generation;
-    uint32_t slot;
+  __extension__ typedef unsigned __int128 Key;
+
+  // The low key half packs seq above the slot index. A queue needs 2^24
+  // (~16M) simultaneously queued keys, or 2^40 schedules, to overflow them;
+  // ScheduleAt checks both.
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kSeqLimit = uint64_t{1} << (64 - kSlotBits);
+  static uint32_t SlotOf(uint64_t low) { return static_cast<uint32_t>(low & kSlotMask); }
+
+  struct Slot {
     Callback fn;
+    // Bumped on fire/cancel; a handle whose generation no longer matches is
+    // not pending. 64-bit so recycling can never wrap within a run.
+    uint64_t generation = 0;
+    // The slot's key is still queued but must not fire.
+    bool cancelled = false;
   };
 
-  // Strict total order on entries: (when, seq), seq unique per queue. The
-  // heap below may arrange equal-time entries any way it likes internally;
-  // extraction order — the only thing the simulation observes — is fixed by
-  // this order alone.
-  static bool Earlier(const Entry& a, const Entry& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.seq < b.seq;
-  }
-
-  bool EntryLive(const Entry& entry) const {
-    return slots_[entry.slot].generation == entry.generation;
-  }
   bool SlotPending(uint32_t slot, uint64_t generation) const {
     return slots_[slot].generation == generation;
   }
-  void ReleaseSlot(uint32_t slot);
+  void CancelSlot(uint32_t slot) {
+    ++slots_[slot].generation;
+    slots_[slot].cancelled = true;
+  }
+  void FreeSlot(uint32_t slot);
 
-  void Push(Entry entry);
-  void Pop();
+  // Binary min-heap on Key. Pop sinks the root's hole along the smaller
+  // child to a leaf, then sifts the former last key up from there.
+  void HeapPush(Key key);
+  void HeapPop();
+  void SiftUp(size_t hole, Key key);
+  // Removes the front key, from the lane or the heap.
+  void PopFront(bool from_lane);
 
-  struct Slot {
-    // Bumped on fire/cancel; an entry or handle whose generation no longer
-    // matches is dead. 64-bit so recycling can never wrap within a run.
-    uint64_t generation = 0;
-  };
-
-  // Binary min-heap ordered by Earlier().
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;
+  // The now-lane: low key halves of events due at now_, in seq order, from
+  // lane_head_ on. Emptied before now_ can advance.
+  std::vector<uint64_t> lane_;
+  size_t lane_head_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   Time now_ = 0;
@@ -145,7 +157,7 @@ inline bool EventHandle::Pending() const {
 
 inline void EventHandle::Cancel() {
   if (queue_ != nullptr && queue_->SlotPending(slot_, generation_)) {
-    queue_->ReleaseSlot(slot_);
+    queue_->CancelSlot(slot_);
   }
   queue_ = nullptr;
 }

@@ -124,6 +124,9 @@ TEST(BarrierSemanticsTest, ReusableAcrossGenerations) {
   EXPECT_EQ(sim.spin_barrier(barrier).crossings, 25u);
   EXPECT_EQ(sim.spin_barrier(barrier).arrived, 0);
   EXPECT_TRUE(sim.spin_barrier(barrier).spinners.empty());
+  // A crossing empties the waiter list in place: the next generation's
+  // arrivals reuse its buffer instead of reallocating it.
+  EXPECT_GE(sim.spin_barrier(barrier).spinners.capacity(), 3u);
 }
 
 TEST(BarrierSemanticsTest, HybridWaiterBlocksAfterGraceAndIsWoken) {
@@ -167,6 +170,7 @@ TEST(BarrierSemanticsTest, BlockingBarrierLastArriverWakesAll) {
     EXPECT_GE(sim.thread(tid).finished_at, Milliseconds(41));
     EXPECT_LE(sim.thread(tid).finished_at, Milliseconds(43));
   }
+  EXPECT_GE(sim.blocking_barrier(barrier).sleepers.capacity(), 3u);
 }
 
 TEST(VarSemanticsTest, MultipleThresholdsReleaseIndependently) {

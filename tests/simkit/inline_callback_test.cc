@@ -87,8 +87,8 @@ TEST(InlineCallbackTest, CanHoldProbesTheExactBoundary) {
   static_assert(InlineCallback::CanHold<void (*)()>());
 }
 
-// Cancellation interplay with the queue's pooled slots: a cancelled entry's
-// InlineCallback stays parked in the heap until pop-time lazy deletion, and
+// Cancellation interplay with the queue's pooled slots: a cancelled event's
+// InlineCallback stays parked in its slot until pop-time lazy deletion, and
 // its (trivially copyable) captures need no destruction; slot recycling must
 // not resurrect it.
 TEST(InlineCallbackTest, CancelledEntryNeverFiresAfterSlotReuse) {
@@ -98,10 +98,16 @@ TEST(InlineCallbackTest, CancelledEntryNeverFiresAfterSlotReuse) {
   int* pc = &cancelled_hits;
   int* pl = &live_hits;
   EventHandle doomed = q.ScheduleAt(10, [pc] { ++*pc; });
+  EventHandle stale = doomed;
   doomed.Cancel();
-  // The freed slot is recycled by the next schedule; its generation bump
-  // must keep the dead heap entry dead while the new one fires.
-  q.ScheduleAt(10, [pl] { ++*pl; });
+  // The dead key holds its slot until it leaves the queue; this RunOne drops
+  // it, so the next schedule recycles the slot. The generation bump keeps
+  // the stale copy from seeing, or cancelling, the slot's new occupant.
+  EXPECT_FALSE(q.RunOne());
+  EventHandle live = q.ScheduleAt(10, [pl] { ++*pl; });
+  EXPECT_FALSE(stale.Pending());
+  stale.Cancel();
+  EXPECT_TRUE(live.Pending());
   q.RunAll();
   EXPECT_EQ(cancelled_hits, 0);
   EXPECT_EQ(live_hits, 1);
