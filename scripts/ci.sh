@@ -3,9 +3,9 @@
 #
 #   1. analyze - build wc-analyze and run it over src/ and bench/: the
 #                token rules (D1-D4) on every file and the interprocedural
-#                rules (A1 taint to trace sinks, A2 hot-path allocation, A3
-#                policy confinement, A4 fold-order drift) over the whole
-#                tree, in one report written as SARIF. Any error-severity
+#                rules (A1 taint to trace sinks, A3 policy confinement, A4
+#                fold-order drift) over the whole tree, in one report
+#                written as SARIF. Any error-severity
 #                finding, reason-less or unknown-rule suppression, or
 #                unknown policy rule fails the gate before we spend time on
 #                the build matrix. The run is budgeted at <5s wall so it
@@ -17,6 +17,9 @@
 #                output happens to look right.
 #                ctest includes every examples/ binary as a smoke test and
 #                scheduler_lab's bad-option cases, so they run sanitized too.
+#                The invariant fuzzer and the allocation budget (no heap
+#                allocation per event, measured by a counting operator new)
+#                run sanitized even when the caller passes an -R filter.
 #   3. tsan    - build the TSan configuration and run the determinism layer
 #                (golden hashes + sweep thread-count invariance) under it, so
 #                the parallel sweep runner's "same report at -j1/-j2/-j4"
@@ -69,7 +72,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 echo "==== [analyze] build wc-analyze ===="
 cmake --preset release
 cmake --build --preset release -j "$JOBS" --target wc-analyze
-echo "==== [analyze] wc-analyze src bench (D1-D4, A1-A4) ===="
+echo "==== [analyze] wc-analyze src bench (D1-D4, A1, A3, A4) ===="
 ANALYZE_SARIF="$(mktemp --suffix=.sarif)"
 ANALYZE_T0="$(date +%s%3N)"
 ./build-release/src/tools/wc-analyze --root=. --sarif="$ANALYZE_SARIF" src bench
@@ -92,11 +95,13 @@ for preset in release asan-ubsan; do
   ctest --preset "$preset" -j "$JOBS" "$@"
 done
 
-echo "==== [asan-ubsan] fuzz suite ===="
+echo "==== [asan-ubsan] fuzz suite + allocation budget ===="
 # Always run the randomized invariant fuzzer sanitized, even when the caller
 # filtered the matrix above with -R: the fuzzer is where hotplug churn and
-# the RqLoad memo cross-checks get their teeth.
-ctest --preset asan-ubsan -j "$JOBS" -R 'FuzzInvariants\.'
+# the RqLoad memo cross-checks get their teeth. The allocation budget runs
+# here for the same reason: it is the only check that the event path does
+# not allocate per event.
+ctest --preset asan-ubsan -j "$JOBS" -R 'FuzzInvariants\.|AllocBudgetTest\.'
 
 echo "==== [tsan] configure ===="
 cmake --preset tsan

@@ -215,10 +215,8 @@ int Scheduler::MoveTasks(Time now, CpuId src_cpu, CpuId dst_cpu, double max_load
     bool cache_hot = se->last_ran != 0 && now > se->last_ran &&
                      now - se->last_ran < tunables_.cache_hot_threshold;
     if (cache_hot) {
-      // wc-lint: allow(A2 append into reused member scratch; steady state runs at retained capacity)
       hot.push_back(const_cast<SchedEntity*>(se));
     } else {
-      // wc-lint: allow(A2 append into reused member scratch; steady state runs at retained capacity)
       candidates.push_back(const_cast<SchedEntity*>(se));
     }
     return true;

@@ -374,7 +374,6 @@ void Simulator::OnSpinTimeout(CpuId cpu, ThreadId tid) {
       break;
     }
   }
-  // wc-lint: allow(A2 waiter list bounded by spawned threads)
   b.sleepers.push_back(tid);
   b.sleeps += 1;
   t.spin = SpinWait{};
@@ -486,7 +485,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       return true;
     }
     lock.contended_acquisitions += 1;
-    // wc-lint: allow(A2 spinner list bounded by spawned threads)
     lock.spinners.push_back(t.tid);
     t.spin = SpinWait{SpinWait::Kind::kLock, a->lock, 0, 0};
     t.mode = RunMode::kSpin;
@@ -518,7 +516,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       return true;
     }
     m.contended_acquisitions += 1;
-    // wc-lint: allow(A2 waiter list bounded by spawned threads)
     m.waiters.push_back(t.tid);
     BlockAndSwitch(cpu, t);
     return false;
@@ -555,7 +552,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       }
       return true;  // The last arrival passes straight through.
     }
-    // wc-lint: allow(A2 spinner list bounded by spawned threads)
     b.spinners.push_back(t.tid);
     t.spin = SpinWait{SpinWait::Kind::kBarrier, a->barrier, b.generation, 0};
     t.mode = RunMode::kSpin;
@@ -579,7 +575,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       }
       return true;
     }
-    // wc-lint: allow(A2 waiter list bounded by spawned threads)
     b.sleepers.push_back(t.tid);
     BlockAndSwitch(cpu, t);
     return false;
@@ -590,7 +585,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
     if (v.value >= a->value) {
       return true;
     }
-    // wc-lint: allow(A2 spinner list bounded by spawned threads)
     v.spinners.emplace_back(t.tid, a->value);
     t.spin = SpinWait{SpinWait::Kind::kVar, a->var, 0, a->value};
     t.mode = RunMode::kSpin;
@@ -614,7 +608,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
   }
 
   if (const auto* a = std::get_if<EventWaitAction>(&action)) {
-    // wc-lint: allow(A2 waiter list bounded by spawned threads)
     events_[a->event].waiters.push_back(t.tid);
     BlockAndSwitch(cpu, t);
     return false;

@@ -22,14 +22,12 @@ EventHandle EventQueue::ScheduleAt(Time when, Callback fn) {
     WC_CHECK(slots_.size() <= kSlotMask,
              "event slot overflows its 24 key bits (2^24 queued events)");
     slot = static_cast<uint32_t>(slots_.size());
-    // wc-lint: allow(A2 slot pool grows to the queued-key high-water mark, then recycles)
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   uint64_t low = next_seq_++ << kSlotBits | slot;
   if (when == now_) {
-    // wc-lint: allow(A2 now-lane capacity tops out at the most events due in one instant)
     lane_.push_back(low);
   } else {
     HeapPush(Key{when} << 64 | low);
@@ -39,7 +37,6 @@ EventHandle EventQueue::ScheduleAt(Time when, Callback fn) {
 
 void EventQueue::FreeSlot(uint32_t slot) {
   slots_[slot].cancelled = false;
-  // wc-lint: allow(A2 free list capacity tops out at the slot-pool high-water mark)
   free_slots_.push_back(slot);
 }
 
@@ -48,7 +45,6 @@ void EventQueue::FreeSlot(uint32_t slot) {
 // queue averages ~40 pending keys, so halving the depth does not repay the
 // extra child comparisons per level.
 void EventQueue::HeapPush(Key key) {
-  // wc-lint: allow(A2 heap capacity tops out at the pending-event high-water mark)
   heap_.push_back(key);
   SiftUp(heap_.size() - 1, key);
 }

@@ -33,7 +33,6 @@ class StableVector {
   template <typename... Args>
   T& emplace_back(Args&&... args) {
     if ((size_ & kMask) == 0) {
-      // wc-lint: allow(A2 one chunk per kChunk elements appended; element tables only grow)
       chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
     }
     T* item = std::construct_at(&CellAt(size_).value, std::forward<Args>(args)...);

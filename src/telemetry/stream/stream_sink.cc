@@ -33,7 +33,6 @@ TelemetryStream::TelemetryStream(Options opts) : opts_(std::move(opts)) {
 
 TelemetryStream::TaskStats& TelemetryStream::Slot(ThreadId tid) {
   if (tid >= static_cast<ThreadId>(tasks_.size())) {
-    // wc-lint: allow(A2 grows only to the highest tid seen — O(tasks) by contract)
     tasks_.resize(tid + 1);
     UpdatePeak();
   }
@@ -137,7 +136,6 @@ bool TelemetryStream::HeapOrder(const Deadline& a, const Deadline& b) {
 }
 
 void TelemetryStream::PushDeadline(Time at, ThreadId tid, uint32_t epoch) {
-  // wc-lint: allow(A2 deadline heap holds at most one live entry per task — O(tasks) by contract)
   heap_.push_back(Deadline{at, tid, epoch});
   std::push_heap(heap_.begin(), heap_.end(), HeapOrder);
   UpdatePeak();
@@ -185,7 +183,6 @@ void TelemetryStream::RaiseFinding(ThreadId tid, Time since, Time detected_at, T
     if (opts_.snapshot) {
       f.digest = opts_.snapshot();
     }
-    // wc-lint: allow(A2 findings are capped at max_stored_findings and reserved at construction)
     findings_.push_back(std::move(f));
     UpdatePeak();
   }

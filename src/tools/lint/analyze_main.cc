@@ -5,7 +5,7 @@
 // PATHs are files or directories (directories are walked recursively for
 // .h/.hpp/.cc/.cpp, in sorted order so output is stable). Each file gets the
 // token rules D1..D4 (rules.h); all files together are parsed into one
-// symbol table and cross-file call graph for the flow rules A1..A4
+// symbol table and cross-file call graph for the flow rules A1, A3 and A4
 // (flow_rules.h). Severities come from the .wc-lint.policy files found
 // between --root (default: the current directory) and each source file; see
 // policy.h for the format and the rule catalogue. One report covers every
@@ -135,9 +135,8 @@ int Main(int argc, char** argv) {
     return 2;
   }
   std::printf(
-      "wc-analyze: %zu files, %d functions, %d hot-reachable, %d errors, %d warnings, "
-      "%d suppressed\n",
-      files.size(), flow.functions, flow.hot_reachable, errors, warnings, suppressed);
+      "wc-analyze: %zu files, %d functions, %d errors, %d warnings, %d suppressed\n",
+      files.size(), flow.functions, errors, warnings, suppressed);
   if (!io_errors.empty()) {
     return 2;
   }

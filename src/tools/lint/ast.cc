@@ -710,7 +710,7 @@ class Parser {
 
   // ---- body fact extraction ------------------------------------------------
 
-  // `body` indexes the `{`. Records calls, member accesses, new-exprs and
+  // `body` indexes the `{`. Records calls, member accesses and
   // pointer-to-integer casts.
   void ParseBody(size_t body, FunctionDef* fn) {
     size_t end = SkipMatched(body);
@@ -718,14 +718,6 @@ class Parser {
       const Token& t = At(i);
       if (t.kind == TokKind::kIdent) {
         const std::string& w = t.text;
-        if (w == "new") {
-          // `operator new` mentions and placement-new both count; `new` after
-          // `operator` is a declaration-ish mention, skip it.
-          if (!(i > body && IsI(i - 1, "operator"))) {
-            fn->ops.push_back(BodyOp{BodyOpKind::kNewExpr, t.line, "new expression"});
-          }
-          continue;
-        }
         if (w == "reinterpret_cast" && IsP(i + 1, "<")) {
           size_t close = SkipAngles(i + 1);
           bool has_int = false;
@@ -744,8 +736,7 @@ class Parser {
             spelled += TextAt(k);
           }
           if (has_int && !has_ptr) {
-            fn->ops.push_back(
-                BodyOp{BodyOpKind::kPtrIntCast, t.line, "reinterpret_cast<" + spelled + ">"});
+            fn->ptr_int_casts.push_back(PtrIntCast{t.line, "reinterpret_cast<" + spelled + ">"});
           }
           i = close - 1;
           continue;
@@ -754,8 +745,7 @@ class Parser {
           size_t close = SkipAngles(i + 1);
           for (size_t k = i + 2; k + 1 < close; ++k) {
             if (IsP(k, "*")) {
-              fn->ops.push_back(
-                  BodyOp{BodyOpKind::kPtrIntCast, t.line, "std::hash over a pointer type"});
+              fn->ptr_int_casts.push_back(PtrIntCast{t.line, "std::hash over a pointer type"});
               break;
             }
           }
@@ -809,8 +799,7 @@ class Parser {
         // C-style pointer-to-integer cast: `(uintptr_t) p`.
         if (IsIdent(i + 1) && IsP(i + 2, ")") &&
             (TextAt(i + 1) == "uintptr_t" || TextAt(i + 1) == "intptr_t")) {
-          fn->ops.push_back(
-              BodyOp{BodyOpKind::kPtrIntCast, t.line, "(" + TextAt(i + 1) + ") cast"});
+          fn->ptr_int_casts.push_back(PtrIntCast{t.line, "(" + TextAt(i + 1) + ") cast"});
         }
       }
     }

@@ -9,8 +9,7 @@
 //   - function definitions with their owning class (in-class bodies and
 //     out-of-line `Cls::Fn` definitions both), and
 //   - per-body facts: call sites (with qualifier / member-object context),
-//     non-call member accesses, operator-new expressions, and
-//     pointer-to-integer casts
+//     non-call member accesses, and pointer-to-integer casts
 //
 // — and nothing else. Everything it cannot classify it skips statement-wise
 // (to the next `;` or balanced brace), so an exotic construct degrades into
@@ -51,16 +50,10 @@ struct FieldUse {
   int line = 0;
 };
 
-// Non-call body facts the flow rules care about.
-enum class BodyOpKind {
-  kNewExpr,     // operator-new expression
-  kPtrIntCast,  // reinterpret_cast (or C-style cast) of a value to an
-                // integer type, or std::hash over a pointer type: the
-                // pointer-as-integer nondeterminism source of rule A1
-};
-
-struct BodyOp {
-  BodyOpKind kind;
+// A reinterpret_cast (or C-style cast) of a value to an integer type, or
+// std::hash over a pointer type: the pointer-as-integer nondeterminism source
+// of rule A1.
+struct PtrIntCast {
   int line = 0;
   std::string detail;  // The spelled cast target / hashed type.
 };
@@ -78,7 +71,7 @@ struct FunctionDef {
   bool has_body = false;  // Declarations are recorded for access maps only.
   std::vector<CallSite> calls;
   std::vector<FieldUse> field_uses;
-  std::vector<BodyOp> ops;
+  std::vector<PtrIntCast> ptr_int_casts;
 };
 
 struct MemberInfo {

@@ -148,38 +148,8 @@ void RunA1(const SymbolTable& syms, const CallGraph& graph, const AnalyzeConfig&
                  cs.line);
       }
     }
-    for (const BodyOp& op : r.def->ops) {
-      if (op.kind == BodyOpKind::kPtrIntCast) {
-        describe("pointer-as-integer (" + op.detail + ")", op.line);
-      }
-    }
-  }
-}
-
-// ---- A2: hot-path allocation ----------------------------------------------
-
-void RunA2(const SymbolTable& syms, const CallGraph& graph, const Reach& hot,
-           const AnalyzeConfig& cfg, Emitter* emit) {
-  for (const FnRef& r : syms.functions()) {
-    if (!hot.in_set[r.id]) {
-      continue;
-    }
-    const std::string chain = graph.Chain(hot, r.id);
-    for (const BodyOp& op : r.def->ops) {
-      if (op.kind == BodyOpKind::kNewExpr) {
-        emit->Emit(r.def->file, op.line, "A2",
-                   "heap allocation on the hot path (" + chain + ")");
-      }
-    }
-    for (const CallSite& cs : r.def->calls) {
-      if (!cs.via_member && Contains(cfg.alloc_calls, cs.callee)) {
-        emit->Emit(r.def->file, cs.line, "A2",
-                   cs.callee + "() on the hot path (" + chain + ")");
-      }
-      if (cs.via_member && Contains(cfg.growth_methods, cs.callee)) {
-        emit->Emit(r.def->file, cs.line, "A2",
-                   "container growth ." + cs.callee + "() on the hot path (" + chain + ")");
-      }
+    for (const PtrIntCast& cast : r.def->ptr_int_casts) {
+      describe("pointer-as-integer (" + cast.detail + ")", cast.line);
     }
   }
 }
@@ -313,19 +283,6 @@ AnalyzeResult RunAnalysis(const SymbolTable& syms, const CallGraph& graph,
   IdIndex ids(syms);
   std::set<std::string> policy = PolicyClasses(syms, config);
 
-  // Hot set: dispatch roots + policy hooks (invoked from dispatch).
-  std::vector<int> hot_roots;
-  ids.AppendNamed(config.hot_root_ids, &hot_roots);
-  for (int id : PolicyHookNodes(syms, policy, config.policy_hooks)) {
-    hot_roots.push_back(id);
-  }
-  Reach hot = graph.Forward(hot_roots);
-  for (int i = 0; i < graph.NodeCount(); ++i) {
-    if (hot.in_set[i]) {
-      ++result.hot_reachable;
-    }
-  }
-
   // Balance set: balancing entry points + balance-deciding policy hooks.
   std::vector<int> balance_roots;
   ids.AppendNamed(config.balance_root_ids, &balance_roots);
@@ -335,7 +292,6 @@ AnalyzeResult RunAnalysis(const SymbolTable& syms, const CallGraph& graph,
   Reach balance = graph.Forward(balance_roots);
 
   RunA1(syms, graph, config, &emit);
-  RunA2(syms, graph, hot, config, &emit);
   RunA3(syms, graph, config, policy, &emit);
   RunA4(syms, graph, balance, config, &emit);
 

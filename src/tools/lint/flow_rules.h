@@ -5,13 +5,6 @@
 //       (TraceSink::On* / Fnv1a::Mix/MixDouble) is reachable, or inside
 //       anything those functions call. Token-level D3 sees the source; A1
 //       sees whether it can reach the golden hash.
-//   A2  hot-path allocation: operator new, malloc-family calls, and
-//       unannotated container growth (push_back/emplace_back/resize/reserve)
-//       in functions reachable from the event-dispatch roots (Simulator
-//       handlers, EventQueue::RunUntil, SchedPolicy hooks). Off by default;
-//       .wc-lint.policy turns it on for the simulation core and for the
-//       bounded-memory streaming telemetry, whose per-event sinks are
-//       reachable through the trace-sink virtual calls.
 //   A3  policy confinement: SchedPolicy subclasses may use the mechanism
 //       (Scheduler / CfsRunqueue) only through its public API. Flags calls
 //       that resolve to non-public mechanism members and direct reads of
@@ -43,27 +36,9 @@ namespace wcores::lint {
 // Everything the rules treat as a fixed point of the codebase. Defaults
 // describe this repo; tests override fields to build directed scenarios.
 struct AnalyzeConfig {
-  // -- shared roots ---------------------------------------------------------
-  // Hot-path roots, as "Cls::Fn" / "Fn" ids: the event-dispatch handlers.
-  std::vector<std::string> hot_root_ids = {
-      "Simulator::Run",          "Simulator::RunUntilAllExited",
-      "Simulator::OnTick",       "Simulator::OnSegmentEnd",
-      "Simulator::OnTimerWake",  "Simulator::ContextSwitch",
-      "Simulator::OnSpinRecheck", "Simulator::OnSpinTimeout",
-      "Simulator::KickCpu",      "Simulator::NohzKick",
-      "Simulator::CheckResched", "Simulator::StartRunning",
-      "Simulator::StopRunning",  "EventQueue::RunUntil",
-      "Scheduler::Tick",         "Scheduler::PickNext",
-      "Scheduler::Wake",         "Scheduler::RunNohzBalance",
-  };
-  // Policy hook methods: every override in a SchedPolicy subclass is a hot
-  // root too (the mechanism invokes them from dispatch).
+  // Policy classes: every subclass of this base is policy code (A3), and its
+  // balance hooks are balancing entry points (A4).
   std::string policy_base = "SchedPolicy";
-  std::vector<std::string> policy_hooks = {
-      "SelectWakeCpu",  "SelectForkCpu", "PickNextEntity", "TickPreempt",
-      "WakeupPreempts", "PeriodicBalance", "NewIdleBalance", "NohzBalance",
-      "OnRqEnqueue",    "OnRqDequeue",   "OnRqPick",        "OnRqReweight",
-  };
 
   // -- A1 -------------------------------------------------------------------
   // Methods whose bodies ARE the trace sinks (fold into the golden hash).
@@ -79,14 +54,6 @@ struct AnalyzeConfig {
   // Source types: spelled as callee or qualifier anywhere in a body.
   std::vector<std::string> source_types = {
       "random_device", "steady_clock", "system_clock", "high_resolution_clock",
-  };
-
-  // -- A2 -------------------------------------------------------------------
-  std::vector<std::string> alloc_calls = {
-      "malloc", "calloc", "realloc", "make_unique", "make_shared",
-  };
-  std::vector<std::string> growth_methods = {
-      "push_back", "emplace_back", "resize", "reserve",
   };
 
   // -- A3 -------------------------------------------------------------------
@@ -119,11 +86,10 @@ struct AnalyzeResult {
   int errors = 0;                 // Unsuppressed error-severity findings.
   int warnings = 0;
   int suppressed = 0;
-  int functions = 0;       // Function definitions analyzed.
-  int hot_reachable = 0;   // Functions reachable from the hot roots.
+  int functions = 0;  // Function definitions analyzed.
 };
 
-// Runs A1..A4. `severities_for` maps each analyzed file to its resolved
+// Runs A1, A3 and A4. `severities_for` maps each analyzed file to its resolved
 // rule->severity map (policy chain already applied by the driver); files
 // absent from the map get every rule off. Allow annotations from each TU are
 // applied before counting.

@@ -25,8 +25,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"D3", Severity::kWarn, "nondeterminism source outside the seeded-RNG / host-timing seams"},
       {"D4", Severity::kWarn, "floating-point == / != comparison in scheduler decision code"},
       {"A1", Severity::kError, "nondeterminism source can reach a trace sink (interprocedural D3)"},
-      {"A2", Severity::kOff,
-       "heap allocation / container growth reachable from the event-dispatch hot path"},
       {"A3", Severity::kError, "policy code reaches mechanism internals bypassing the public API"},
       {"A4", Severity::kError, "fold-order-sensitive float accumulation reachable from balancing"},
   };

@@ -1,10 +1,10 @@
 // wc-analyze flow-rule tests: the declaration parser, symbol table, call
-// graph, the A1..A4 interprocedural rules (directed in-memory scenarios and
-// the golden fixture corpus), the self-application gate over the real
-// src/ + bench/ tree, bugs seeded into real files (the "PickSpecific
-// without a load_version bump" fold-order bug, a per-entity load read in
-// the balancer, an unannotated append on the stream analyzer's per-event
-// path), and strict-JSON validation of the SARIF writer.
+// graph, the A1, A3 and A4 interprocedural rules (directed in-memory
+// scenarios and the golden fixture corpus), the self-application gate over
+// the real src/ + bench/ tree, bugs seeded into real files (the
+// "PickSpecific without a load_version bump" fold-order bug and a
+// per-entity load read in the balancer), and strict-JSON validation of the
+// SARIF writer.
 //
 // To regenerate the analyze golden after an intentional change, run this
 // binary and copy the "actual" block from the failure message into
@@ -187,15 +187,9 @@ TEST(AnalyzeParser, BodyFactsCallsFieldsAndOps) {
   }
   EXPECT_TRUE(saw_field);
   EXPECT_TRUE(saw_other);
-  int new_ops = 0, cast_ops = 0;
-  for (const BodyOp& op : fn.ops) {
-    new_ops += op.kind == BodyOpKind::kNewExpr;
-    cast_ops += op.kind == BodyOpKind::kPtrIntCast;
-  }
-  EXPECT_EQ(new_ops, 1);
   // hash over a pointer + the int-target reinterpret_cast; the cast BACK to
   // a pointer type is not a pointer-as-integer source.
-  EXPECT_EQ(cast_ops, 2);
+  EXPECT_EQ(fn.ptr_int_casts.size(), 2u);
 }
 
 TEST(AnalyzeParser, CtorInitializerListFindsBody) {
@@ -239,10 +233,10 @@ TEST(AnalyzeParser, AttributesRawStringsAndSeparatorsDoNotDesync) {
 TEST(AnalyzeParser, AllowAnnotationsAreCollected) {
   TranslationUnit tu = ParseUnit("t.cc",
                                  "// wc-lint"
-                                 ": allow(A2 bounded by cpus)\n"
+                                 ": allow(A4 sanctioned fold chain)\n"
                                  "int x;\n");
   ASSERT_EQ(tu.allows.size(), 1u);
-  EXPECT_EQ(tu.allows[0].rule, "A2");
+  EXPECT_EQ(tu.allows[0].rule, "A4");
   EXPECT_EQ(tu.allows[0].line, 1);
 }
 
@@ -336,22 +330,6 @@ TEST(AnalyzeRules, A1IgnoresSourcesOffTheTaintPath) {
   });
   EXPECT_EQ(CountRule(r, "A1"), 0);
   EXPECT_EQ(r.errors, 0);
-}
-
-TEST(AnalyzeRules, A2FlagsGrowthOnlyWhenHotReachable) {
-  AnalyzeResult r = Analyze({
-      {"t.cc", R"(
-        struct Simulator {
-          void OnTick() { Account(); }
-          void Account() { log_.push_back(1); }
-          void Prepare() { log_.reserve(64); }
-          Vec log_;
-        };
-      )"},
-  });
-  EXPECT_TRUE(HasFinding(r, "A2", "t.cc", "container growth .push_back()"));
-  EXPECT_FALSE(HasFinding(r, "A2", "t.cc", "reserve"));  // Prepare is cold.
-  EXPECT_EQ(r.errors, 1);
 }
 
 TEST(AnalyzeRules, A3FlagsMechanismBackdoorsButNotPublicUse) {
@@ -461,20 +439,23 @@ TEST(AnalyzeRules, A4FlagsUnbumpedTreeMutationAndEntityReads) {
 TEST(AnalyzeRules, AllowAnnotationSuppressesWithReason) {
   AnalyzeResult r = Analyze({
       {"t.cc", R"(
-        struct Simulator {
-          void OnTick() {
-            // wc-lint: allow(A2 ring append; capacity pinned in setup)
-            log_.push_back(1);
+        class Scheduler {
+         public:
+          int BalanceDomain(long now) {
+            // wc-lint: allow(A4 sanctioned fold chain; reads one entity in setup order)
+            return probe_.ValueAt(now) > 0;
           }
-          Vec log_;
+         private:
+          Load probe_;
         };
       )"},
   });
-  EXPECT_EQ(CountRule(r, "A2", /*suppressed=*/false), 0);
-  EXPECT_EQ(CountRule(r, "A2", /*suppressed=*/true), 1);
+  EXPECT_EQ(CountRule(r, "A4", /*suppressed=*/false), 0);
+  EXPECT_EQ(CountRule(r, "A4", /*suppressed=*/true), 1);
   EXPECT_EQ(r.errors, 0);
   EXPECT_EQ(r.suppressed, 1);
-  EXPECT_EQ(r.findings[0].suppress_reason, "ring append; capacity pinned in setup");
+  EXPECT_EQ(r.findings[0].suppress_reason,
+            "sanctioned fold chain; reads one entity in setup order");
 }
 
 // ---- Golden corpus ---------------------------------------------------------
@@ -492,7 +473,7 @@ TEST(AnalyzeGolden, FixtureCorpus) {
     }
   }
   std::sort(fixtures.begin(), fixtures.end());
-  ASSERT_EQ(fixtures.size(), 8u) << "one bad + one good fixture per A rule";
+  ASSERT_EQ(fixtures.size(), 6u) << "one bad + one good fixture per A rule";
 
   // Each fixture is a standalone program: its own table, graph, and run.
   std::string actual;
@@ -573,11 +554,9 @@ TEST(AnalyzeSelfApplication, RealTreeIsCleanAndNontrivial) {
   EXPECT_EQ(r.errors, 0) << transcript;
   EXPECT_EQ(r.warnings, 0) << transcript;
   // The run must be a real analysis, not a degenerate parse: the tree has
-  // hundreds of function definitions, a substantial hot set, and the
-  // documented waivers (A2 bounds, the sanctioned A4 fold chain, sweep
-  // wall-clock A1s).
+  // hundreds of function definitions and the documented waivers (the
+  // sanctioned A4 fold chain, sweep wall-clock A1s).
   EXPECT_GE(r.functions, 500);
-  EXPECT_GE(r.hot_reachable, 150);
   EXPECT_GE(r.suppressed, 10);
   EXPECT_EQ(CountRule(r, "A3"), 0);  // Shipped policies honor the boundary.
 }
@@ -688,24 +667,6 @@ TEST(AnalyzeSelfApplication, SeededBalancerEntityLoadReadIsCaught) {
   EXPECT_EQ(r.errors, 1);
 }
 
-// The stream is bounded-memory: an unannotated append seeded into its
-// per-event path is an A2 error (reached from the dispatch roots through the
-// trace-sink virtual calls).
-TEST(AnalyzeSelfApplication, SeededStreamPerEventAppendIsCaught) {
-  AnalyzeResult r = AnalyzeSeeded(
-      "telemetry/stream/stream_sink.cc",
-      "void TelemetryStream::OnSwitchIn(Time now, CpuId cpu, ThreadId tid, Time waited) {\n",
-      "  heap_.push_back(Deadline{now, tid, 0});\n");
-  bool caught = false;
-  for (const Finding& f : r.findings) {
-    caught = caught || (f.rule == "A2" && !f.suppressed && f.severity == Severity::kError &&
-                        f.file.find("telemetry/stream/stream_sink.cc") != std::string::npos &&
-                        f.message.find("TelemetryStream::OnSwitchIn") != std::string::npos);
-  }
-  EXPECT_TRUE(caught) << "A2 must flag a per-event append in the stream";
-  EXPECT_EQ(r.errors, 1);
-}
-
 // ---- SARIF writer ----------------------------------------------------------
 
 TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
@@ -720,7 +681,7 @@ TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
   Finding f2;
   f2.file = "b.cc";
   f2.line = 9;
-  f2.rule = "A2";
+  f2.rule = "D2";
   f2.severity = Severity::kWarn;
   f2.suppressed = true;
   f2.suppress_reason = "bounded by cpus";

@@ -142,14 +142,14 @@ TEST(LintPolicy, ParseAndErrors) {
   Policy p = ParsePolicy(
       "# comment\n"
       "D1 error\n"
-      "A2 warn event_queue.h\n"
+      "A4 warn scheduler_balance.cc\n"
       "D2 banana\n"
       "D3\n"
       "D4 off *.h extra\n");
   ASSERT_EQ(p.directives.size(), 2u);
   EXPECT_EQ(p.directives[0].rule, "D1");
   EXPECT_EQ(p.directives[0].severity, Severity::kError);
-  EXPECT_EQ(p.directives[1].file_glob, "event_queue.h");
+  EXPECT_EQ(p.directives[1].file_glob, "scheduler_balance.cc");
   ASSERT_EQ(p.errors.size(), 3u);  // banana, missing severity, trailing junk
 }
 
@@ -165,16 +165,16 @@ TEST(LintPolicy, GlobMatch) {
 
 TEST(LintPolicy, InnerPolicyWinsAndGlobScopes) {
   Policy outer = ParsePolicy("D2 off\nD3 warn\n");
-  Policy inner = ParsePolicy("D3 error\nA2 warn simulator.h\n");
+  Policy inner = ParsePolicy("D3 error\nA4 warn simulator.h\n");
   std::map<std::string, Severity> defaults = {{"D1", Severity::kError},
-                                              {"A2", Severity::kOff}};
+                                              {"A4", Severity::kOff}};
   auto sim = ResolveSeverities({&outer, &inner}, defaults, "simulator.h");
   EXPECT_EQ(sim.at("D1"), Severity::kError);  // default survives
   EXPECT_EQ(sim.at("D2"), Severity::kOff);    // outer only
   EXPECT_EQ(sim.at("D3"), Severity::kError);  // inner overrides outer
-  EXPECT_EQ(sim.at("A2"), Severity::kWarn);   // glob matched
+  EXPECT_EQ(sim.at("A4"), Severity::kWarn);   // glob matched
   auto other = ResolveSeverities({&outer, &inner}, defaults, "scheduler.cc");
-  EXPECT_EQ(other.at("A2"), Severity::kOff);  // glob did not match
+  EXPECT_EQ(other.at("A4"), Severity::kOff);  // glob did not match
 }
 
 TEST(LintPolicy, CatalogIsTokenRulesThenFlowRules) {
@@ -182,20 +182,21 @@ TEST(LintPolicy, CatalogIsTokenRulesThenFlowRules) {
   for (const RuleInfo& r : RuleCatalog()) {
     ids += std::string(r.id) + " ";
   }
-  EXPECT_EQ(ids, "D1 D2 D3 D4 A1 A2 A3 A4 ");
+  EXPECT_EQ(ids, "D1 D2 D3 D4 A1 A3 A4 ");
   std::map<std::string, Severity> defaults = DefaultSeverities();
   EXPECT_EQ(defaults.at("D1"), Severity::kError);
-  EXPECT_EQ(defaults.at("A2"), Severity::kOff);  // Opt-in per hot-path directory.
+  EXPECT_EQ(defaults.at("D2"), Severity::kWarn);  // Raised per trace-affecting directory.
 }
 
 TEST(LintPolicy, UnknownRuleIsParseError) {
   Policy p = ParsePolicy(ReadFileOrDie(fs::path(WC_LINT_FIXTURE_DIR) / "unknown_rule.policy"));
   ASSERT_EQ(p.directives.size(), 1u);  // The known D3 line still applies.
   EXPECT_EQ(p.directives[0].rule, "D3");
-  ASSERT_EQ(p.errors.size(), 3u);  // D6, D7, and the SUPPRESS meta-rule.
+  ASSERT_EQ(p.errors.size(), 4u);  // D6, D7, A2, and the SUPPRESS meta-rule.
   EXPECT_NE(p.errors[0].find("unknown rule 'D6'"), std::string::npos) << p.errors[0];
   EXPECT_NE(p.errors[1].find("unknown rule 'D7'"), std::string::npos) << p.errors[1];
-  EXPECT_NE(p.errors[2].find("unknown rule 'SUPPRESS'"), std::string::npos) << p.errors[2];
+  EXPECT_NE(p.errors[2].find("unknown rule 'A2'"), std::string::npos) << p.errors[2];
+  EXPECT_NE(p.errors[3].find("unknown rule 'SUPPRESS'"), std::string::npos) << p.errors[3];
 }
 
 // ---- Rule/suppression semantics on inline snippets -----------------------
@@ -279,7 +280,7 @@ TEST(LintGolden, FixtureCorpus) {
     }
   }
   std::sort(fixtures.begin(), fixtures.end());
-  ASSERT_GE(fixtures.size(), 19u) << "fixture corpus shrank";
+  ASSERT_GE(fixtures.size(), 17u) << "fixture corpus shrank";
 
   std::string actual;
   for (const fs::path& f : fixtures) {
