@@ -93,11 +93,9 @@ class CfsRunqueue {
   double LoadAt(Time now, DivisorFn&& divisor_of) const {
     double total = 0;
     if (curr_ != nullptr) {
-      // wc-lint: allow(A4 curr-first is the pinned fold order the memo caches)
       total += EntityLoad(*curr_, now, divisor_of(curr_->autogroup));
     }
     tree_.ForEach([&](const SchedEntity* se) {
-      // wc-lint: allow(A4 vruntime-order tree walk is the pinned fold order)
       total += EntityLoad(*se, now, divisor_of(se->autogroup));
       return true;
     });
@@ -105,7 +103,6 @@ class CfsRunqueue {
   }
 
   static double EntityLoad(const SchedEntity& se, Time now, double divisor) {
-    // wc-lint: allow(A4 the one sanctioned per-entity read under LoadAt)
     return static_cast<double>(se.weight) * se.load.ValueAt(now) / divisor;
   }
 

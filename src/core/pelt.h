@@ -46,7 +46,6 @@ class LoadTracker {
 
   // Accounts elapsed time under the current state.
   void Advance(Time now) {
-    // wc-lint: allow(A4 the tracker folding its own history, not a rq sum)
     avg_ = ValueAt(now);
     last_update_ = now;
   }

@@ -83,7 +83,6 @@ double Scheduler::AutogroupDivisor(AutogroupId id) const {
 double Scheduler::RqLoadFill(Time now, CpuId cpu) const {
   // The miss path of the inline memo in scheduler.h: recompute the fold and
   // snapshot every input the memo keys on.
-  // wc-lint: allow(A4 the memo's own fill path; every other balance read hits the cache above)
   double load = cpus_[cpu].rq.LoadAt(now, [this](AutogroupId id) { return AutogroupDivisor(id); });
   load_cache_now_[cpu] = now;
   load_cache_version_[cpu] = load_version_[cpu];

@@ -272,8 +272,9 @@ class Scheduler {
   // off the RqLoad memo. Reads only the loads that metric needs: none for
   // an empty runqueue (its load is exactly +0.0), and under the fix none
   // once an idle member pins the minimum at 0.0. The only sanctioned way
-  // for balancing code to aggregate per-entity loads; wc-analyze rule A4
-  // flags direct per-entity reads reachable from balancing.
+  // for balancing code to aggregate per-entity loads: a fold in any other
+  // order can round differently from RqLoad, the value the fuzz and
+  // conformance suites check against RqLoadRecomputed.
   GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
 
   // Wakeup placement; fills `considered` for the visualization tool.

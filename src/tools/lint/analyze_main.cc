@@ -4,30 +4,23 @@
 //
 // PATHs are files or directories (directories are walked recursively for
 // .h/.hpp/.cc/.cpp, in sorted order so output is stable). Each file gets the
-// token rules D1..D4 (rules.h); all files together are parsed into one
-// symbol table and cross-file call graph for the flow rules A1, A3 and A4
-// (flow_rules.h). Severities come from the .wc-lint.policy files found
-// between --root (default: the current directory) and each source file; see
-// policy.h for the format and the rule catalogue. One report covers every
-// rule; --sarif writes it as SARIF 2.1.0.
+// token rules D1..D4 (rules.h). Severities come from the .wc-lint.policy
+// files found between --root (default: the current directory) and each
+// source file; see policy.h for the format and the rule catalogue. One
+// report covers every file; --sarif writes it as SARIF 2.1.0.
 //
 // Exit status: 1 if any unsuppressed error-severity finding (including the
 // SUPPRESS meta-rule guarding malformed annotations) was emitted, 2 on
 // IO/flag/policy errors, else 0.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "src/tools/lint/ast.h"
-#include "src/tools/lint/callgraph.h"
 #include "src/tools/lint/driver.h"
-#include "src/tools/lint/flow_rules.h"
 #include "src/tools/lint/policy.h"
 #include "src/tools/lint/rules.h"
-#include "src/tools/lint/symtab.h"
 
 namespace wcores::lint {
 namespace {
@@ -73,20 +66,10 @@ int Main(int argc, char** argv) {
     CollectFiles(p, &files, &io_errors);
   }
 
-  // Parse headers before implementation files so class definitions land in
-  // the symbol table from their declaring header.
-  std::stable_sort(files.begin(), files.end(), [](const fs::path& a, const fs::path& b) {
-    bool ah = a.extension() == ".h" || a.extension() == ".hpp";
-    bool bh = b.extension() == ".h" || b.extension() == ".hpp";
-    return ah && !bh;
-  });
-
   PolicyCache policies;
   const std::map<std::string, Severity> defaults = DefaultSeverities();
-  std::map<std::string, std::map<std::string, Severity>> severities_for;
   std::vector<Finding> findings;
   int errors = 0, warnings = 0, suppressed = 0;
-  SymbolTable syms;
   for (const fs::path& file : files) {
     bool ok = false;
     std::string source = ReadFileToString(file, &ok);
@@ -96,31 +79,13 @@ int Main(int argc, char** argv) {
     }
     std::string name = file.generic_string();
     std::vector<const Policy*> chain = PolicyChainFor(file, root, &policies, &io_errors);
-    std::map<std::string, Severity>& sev = severities_for[name];
-    sev = ResolveSeverities(chain, defaults, file.filename().string());
-    FileLintResult tokens = LintSource(name, source, sev);
-    errors += tokens.errors;
-    warnings += tokens.warnings;
-    suppressed += tokens.suppressed;
-    findings.insert(findings.end(), tokens.findings.begin(), tokens.findings.end());
-    syms.AddUnit(ParseUnit(name, source));
+    FileLintResult result = LintSource(
+        name, source, ResolveSeverities(chain, defaults, file.filename().string()));
+    errors += result.errors;
+    warnings += result.warnings;
+    suppressed += result.suppressed;
+    findings.insert(findings.end(), result.findings.begin(), result.findings.end());
   }
-  syms.Finalize();
-  CallGraph graph(syms);
-  AnalyzeResult flow = RunAnalysis(syms, graph, AnalyzeConfig{}, severities_for);
-  errors += flow.errors;
-  warnings += flow.warnings;
-  suppressed += flow.suppressed;
-  findings.insert(findings.end(), flow.findings.begin(), flow.findings.end());
-  std::stable_sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
-    if (a.file != b.file) {
-      return a.file < b.file;
-    }
-    if (a.line != b.line) {
-      return a.line < b.line;
-    }
-    return a.rule < b.rule;
-  });
 
   for (const Finding& f : findings) {
     if (!f.suppressed || verbose) {
@@ -134,9 +99,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "wc-analyze: cannot write %s\n", sarif_path.c_str());
     return 2;
   }
-  std::printf(
-      "wc-analyze: %zu files, %d functions, %d errors, %d warnings, %d suppressed\n",
-      files.size(), flow.functions, errors, warnings, suppressed);
+  std::printf("wc-analyze: %zu files, %d errors, %d warnings, %d suppressed\n", files.size(),
+              errors, warnings, suppressed);
   if (!io_errors.empty()) {
     return 2;
   }

@@ -1,9 +1,10 @@
 #include "src/tools/lint/driver.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "src/tools/sweep/jsonl.h"
 
 namespace wcores::lint {
 
@@ -105,35 +106,6 @@ std::vector<const Policy*> PolicyChainFor(const fs::path& file, const fs::path& 
   return chain;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 bool WriteSarifReport(const std::string& path, const std::vector<Finding>& findings) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -145,20 +117,20 @@ bool WriteSarifReport(const std::string& path, const std::vector<Finding>& findi
   out << "    \"tool\": {\"driver\": {\"name\": \"wc-analyze\", \"rules\": [\n";
   const std::vector<RuleInfo>& rules = RuleCatalog();
   for (size_t i = 0; i < rules.size(); ++i) {
-    out << "      {\"id\": \"" << rules[i].id << "\", \"shortDescription\": {\"text\": \""
-        << JsonEscape(rules[i].summary) << "\"}}" << (i + 1 < rules.size() ? "," : "") << "\n";
+    out << "      {\"id\": \"" << rules[i].id << "\", \"shortDescription\": {\"text\": "
+        << QuoteJson(rules[i].summary) << "}}" << (i + 1 < rules.size() ? "," : "") << "\n";
   }
   out << "    ]}},\n    \"results\": [\n";
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     out << "      {\"ruleId\": \"" << f.rule << "\", \"level\": \""
         << (f.severity == Severity::kError ? "error" : "warning") << "\", "
-        << "\"message\": {\"text\": \"" << JsonEscape(f.message) << "\"}, "
-        << "\"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-        << JsonEscape(f.file) << "\"}, \"region\": {\"startLine\": " << f.line << "}}}]";
+        << "\"message\": {\"text\": " << QuoteJson(f.message) << "}, "
+        << "\"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": "
+        << QuoteJson(f.file) << "}, \"region\": {\"startLine\": " << f.line << "}}}]";
     if (f.suppressed) {
-      out << ", \"suppressions\": [{\"kind\": \"inSource\", \"justification\": \""
-          << JsonEscape(f.suppress_reason) << "\"}]";
+      out << ", \"suppressions\": [{\"kind\": \"inSource\", \"justification\": "
+          << QuoteJson(f.suppress_reason) << "}]";
     }
     out << "}" << (i + 1 < findings.size() ? "," : "") << "\n";
   }

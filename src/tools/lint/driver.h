@@ -1,6 +1,6 @@
 // Command-line plumbing for wc-analyze: file collection, policy-chain
-// resolution, and the SARIF report writer. Kept out of the binary so the
-// tests walk the same files and resolve the same .wc-lint.policy chains.
+// resolution, and the SARIF report writer. Kept out of the binary so tests
+// can drive it (lint_test checks the SARIF writer).
 #ifndef SRC_TOOLS_LINT_DRIVER_H_
 #define SRC_TOOLS_LINT_DRIVER_H_
 
@@ -41,8 +41,6 @@ class PolicyCache {
 std::vector<const Policy*> PolicyChainFor(const std::filesystem::path& file,
                                           const std::filesystem::path& root, PolicyCache* cache,
                                           std::vector<std::string>* errors);
-
-std::string JsonEscape(const std::string& s);
 
 // SARIF 2.1.0 report: "$schema", tool.driver.{name,rules} (wc-analyze and
 // RuleCatalog()) + one result per finding. Suppressed findings carry a

@@ -23,7 +23,7 @@ enum class TokKind {
   kComment,    // // ... and /* ... */, text includes the delimiters
   kPreproc,    // a whole preprocessor logical line, continuations included
   kAttribute,  // [[...]] as one token, so attributes never desync
-               // token-offset-based rules or the declaration parser
+               // token-offset-based rules
 };
 
 struct Token {

@@ -24,9 +24,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "unordered container in trace-affecting code (hash-dependent iteration order)"},
       {"D3", Severity::kWarn, "nondeterminism source outside the seeded-RNG / host-timing seams"},
       {"D4", Severity::kWarn, "floating-point == / != comparison in scheduler decision code"},
-      {"A1", Severity::kError, "nondeterminism source can reach a trace sink (interprocedural D3)"},
-      {"A3", Severity::kError, "policy code reaches mechanism internals bypassing the public API"},
-      {"A4", Severity::kError, "fold-order-sensitive float accumulation reachable from balancing"},
   };
   return kRules;
 }

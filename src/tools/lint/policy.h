@@ -14,7 +14,7 @@
 // The optional glob (with '*' wildcards, matched against the file's
 // basename) scopes a directive to specific files, e.g.:
 //
-//   A4 warn scheduler_balance.cc
+//   D4 warn scheduler_balance.cc
 #ifndef SRC_TOOLS_LINT_POLICY_H_
 #define SRC_TOOLS_LINT_POLICY_H_
 
@@ -35,9 +35,9 @@ struct RuleInfo {
   const char* summary;
 };
 
-// Every rule, in report order: the token rules D1..D4 (rules.h), then the
-// flow rules A1, A3 and A4 (flow_rules.h). SUPPRESS is not listed: it is the
-// meta-rule guarding the annotation grammar and cannot be configured.
+// Every rule, in report order: the token rules D1..D4 (rules.h). SUPPRESS is
+// not listed: it is the meta-rule guarding the annotation grammar and cannot
+// be configured.
 const std::vector<RuleInfo>& RuleCatalog();
 
 bool IsKnownRule(const std::string& id);

@@ -14,12 +14,19 @@ std::string Trim(std::string s) {
   return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
 }
 
-}  // namespace
+// One parsed `allow(RULE reason)` clause. Covers findings on its own line
+// (trailing style) and on the next line (leading style).
+struct AllowSite {
+  int line = 0;
+  std::string rule;
+  std::string reason;
+};
 
 // Scans one comment's text for the annotation marker and its allow clauses.
-// Malformed clauses become SUPPRESS findings right away. (The marker string
-// is assembled from pieces so this file's own comments and string literals
-// never parse as annotations.)
+// Well-formed clauses land in `out`; malformed ones (no rule, a rule outside
+// RuleCatalog(), no reason, unclosed paren) become error-severity SUPPRESS
+// findings. (The marker string is assembled from pieces so this file's own
+// comments and string literals never parse as annotations.)
 void ParseAllowAnnotations(const Token& comment, const std::string& path,
                            std::vector<AllowSite>* out, std::vector<Finding>* findings) {
   static const std::string kMarker = std::string("wc-lint") + ":";
@@ -28,15 +35,16 @@ void ParseAllowAnnotations(const Token& comment, const std::string& path,
   if (at == std::string::npos) {
     return;
   }
+  auto malformed = [&](std::string message) {
+    findings->push_back(
+        Finding{path, comment.line, "SUPPRESS", Severity::kError, std::move(message), false, {}});
+  };
   size_t pos = at;
   while ((pos = text.find("allow(", pos)) != std::string::npos) {
     size_t open = pos + 5;  // index of '('
     size_t close = text.find(')', open);
     if (close == std::string::npos) {
-      if (findings != nullptr) {
-        findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
-                                    "malformed wc-lint annotation: allow( without closing ')'", false, {}});
-      }
+      malformed("malformed wc-lint annotation: allow( without closing ')'");
       return;
     }
     std::string inner = text.substr(open + 1, close - open - 1);
@@ -44,25 +52,13 @@ void ParseAllowAnnotations(const Token& comment, const std::string& path,
     std::string rule = space == std::string::npos ? Trim(inner) : Trim(inner.substr(0, space));
     std::string reason = space == std::string::npos ? std::string() : Trim(inner.substr(space));
     if (rule.empty()) {
-      if (findings != nullptr) {
-        findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
-                                    "wc-lint allow() names no rule", false, {}});
-      }
+      malformed("wc-lint allow() names no rule");
     } else if (!IsKnownRule(rule)) {
-      if (findings != nullptr) {
-        findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
-                                    "allow(" + rule +
-                                        ") names an unknown rule and suppresses nothing (see "
-                                        "wc-analyze --help)",
-                                    false, {}});
-      }
+      malformed("allow(" + rule +
+                ") names an unknown rule and suppresses nothing (see wc-analyze --help)");
     } else if (reason.empty()) {
-      if (findings != nullptr) {
-        findings->push_back(Finding{path, comment.line, "SUPPRESS", Severity::kError,
-                                    "suppression allow(" + rule +
-                                        ") is missing a reason; write allow(" + rule + " why)",
-                                    false, {}});
-      }
+      malformed("suppression allow(" + rule + ") is missing a reason; write allow(" + rule +
+                " why)");
     } else {
       out->push_back(AllowSite{comment.line, rule, reason});
     }
@@ -70,6 +66,8 @@ void ParseAllowAnnotations(const Token& comment, const std::string& path,
   }
 }
 
+// Marks findings covered by an allow of the same rule on the same line or
+// the line above as suppressed, copying the reason.
 void ApplyAllows(const std::vector<AllowSite>& allows, std::vector<Finding>* findings) {
   for (Finding& f : *findings) {
     if (f.suppressed) {
@@ -84,8 +82,6 @@ void ApplyAllows(const std::vector<AllowSite>& allows, std::vector<Finding>* fin
     }
   }
 }
-
-namespace {
 
 // The rule scanners work on the comment/preprocessor-free token stream.
 class Scanner {

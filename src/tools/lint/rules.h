@@ -1,6 +1,5 @@
-// The token rules of wc-analyze: determinism checks over the token stream
-// produced by lexer.h, run on every file next to the flow rules of
-// flow_rules.h.
+// The rules of wc-analyze: determinism checks over the token stream produced
+// by lexer.h, run on every file.
 //
 // Rule catalogue (see DESIGN.md "Static guardrails" for the rationale):
 //
@@ -13,8 +12,7 @@
 //   D3  banned nondeterminism sources: rand()/srand(), std::random_device,
 //       steady_clock/system_clock/high_resolution_clock, time(), clock(),
 //       getenv() — simulation code must use the virtual clock and the
-//       seeded Rng. A1 covers the sources that can reach a trace sink; D3
-//       also covers directories whose code never does.
+//       seeded Rng.
 //   D4  floating-point == / != against a float literal in decision code:
 //       exact-equality decisions are one ulp away from flipping.
 //
@@ -29,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/tools/lint/lexer.h"
 #include "src/tools/lint/policy.h"
 
 namespace wcores::lint {
@@ -50,28 +47,6 @@ struct FileLintResult {
   int warnings = 0;               // Unsuppressed warn-severity findings.
   int suppressed = 0;
 };
-
-// One parsed `allow(RULE reason)` clause. Covers findings on its own line
-// (trailing style) and on the next line (leading style), for token and flow
-// rules alike.
-struct AllowSite {
-  int line = 0;
-  std::string rule;
-  std::string reason;
-};
-
-// Scans one comment token for the wc-lint annotation marker and its allow
-// clauses. Well-formed clauses land in `out`; malformed ones (no rule, a
-// rule outside RuleCatalog(), no reason, unclosed paren) become
-// error-severity SUPPRESS findings when `findings` is non-null. LintSource
-// reports them; the flow rules' parser passes null, so each is reported
-// once.
-void ParseAllowAnnotations(const Token& comment, const std::string& path,
-                           std::vector<AllowSite>* out, std::vector<Finding>* findings);
-
-// Marks findings covered by an allow of the same rule on the same line or
-// the line above as suppressed, copying the reason.
-void ApplyAllows(const std::vector<AllowSite>& allows, std::vector<Finding>* findings);
 
 // Lints one in-memory source. `severities` maps rule id -> severity for this
 // file (see policy.h); rules absent from the map default to off.

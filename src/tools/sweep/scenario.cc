@@ -108,7 +108,7 @@ MetricsFn SetupRandomMix(Simulator& sim, const Scenario& s) {
 }  // namespace
 
 ScenarioResult RunScenario(const Scenario& scenario) {
-  // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash) allow(A1 wall_ms never feeds the hash; the fold consumes sim-clock values only)
+  // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash)
   auto wall_start = std::chrono::steady_clock::now();
 
   Topology topo = MakeTopo(scenario.topo);
@@ -178,7 +178,7 @@ ScenarioResult RunScenario(const Scenario& scenario) {
     result.stream_worst_wait_ns = stream->worst_wait();
   }
 
-  // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash) allow(A1 wall_ms never feeds the hash; the fold consumes sim-clock values only)
+  // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash)
   auto wall_end = std::chrono::steady_clock::now();
   result.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)

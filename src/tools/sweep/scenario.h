@@ -88,7 +88,13 @@ struct ScenarioResult {
 ScenarioResult RunScenario(const Scenario& scenario);
 
 // The figure/table scenarios as a sweep matrix: each paper workload at
-// `scale`, stock and fixed. Scale 1.0 matches the bench binaries; the
+// `scale`, stock and AllFixed. They are reduced stand-ins named after the
+// paper setups, not the bench binaries' configurations. At scale 1.0, fig2
+// runs 8 s (its bench 10 s); fig3 uses seed 42, Q18 at scale 1, no
+// transient threads and autogroups on (its bench: seed 3003, Q18 at scale
+// 6, transients, autogroups off, only the wakeup fix); table1 runs NAS cg
+// unpinned on Flat4x8 with seed 7 (its bench pins to nodes 1-2 of
+// Bulldozer8x8, seed 1001). The goldens and simbench pin these values; the
 // determinism tests use a smaller scale to stay fast.
 std::vector<Scenario> FigureScenarios(double scale = 1.0);
 

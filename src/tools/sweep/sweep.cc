@@ -53,7 +53,7 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
   }
   report.threads = threads;
 
-  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash) allow(A1 wall_ms never feeds the hash; the fold consumes sim-clock values only)
+  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
   auto wall_start = std::chrono::steady_clock::now();
 
   // Work stealing by atomic cursor: whichever worker is free takes the next
@@ -83,7 +83,7 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
     }
   }
 
-  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash) allow(A1 wall_ms never feeds the hash; the fold consumes sim-clock values only)
+  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
   auto wall_end = std::chrono::steady_clock::now();
   report.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)

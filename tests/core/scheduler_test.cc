@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/core/sched_policy.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -23,10 +25,12 @@ class FakeClient : public SchedClient {
 
 class SchedulerTest : public ::testing::Test {
  protected:
-  void Build(const Topology& topo, const SchedFeatures& features = SchedFeatures::Stock()) {
+  void Build(const Topology& topo, const SchedFeatures& features = SchedFeatures::Stock(),
+             std::unique_ptr<SchedPolicy> policy = nullptr) {
     topo_ = std::make_unique<Topology>(topo);
+    policy_ = std::move(policy);
     sched_ = std::make_unique<Scheduler>(*topo_, features, SchedTunables::ForCpus(topo.n_cores()),
-                                         &client_);
+                                         &client_, /*trace=*/nullptr, policy_.get());
   }
 
   // Creates a thread and makes it the running thread of its cpu.
@@ -40,6 +44,7 @@ class SchedulerTest : public ::testing::Test {
 
   std::unique_ptr<Topology> topo_;
   FakeClient client_;
+  std::unique_ptr<SchedPolicy> policy_;  // Declared before sched_: outlives it.
   std::unique_ptr<Scheduler> sched_;
 };
 
@@ -154,6 +159,43 @@ TEST_F(SchedulerTest, RqLoadMemoSeesSameInstantDivisorChange) {
   const double after_exit = sched_->RqLoad(t, 0);
   EXPECT_EQ(after_exit, sched_->RqLoadRecomputed(t, 0));
   EXPECT_NE(after_exit, three_members);
+}
+
+// Picks the entity most recently enqueued on the cpu instead of the
+// vruntime leftmost.
+class PickLastEnqueuedPolicy : public SchedPolicy {
+ public:
+  const char* name() const override { return "pick-last-enqueued"; }
+  bool WantsQueueEvents() const override { return true; }
+  void OnRqEnqueue(Time, CpuId cpu, SchedEntity* se, CfsRunqueue::EnqueueKind) override {
+    last_enqueued_[cpu] = se;
+  }
+  SchedEntity* PickNextEntity(Time, CpuId cpu) override { return last_enqueued_[cpu]; }
+
+ private:
+  SchedEntity* last_enqueued_[4] = {};
+};
+
+// LoadAt folds curr first, then the tree in vruntime order. A pick of any
+// entity but the leftmost permutes that order without changing membership,
+// so the runqueue must bump its load version or the memo serves the sum of
+// the old fold order for the rest of the instant.
+TEST_F(SchedulerTest, NonLeftmostPickRekeysRqLoadMemo) {
+  Build(Topology::Flat(1, 4, 1), SchedFeatures::Stock(),
+        std::make_unique<PickLastEnqueuedPolicy>());
+  ThreadParams params;
+  params.autogroup = sched_->CreateAutogroup();
+  params.parent_cpu = 0;
+  for (int nice : {-5, -3, 0}) {
+    params.nice = nice;
+    sched_->CreateThread(0, params);
+  }
+  const double memo = sched_->RqLoad(0, 0);  // Fills the memo.
+  ThreadId picked = sched_->PickNext(0, 0);
+  ASSERT_EQ(sched_->Entity(picked).nice, 0);  // The last enqueued.
+  // The two fold orders round differently, so a stale memo is visible.
+  ASSERT_NE(memo, sched_->RqLoadRecomputed(0, 0));
+  EXPECT_EQ(sched_->RqLoad(0, 0), sched_->RqLoadRecomputed(0, 0));
 }
 
 // ---- Wakeup placement (§3.3) ----------------------------------------------------

@@ -1,6 +1,7 @@
-// wc-analyze token-rule tests: lexer unit tests, the rule catalogue, policy
-// parsing/resolution, suppression semantics, and the golden-diagnostics run
-// of the D rules over tests/lint_fixtures/.
+// wc-analyze tests: lexer unit tests, the rule catalogue, policy
+// parsing/resolution, suppression semantics, strict-JSON validation of the
+// SARIF writer, and the golden-diagnostics run of the D rules over
+// tests/lint_fixtures/. The tree-wide run is the lint.tree_is_clean ctest.
 //
 // To regenerate the golden after an intentional rule/message change, run
 // lint_test and copy the "actual" block it prints into
@@ -15,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "src/telemetry/chrome_trace.h"
+#include "src/tools/lint/driver.h"
 #include "src/tools/lint/lexer.h"
 #include "src/tools/lint/policy.h"
 #include "src/tools/lint/rules.h"
@@ -142,7 +145,7 @@ TEST(LintPolicy, ParseAndErrors) {
   Policy p = ParsePolicy(
       "# comment\n"
       "D1 error\n"
-      "A4 warn scheduler_balance.cc\n"
+      "D4 warn scheduler_balance.cc\n"
       "D2 banana\n"
       "D3\n"
       "D4 off *.h extra\n");
@@ -165,38 +168,40 @@ TEST(LintPolicy, GlobMatch) {
 
 TEST(LintPolicy, InnerPolicyWinsAndGlobScopes) {
   Policy outer = ParsePolicy("D2 off\nD3 warn\n");
-  Policy inner = ParsePolicy("D3 error\nA4 warn simulator.h\n");
+  Policy inner = ParsePolicy("D3 error\nD4 warn simulator.h\n");
   std::map<std::string, Severity> defaults = {{"D1", Severity::kError},
-                                              {"A4", Severity::kOff}};
+                                              {"D4", Severity::kOff}};
   auto sim = ResolveSeverities({&outer, &inner}, defaults, "simulator.h");
   EXPECT_EQ(sim.at("D1"), Severity::kError);  // default survives
   EXPECT_EQ(sim.at("D2"), Severity::kOff);    // outer only
   EXPECT_EQ(sim.at("D3"), Severity::kError);  // inner overrides outer
-  EXPECT_EQ(sim.at("A4"), Severity::kWarn);   // glob matched
+  EXPECT_EQ(sim.at("D4"), Severity::kWarn);   // glob matched
   auto other = ResolveSeverities({&outer, &inner}, defaults, "scheduler.cc");
-  EXPECT_EQ(other.at("A4"), Severity::kOff);  // glob did not match
+  EXPECT_EQ(other.at("D4"), Severity::kOff);  // glob did not match
 }
 
-TEST(LintPolicy, CatalogIsTokenRulesThenFlowRules) {
+TEST(LintPolicy, CatalogIsTheFourTokenRules) {
   std::string ids;
   for (const RuleInfo& r : RuleCatalog()) {
     ids += std::string(r.id) + " ";
   }
-  EXPECT_EQ(ids, "D1 D2 D3 D4 A1 A3 A4 ");
+  EXPECT_EQ(ids, "D1 D2 D3 D4 ");
   std::map<std::string, Severity> defaults = DefaultSeverities();
   EXPECT_EQ(defaults.at("D1"), Severity::kError);
-  EXPECT_EQ(defaults.at("D2"), Severity::kWarn);  // Raised per trace-affecting directory.
+  EXPECT_EQ(defaults.at("D2"), Severity::kWarn);  // The root .wc-lint.policy raises it.
 }
 
 TEST(LintPolicy, UnknownRuleIsParseError) {
   Policy p = ParsePolicy(ReadFileOrDie(fs::path(WC_LINT_FIXTURE_DIR) / "unknown_rule.policy"));
   ASSERT_EQ(p.directives.size(), 1u);  // The known D3 line still applies.
   EXPECT_EQ(p.directives[0].rule, "D3");
-  ASSERT_EQ(p.errors.size(), 4u);  // D6, D7, A2, and the SUPPRESS meta-rule.
-  EXPECT_NE(p.errors[0].find("unknown rule 'D6'"), std::string::npos) << p.errors[0];
-  EXPECT_NE(p.errors[1].find("unknown rule 'D7'"), std::string::npos) << p.errors[1];
-  EXPECT_NE(p.errors[2].find("unknown rule 'A2'"), std::string::npos) << p.errors[2];
-  EXPECT_NE(p.errors[3].find("unknown rule 'SUPPRESS'"), std::string::npos) << p.errors[3];
+  // The retired D6, D7 and A1..A4, and the SUPPRESS meta-rule.
+  const std::vector<std::string> unknown = {"D6", "D7", "A1", "A2", "A3", "A4", "SUPPRESS"};
+  ASSERT_EQ(p.errors.size(), unknown.size());
+  for (size_t i = 0; i < unknown.size(); ++i) {
+    EXPECT_NE(p.errors[i].find("unknown rule '" + unknown[i] + "'"), std::string::npos)
+        << p.errors[i];
+  }
 }
 
 // ---- Rule/suppression semantics on inline snippets -----------------------
@@ -244,15 +249,14 @@ TEST(LintRules, WarnDoesNotCountAsError) {
   EXPECT_EQ(r.warnings, 1);
 }
 
-TEST(LintPolicy, D6GlobScopesToBalancingFile) {
-  // A directive opted in for the balancer file alone: the shape the retired
-  // D6 rule used, kept with a surviving rule as the sample.
-  Policy p = ParsePolicy("A4 error scheduler_balance.cc\n");
+TEST(LintPolicy, GlobScopesDirectiveToOneFile) {
+  // A directive opted in for the balancer file alone.
+  Policy p = ParsePolicy("D4 error scheduler_balance.cc\n");
   ASSERT_TRUE(p.errors.empty());
-  std::map<std::string, Severity> defaults = {{"A4", Severity::kOff}};
-  EXPECT_EQ(ResolveSeverities({&p}, defaults, "scheduler_balance.cc").at("A4"),
+  std::map<std::string, Severity> defaults = {{"D4", Severity::kOff}};
+  EXPECT_EQ(ResolveSeverities({&p}, defaults, "scheduler_balance.cc").at("D4"),
             Severity::kError);
-  EXPECT_EQ(ResolveSeverities({&p}, defaults, "scheduler.cc").at("A4"), Severity::kOff);
+  EXPECT_EQ(ResolveSeverities({&p}, defaults, "scheduler.cc").at("D4"), Severity::kOff);
 }
 
 TEST(LintRules, TemplateScannerHandlesNestedClose) {
@@ -264,6 +268,61 @@ TEST(LintRules, TemplateScannerHandlesNestedClose) {
       "std::map<Thread*, int> bad;\n";
   FileLintResult r = LintSource("snippet.cc", src, AllError());
   EXPECT_EQ(CountRule(r, "D1", /*suppressed=*/false), 1);
+}
+
+// ---- SARIF writer ----------------------------------------------------------
+
+TEST(AnalyzeSarif, StrictJsonWithSchemaRulesAndSuppressions) {
+  std::vector<Finding> findings;
+  Finding f1;
+  f1.file = "a.cc";
+  f1.line = 3;
+  f1.rule = "D3";
+  f1.severity = Severity::kError;
+  f1.message = "quoted \"msg\" with\nnewline and \\ backslash";
+  findings.push_back(f1);
+  Finding f2;
+  f2.file = "b.cc";
+  f2.line = 9;
+  f2.rule = "D2";
+  f2.severity = Severity::kWarn;
+  f2.suppressed = true;
+  f2.suppress_reason = "bounded by cpus";
+  findings.push_back(f2);
+
+  fs::path out = fs::path(::testing::TempDir()) / "wc_lint_test.sarif";
+  ASSERT_TRUE(WriteSarifReport(out.string(), findings));
+
+  wcores::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(wcores::ParseJson(ReadFileOrDie(out), &doc, &error)) << error;
+  ASSERT_EQ(doc.type, wcores::JsonValue::Type::kObject);
+  ASSERT_NE(doc.Find("$schema"), nullptr);
+  ASSERT_NE(doc.Find("version"), nullptr);
+  EXPECT_EQ(doc.Find("version")->str, "2.1.0");
+  const auto* runs = doc.Find("runs");
+  ASSERT_NE(runs, nullptr);
+  ASSERT_EQ(runs->array.size(), 1u);
+  const auto& run = runs->array[0];
+  const auto* driver = run.Find("tool")->Find("driver");
+  ASSERT_NE(driver, nullptr);
+  EXPECT_EQ(driver->Find("name")->str, "wc-analyze");
+  EXPECT_EQ(driver->Find("rules")->array.size(), RuleCatalog().size());
+  const auto* results = run.Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->array.size(), 2u);
+  EXPECT_EQ(results->array[0].Find("ruleId")->str, "D3");
+  EXPECT_EQ(results->array[0].Find("level")->str, "error");
+  EXPECT_EQ(results->array[0].Find("message")->Find("text")->str,
+            "quoted \"msg\" with\nnewline and \\ backslash");
+  const auto* loc = results->array[0].Find("locations");
+  ASSERT_EQ(loc->array.size(), 1u);
+  EXPECT_EQ(loc->array[0].Find("physicalLocation")->Find("region")->Find("startLine")->number,
+            3.0);
+  const auto* supp = results->array[1].Find("suppressions");
+  ASSERT_NE(supp, nullptr);
+  ASSERT_EQ(supp->array.size(), 1u);
+  EXPECT_EQ(supp->array[0].Find("justification")->str, "bounded by cpus");
 }
 
 // ---- Golden corpus -------------------------------------------------------
@@ -280,7 +339,7 @@ TEST(LintGolden, FixtureCorpus) {
     }
   }
   std::sort(fixtures.begin(), fixtures.end());
-  ASSERT_GE(fixtures.size(), 17u) << "fixture corpus shrank";
+  ASSERT_GE(fixtures.size(), 11u) << "fixture corpus shrank";
 
   std::string actual;
   for (const fs::path& f : fixtures) {
