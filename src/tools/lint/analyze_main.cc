@@ -1,25 +1,22 @@
 // wc-analyze command line driver.
 //
-//   wc-analyze [--root=DIR] [--sarif=FILE] [--verbose] PATH...
+//   wc-analyze PATH...
 //
 // PATHs are files or directories (directories are walked recursively for
 // .h/.hpp/.cc/.cpp, in sorted order so output is stable). Each file gets the
-// token rules D1..D4 (rules.h). Severities come from the .wc-lint.policy
-// files found between --root (default: the current directory) and each
-// source file; see policy.h for the format and the rule catalogue. One
-// report covers every file; --sarif writes it as SARIF 2.1.0.
+// token rules D1..D4 (rules.h), every finding an error; --help lists them.
 //
-// Exit status: 1 if any unsuppressed error-severity finding (including the
-// SUPPRESS meta-rule guarding malformed annotations) was emitted, 2 on
-// IO/flag/policy errors, else 0.
+// Exit status: 1 if any unsuppressed finding (including the SUPPRESS
+// meta-rule guarding malformed annotations) was emitted, 2 on IO/flag
+// errors, else 0.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/tools/lint/driver.h"
-#include "src/tools/lint/policy.h"
 #include "src/tools/lint/rules.h"
 
 namespace wcores::lint {
@@ -27,23 +24,62 @@ namespace {
 
 namespace fs = std::filesystem;
 
+bool HasSourceExtension(const fs::path& p) {
+  std::string ext = p.extension().string();
+  return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
+}
+
+std::string ReadFileToString(const fs::path& p, bool* ok) {
+  std::ifstream in(p, std::ios::binary);
+  if (!in) {
+    *ok = false;
+    return {};
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *ok = true;
+  return buf.str();
+}
+
+// Recursively collects .h/.hpp/.cc/.cpp under `p` (or `p` itself when it is
+// a file), in sorted order so every report is stable.
+void CollectFiles(const fs::path& p, std::vector<fs::path>* out,
+                  std::vector<std::string>* errors) {
+  std::error_code ec;
+  if (fs::is_directory(p, ec)) {
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry& e : fs::directory_iterator(p, ec)) {
+      entries.push_back(e.path());
+    }
+    if (ec) {
+      errors->push_back(p.string() + ": " + ec.message());
+      return;
+    }
+    // directory_iterator order is unspecified; sort so diagnostics and the
+    // golden tests are stable (the analyzer practices what D1/D2 preach).
+    std::sort(entries.begin(), entries.end());
+    for (const fs::path& e : entries) {
+      if (fs::is_directory(e, ec)) {
+        CollectFiles(e, out, errors);
+      } else if (HasSourceExtension(e)) {
+        out->push_back(e);
+      }
+    }
+    return;
+  }
+  if (fs::exists(p, ec)) {
+    out->push_back(p);
+  } else {
+    errors->push_back(p.string() + ": no such file or directory");
+  }
+}
+
 int Main(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::string sarif_path;
-  std::string root = ".";
-  bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-    } else if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(7);
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--help") {
-      std::fprintf(stderr,
-                   "usage: wc-analyze [--root=DIR] [--sarif=FILE] [--verbose] PATH...\n"
-                   "Rules:\n");
+    if (arg == "--help") {
+      std::fprintf(stderr, "usage: wc-analyze PATH...\nRules:\n");
       for (const RuleInfo& r : RuleCatalog()) {
         std::fprintf(stderr, "  %s  %s\n", r.id, r.summary);
       }
@@ -66,10 +102,7 @@ int Main(int argc, char** argv) {
     CollectFiles(p, &files, &io_errors);
   }
 
-  PolicyCache policies;
-  const std::map<std::string, Severity> defaults = DefaultSeverities();
-  std::vector<Finding> findings;
-  int errors = 0, warnings = 0, suppressed = 0;
+  int errors = 0, suppressed = 0;
   for (const fs::path& file : files) {
     bool ok = false;
     std::string source = ReadFileToString(file, &ok);
@@ -77,30 +110,21 @@ int Main(int argc, char** argv) {
       io_errors.push_back(file.string() + ": unreadable");
       continue;
     }
-    std::string name = file.generic_string();
-    std::vector<const Policy*> chain = PolicyChainFor(file, root, &policies, &io_errors);
-    FileLintResult result = LintSource(
-        name, source, ResolveSeverities(chain, defaults, file.filename().string()));
+    FileLintResult result = LintSource(file.generic_string(), source);
     errors += result.errors;
-    warnings += result.warnings;
     suppressed += result.suppressed;
-    findings.insert(findings.end(), result.findings.begin(), result.findings.end());
-  }
-
-  for (const Finding& f : findings) {
-    if (!f.suppressed || verbose) {
-      std::printf("%s\n", FormatFinding(f).c_str());
+    for (const Finding& f : result.findings) {
+      if (!f.suppressed) {
+        std::printf("%s\n", FormatFinding(f).c_str());
+      }
     }
   }
+
   for (const std::string& e : io_errors) {
     std::fprintf(stderr, "wc-analyze: %s\n", e.c_str());
   }
-  if (!sarif_path.empty() && !WriteSarifReport(sarif_path, findings)) {
-    std::fprintf(stderr, "wc-analyze: cannot write %s\n", sarif_path.c_str());
-    return 2;
-  }
-  std::printf("wc-analyze: %zu files, %d errors, %d warnings, %d suppressed\n", files.size(),
-              errors, warnings, suppressed);
+  std::printf("wc-analyze: %zu files, %d errors, %d suppressed\n", files.size(), errors,
+              suppressed);
   if (!io_errors.empty()) {
     return 2;
   }

@@ -6,6 +6,25 @@
 
 namespace wcores::lint {
 
+const std::vector<RuleInfo>& RuleCatalog() {
+  static const std::vector<RuleInfo> kRules = {
+      {"D1", "pointer-valued key in an ordered container (ASLR-dependent iteration order)"},
+      {"D2", "unordered container in trace-affecting code (hash-dependent iteration order)"},
+      {"D3", "nondeterminism source outside the seeded-RNG / host-timing seams"},
+      {"D4", "floating-point == / != comparison in scheduler decision code"},
+  };
+  return kRules;
+}
+
+bool IsKnownRule(const std::string& id) {
+  for (const RuleInfo& r : RuleCatalog()) {
+    if (id == r.id) {
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 std::string Trim(std::string s) {
@@ -24,9 +43,9 @@ struct AllowSite {
 
 // Scans one comment's text for the annotation marker and its allow clauses.
 // Well-formed clauses land in `out`; malformed ones (no rule, a rule outside
-// RuleCatalog(), no reason, unclosed paren) become error-severity SUPPRESS
-// findings. (The marker string is assembled from pieces so this file's own
-// comments and string literals never parse as annotations.)
+// RuleCatalog(), no reason, unclosed paren) become SUPPRESS findings. (The
+// marker string is assembled from pieces so this file's own comments and
+// string literals never parse as annotations.)
 void ParseAllowAnnotations(const Token& comment, const std::string& path,
                            std::vector<AllowSite>* out, std::vector<Finding>* findings) {
   static const std::string kMarker = std::string("wc-lint") + ":";
@@ -36,8 +55,7 @@ void ParseAllowAnnotations(const Token& comment, const std::string& path,
     return;
   }
   auto malformed = [&](std::string message) {
-    findings->push_back(
-        Finding{path, comment.line, "SUPPRESS", Severity::kError, std::move(message), false, {}});
+    findings->push_back(Finding{path, comment.line, "SUPPRESS", std::move(message), false, {}});
   };
   size_t pos = at;
   while ((pos = text.find("allow(", pos)) != std::string::npos) {
@@ -86,9 +104,7 @@ void ApplyAllows(const std::vector<AllowSite>& allows, std::vector<Finding>* fin
 // The rule scanners work on the comment/preprocessor-free token stream.
 class Scanner {
  public:
-  Scanner(const std::string& path, const std::vector<Token>& all,
-          const std::map<std::string, Severity>& severities)
-      : path_(path), severities_(severities) {
+  Scanner(const std::string& path, const std::vector<Token>& all) : path_(path) {
     code_.reserve(all.size());
     for (const Token& t : all) {
       if (t.kind != TokKind::kComment && t.kind != TokKind::kPreproc &&
@@ -109,13 +125,6 @@ class Scanner {
   }
 
  private:
-  Severity SeverityOf(const std::string& rule) const {
-    auto it = severities_.find(rule);
-    return it == severities_.end() ? Severity::kOff : it->second;
-  }
-
-  bool Enabled(const std::string& rule) const { return SeverityOf(rule) != Severity::kOff; }
-
   const Token* At(size_t i) const { return i < code_.size() ? code_[i] : nullptr; }
   bool IsIdent(const Token* t, std::string_view name) const {
     return t != nullptr && t->kind == TokKind::kIdent && t->text == name;
@@ -125,7 +134,7 @@ class Scanner {
   }
 
   void Report(const std::string& rule, int line, std::string message) {
-    findings_.push_back(Finding{path_, line, rule, SeverityOf(rule), std::move(message), false, {}});
+    findings_.push_back(Finding{path_, line, rule, std::move(message), false, {}});
   }
 
   // True when code_[i] is an identifier qualified as std::name — or
@@ -147,9 +156,6 @@ class Scanner {
   // argument contains a '*' at top level. Requires std:: qualification so
   // that variables named `map`/`set` never trip it.
   void CheckD1(size_t i) {
-    if (!Enabled("D1")) {
-      return;
-    }
     const Token* t = At(i);
     if (t == nullptr || t->kind != TokKind::kIdent) {
       return;
@@ -195,12 +201,8 @@ class Scanner {
     }
   }
 
-  // D2: any mention of an unordered associative container. Scoped to
-  // trace-affecting directories by policy.
+  // D2: any mention of an unordered associative container.
   void CheckD2(size_t i) {
-    if (!Enabled("D2")) {
-      return;
-    }
     const Token* t = At(i);
     if (t == nullptr || t->kind != TokKind::kIdent) {
       return;
@@ -222,9 +224,6 @@ class Scanner {
   // D3: wall-clock, entropy, and environment reads. Simulation code gets
   // time from the virtual clock and randomness from the seeded Rng.
   void CheckD3(size_t i) {
-    if (!Enabled("D3")) {
-      return;
-    }
     const Token* t = At(i);
     if (t == nullptr || t->kind != TokKind::kIdent || MemberAccess(i)) {
       return;
@@ -273,9 +272,6 @@ class Scanner {
   // approximation of "float equality in decision code": it cannot see
   // declared types, but every equality-against-literal decision is caught.
   void CheckD4(size_t i) {
-    if (!Enabled("D4")) {
-      return;
-    }
     const Token* t = At(i);
     if (t == nullptr || t->kind != TokKind::kPunct || (t->text != "==" && t->text != "!=")) {
       return;
@@ -298,15 +294,13 @@ class Scanner {
   }
 
   const std::string& path_;
-  const std::map<std::string, Severity>& severities_;
   std::vector<const Token*> code_;
   std::vector<Finding> findings_;
 };
 
 }  // namespace
 
-FileLintResult LintSource(const std::string& path, std::string_view source,
-                          const std::map<std::string, Severity>& severities) {
+FileLintResult LintSource(const std::string& path, std::string_view source) {
   FileLintResult result;
   LexResult lexed = Lex(source);
 
@@ -317,7 +311,7 @@ FileLintResult LintSource(const std::string& path, std::string_view source,
     }
   }
 
-  Scanner scanner(path, lexed.tokens, severities);
+  Scanner scanner(path, lexed.tokens);
   for (Finding& f : scanner.Run()) {
     result.findings.push_back(std::move(f));
   }
@@ -326,13 +320,7 @@ FileLintResult LintSource(const std::string& path, std::string_view source,
   std::stable_sort(result.findings.begin(), result.findings.end(),
                    [](const Finding& a, const Finding& b) { return a.line < b.line; });
   for (const Finding& f : result.findings) {
-    if (f.suppressed) {
-      result.suppressed += 1;
-    } else if (f.severity == Severity::kError) {
-      result.errors += 1;
-    } else if (f.severity == Severity::kWarn) {
-      result.warnings += 1;
-    }
+    (f.suppressed ? result.suppressed : result.errors) += 1;
   }
   return result;
 }
@@ -342,7 +330,7 @@ std::string FormatFinding(const Finding& f) {
   if (f.suppressed) {
     out += "suppressed (" + f.suppress_reason + "): ";
   } else {
-    out += std::string(SeverityName(f.severity)) + ": ";
+    out += "error: ";
   }
   out += f.message;
   return out;

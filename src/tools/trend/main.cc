@@ -42,6 +42,10 @@ int RunMerge(const std::vector<std::string>& args) {
       results_dir = arg.substr(10);
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
+      if (out_path.empty()) {
+        std::fprintf(stderr, "wc-trend: invalid value '' for --out: a file path\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "wc-trend merge: unknown argument '%s'\n", arg.c_str());
       return Usage();
@@ -117,11 +121,7 @@ int RunMerge(const std::vector<std::string>& args) {
 int RunDiff(const std::vector<std::string>& args) {
   std::string path_a, path_b;
   for (const std::string& arg : args) {
-    if (arg.rfind("--a=", 0) == 0) {
-      path_a = arg.substr(4);
-    } else if (arg.rfind("--b=", 0) == 0) {
-      path_b = arg.substr(4);
-    } else if (arg.rfind("--", 0) == 0) {
+    if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "wc-trend diff: unknown argument '%s'\n", arg.c_str());
       return Usage();
     } else if (path_a.empty()) {

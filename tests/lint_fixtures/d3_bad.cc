@@ -16,3 +16,4 @@ long ticks() { return clock(); }                                 // bad: clock()
 const char* home() { return getenv("HOME"); }                    // bad: environment read
 const char* shell() { return secure_getenv("SHELL"); }           // bad: environment read
 int qualified() { return std::rand(); }                          // bad: std::rand()
+double unit() { return drand48(); }                              // bad: drand48()
