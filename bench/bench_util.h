@@ -1,4 +1,6 @@
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for the table/figure reproduction binaries: flag parsing,
+// artifact writes and --telemetry reports. Results are printed; speed is
+// measured outside them, by scripts/ab_bench.sh over simbench.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
@@ -9,13 +11,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/telemetry/telemetry.h"
-#include "src/tools/sweep/jsonl.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -171,25 +170,6 @@ inline double ParseDoubleFlag(const char* flag, const std::string& value, double
   return v;
 }
 
-// ---- Host-core detection ---------------------------------------------------
-//
-// std::thread::hardware_concurrency() is allowed to return 0 ("not
-// computable"). Callers that sweep with a fallback of 1 thread must also
-// *report* 1 — recording the raw 0 while sweeping with 1 feeds trend
-// tooling a host with no cores.
-struct HostCores {
-  int cores = 1;         // The value actually used (>= 1).
-  bool detected = true;  // False when hardware_concurrency() returned 0.
-};
-
-inline HostCores DetectHostCores() {
-  unsigned hw = std::thread::hardware_concurrency();
-  HostCores out;
-  out.detected = hw != 0;
-  out.cores = out.detected ? static_cast<int>(hw) : 1;
-  return out;
-}
-
 // The hard-error exit(1) path for an artifact that could not be written: a
 // bench must not report success without its artifact.
 [[noreturn]] inline void CannotWrite(const std::string& path) {
@@ -257,60 +237,6 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("Reproduces: %s\n", paper_ref);
   std::printf("==============================================================================\n");
 }
-
-// ---- Machine-readable bench results (BENCH_<name>.json) ---------------------
-//
-// The perf trajectory is tracked by checked-in BENCH_*.json files. Every
-// bench that wants to participate reduces its run to a BenchReport; the
-// JSON shape is deliberately flat so diffs between commits read naturally.
-// Strings and numbers are written by jsonl.h, as the fleet receipts are.
-
-struct BenchReport {
-  std::string bench;  // Short name: "sweep", "micro_sched_ops", ...
-
-  struct Row {
-    std::string name;
-    std::map<std::string, double> metrics;       // Numeric measurements.
-    std::map<std::string, std::string> labels;   // Non-numeric annotations.
-  };
-  std::vector<Row> rows;
-  std::map<std::string, double> context_num;     // e.g. host_cores, threads.
-  std::map<std::string, std::string> context;    // e.g. build_type.
-
-  std::string ToJson() const {
-    std::string out = "{\n  \"bench\": " + QuoteJson(bench) + ",\n  \"context\": {";
-    bool first = true;
-    for (const auto& [k, v] : context) {
-      out += first ? "" : ", ";
-      out += QuoteJson(k) + ": " + QuoteJson(v);
-      first = false;
-    }
-    for (const auto& [k, v] : context_num) {
-      out += first ? "" : ", ";
-      out += QuoteJson(k) + ": " + NumberJson(v);
-      first = false;
-    }
-    out += "},\n  \"results\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      out += "    {\"name\": " + QuoteJson(row.name);
-      for (const auto& [k, v] : row.labels) {
-        out += ", " + QuoteJson(k) + ": " + QuoteJson(v);
-      }
-      for (const auto& [k, v] : row.metrics) {
-        out += ", " + QuoteJson(k) + ": " + NumberJson(v);
-      }
-      out += i + 1 < rows.size() ? "},\n" : "}\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-  }
-
-  // Writes BENCH_<bench>.json into opts.out_dir.
-  void Write(const BenchOptions& opts) const {
-    WriteFile(opts, "BENCH_" + bench + ".json", ToJson());
-  }
-};
 
 }  // namespace wcores
 

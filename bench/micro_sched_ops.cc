@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/gbench_json.h"
-
 #include "src/core/cfs_rq.h"
 #include "src/core/rbtree.h"
 #include "src/core/scheduler.h"
@@ -449,7 +447,3 @@ BENCHMARK(BM_SimulatorSetup)->ArgsProduct({{0, 1, 2}, {0, 1, 2}})->Unit(benchmar
 
 }  // namespace
 }  // namespace wcores
-
-int main(int argc, char** argv) {
-  return wcores::GbenchJsonMain("micro_sched_ops", argc, argv);
-}

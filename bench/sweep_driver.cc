@@ -1,11 +1,11 @@
 // Parallel scenario-sweep driver.
 //
 // Runs the figure/table scenario matrix (plus optional random scenarios)
-// through the sweep runner at increasing host-thread counts, checks that
-// the combined trace hash is identical at every count (parallelism must
-// not change behavior), and reports the scaling curve. Emits
-// BENCH_sweep.json with per-scenario results and per-thread-count wall
-// times so the perf trajectory is machine-readable.
+// through the sweep runner once, at --threads workers, and prints each
+// scenario's trace hash and the combined hash. It is not a perf instrument:
+// scripts/ab_bench.sh measures speed, and the hashes are pinned by
+// Determinism.SweepMatrixGoldens (thread-count invariance by
+// Determinism.SweepThreadCountInvariance).
 //
 // --telemetry[=DIR] attaches the bounded-memory streaming pipeline to every
 // scenario (one STREAM summary line per run, DIR/sweep_stream.jsonl) and
@@ -16,8 +16,8 @@
 // aggregator memory within the O(tasks + cpus) budget.
 // --policy=NAME|all instead runs the cross-policy arena: the same scenario
 // matrix under each registered scheduling policy (cfs, o1, coreidle, ...),
-// with a per-policy replay-determinism check, a per-scenario leaderboard,
-// and BENCH_policy_arena.json.
+// with a per-policy replay-determinism check and a per-scenario
+// leaderboard.
 //
 // Fleet-scale sweep service (src/tools/sweep/{grid,receipts,shard}):
 //   --shard=I/N [--grid=SPEC] --results=DIR [--threads=T]   expand the
@@ -27,17 +27,17 @@
 //       completed scenario to DIR/shard-I.jsonl, and skip anything already
 //       receipted (resume). Merge and verify the shards with
 //       `wc-trend merge --grid=SPEC`.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/modsched/policy_registry.h"
 #include "src/simkit/check.h"
 #include "src/tools/sweep/grid.h"
+#include "src/tools/sweep/jsonl.h"
 #include "src/tools/sweep/shard.h"
 #include "src/tools/sweep/sweep.h"
 
@@ -58,11 +58,10 @@ double CompletionScore(const ScenarioResult& r) {
 }
 
 // Cross-policy arena: the full scenario matrix under every requested
-// policy, a per-policy determinism check (each policy's sweep replays
-// bit-identically across thread counts), a per-scenario leaderboard, and
-// BENCH_policy_arena.json.
-int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, double scale,
-                   int random_count, uint64_t seed, int max_threads) {
+// policy, a per-policy determinism check (each policy's sweep at `threads`
+// workers replays bit-identically at one), and a per-scenario leaderboard.
+int RunPolicyArena(const std::string& policy_arg, double scale, int random_count,
+                   uint64_t seed, int threads) {
   PrintHeader("Cross-policy scheduler arena",
               "§5 modular scheduling: one scenario matrix, every registered policy");
 
@@ -86,12 +85,6 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
     base.push_back(std::move(s));
   }
 
-  BenchReport report;
-  report.bench = "policy_arena";
-  report.context_num["scenarios"] = static_cast<double>(base.size());
-  report.context_num["policies"] = static_cast<double>(policies.size());
-  report.context_num["scale"] = scale;
-
   // results[p][i] is policy p's result for base scenario i.
   std::vector<std::vector<ScenarioResult>> results;
   for (const std::string& policy : policies) {
@@ -100,7 +93,7 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
       s.policy = policy;
     }
     SweepOptions sweep_opts;
-    sweep_opts.threads = max_threads;
+    sweep_opts.threads = threads;
     SweepReport run = RunSweep(matrix, sweep_opts);
     // Per-policy hash check: the same matrix at one worker must replay
     // bit-identically — every policy inherits the determinism contract,
@@ -109,29 +102,9 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
     serial.threads = 1;
     SweepReport replay = RunSweep(matrix, serial);
     WC_CHECK(run.CombinedHash() == replay.CombinedHash(),
-             "policy sweep hash differs across thread counts");
+             "policy sweep hash differs on replay");
     std::printf("policy %-10s combined_hash=%016llx  wall=%8.1f ms\n", policy.c_str(),
                 static_cast<unsigned long long>(run.CombinedHash()), run.wall_ms);
-
-    for (const ScenarioResult& r : run.results) {
-      BenchReport::Row row;
-      row.name = policy + "/" + r.name;
-      row.labels["policy"] = policy;
-      row.labels["scenario"] = r.name;
-      row.labels["trace_hash"] = Hex16(r.trace_hash);
-      row.metrics["sim_events"] = static_cast<double>(r.sim_events);
-      row.metrics["context_switches"] = static_cast<double>(r.context_switches);
-      row.metrics["migrations"] = static_cast<double>(r.migrations);
-      row.metrics["wall_ms"] = r.wall_ms;
-      double score = CompletionScore(r);
-      if (score >= 0) {
-        row.metrics["completion_s"] = score;
-      }
-      for (const auto& [k, v] : r.metrics) {
-        row.metrics[k] = v;
-      }
-      report.rows.push_back(std::move(row));
-    }
     results.push_back(std::move(run.results));
   }
 
@@ -164,9 +137,6 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
     }
     std::printf("\n");
   }
-
-  report.Write(opts);
-  std::printf("\nwrote %s/BENCH_policy_arena.json\n", opts.out_dir.c_str());
   return 0;
 }
 
@@ -174,7 +144,7 @@ int RunPolicyArena(const BenchOptions& opts, const std::string& policy_arg, doub
 // horizon) is pinned so the run deterministically crosses the event floor;
 // the floor itself stays a flag so CI's intent ("at least ten million") is
 // visible at the call site.
-int RunBigMix(const BenchOptions& opts, uint64_t min_events, uint64_t seed) {
+int RunBigMix(uint64_t min_events, uint64_t seed) {
   PrintHeader("Streaming-telemetry soak: one-pass big random mix",
               "bounded-memory analytics over a >=10M-event trace (§4 methodology)");
 
@@ -209,22 +179,6 @@ int RunBigMix(const BenchOptions& opts, uint64_t min_events, uint64_t seed) {
   WC_CHECK(r.stream_events == r.trace_events,
            "stream analyzed a different event count than the trace hash saw");
   WC_CHECK(r.stream_within_budget, "stream aggregator memory exceeded the O(tasks+cpus) budget");
-
-  BenchReport report;
-  report.bench = "stream_soak";
-  report.context_num["min_events"] = static_cast<double>(min_events);
-  BenchReport::Row row;
-  row.name = r.name;
-  row.metrics["trace_events"] = static_cast<double>(r.trace_events);
-  row.metrics["context_switches"] = static_cast<double>(r.context_switches);
-  row.metrics["wall_ms"] = r.wall_ms;
-  row.metrics["agg_bytes_peak"] = static_cast<double>(r.stream_agg_bytes_peak);
-  row.metrics["budget_bytes"] = static_cast<double>(r.stream_budget_bytes);
-  row.metrics["stream_events"] = static_cast<double>(r.stream_events);
-  row.metrics["starvation_findings"] = static_cast<double>(r.stream_findings);
-  report.rows.push_back(std::move(row));
-  report.Write(opts);
-  std::printf("wrote %s/BENCH_stream_soak.json\n", opts.out_dir.c_str());
   return 0;
 }
 
@@ -264,7 +218,7 @@ int Main(int argc, char** argv) {
   BenchOptions opts = ParseBenchArgs(
       argc, argv, TelemetryFlag::kAccepted,
       {
-          {"threads", &threads_s, "max host threads to sweep up to (default: hardware)"},
+          {"threads", &threads_s, "host threads for the sweep (default 1)"},
           {"scale", &scale_s, "workload scale factor (default 0.25)"},
           {"random", &random_s, "extra random scenarios to append (default 6)"},
           {"seed", &seed_s, "seed for the random scenarios (default 99)"},
@@ -276,12 +230,15 @@ int Main(int argc, char** argv) {
           {"grid", &grid_s, "grid spec for --shard ('default' or key=v;... syntax)"},
           {"results", &results_s, "results directory for --shard (receipts + claims)"},
       });
-  HostCores host = DetectHostCores();
-  int max_threads = static_cast<int>(
-      ParseIntFlag("threads", threads_s, host.cores, 1, 1 << 20));
+  int threads = static_cast<int>(ParseIntFlag("threads", threads_s, 1, 1, 1 << 20));
   double scale = ParseDoubleFlag("scale", scale_s, 0.25, 1e-6, 1e6);
   int random_count = static_cast<int>(ParseIntFlag("random", random_s, 6, 0, 1 << 20));
   uint64_t seed = ParseU64Flag("seed", seed_s, 99);
+  // An absent --grid is the default fleet grid; a given but empty one is an
+  // error (ParseGridSpec), never the default.
+  const bool grid_given = std::any_of(argv + 1, argv + argc, [](const char* arg) {
+    return std::string(arg).rfind("--grid=", 0) == 0;
+  });
 
   if (!opts.telemetry_dir.empty() &&
       !(shard_s.empty() && bigmix_s.empty() && policy_s.empty())) {
@@ -301,19 +258,19 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "--shard requires --results=DIR\n");
       return 2;
     }
-    return RunShardMode(grid_s, shard_index, shard_count, results_s,
-                        threads_s.empty() ? 1 : max_threads);
+    return RunShardMode(grid_given ? grid_s : "default", shard_index, shard_count, results_s,
+                        threads);
   }
-  if (!results_s.empty() || !grid_s.empty()) {
+  if (!results_s.empty() || grid_given) {
     std::fprintf(stderr, "--results/--grid only apply with --shard\n");
     return 2;
   }
 
   if (!bigmix_s.empty()) {
-    return RunBigMix(opts, ParseU64Flag("big-mix", bigmix_s, 0), seed);
+    return RunBigMix(ParseU64Flag("big-mix", bigmix_s, 0), seed);
   }
   if (!policy_s.empty()) {
-    return RunPolicyArena(opts, policy_s, scale, random_count, seed, max_threads);
+    return RunPolicyArena(policy_s, scale, random_count, seed, threads);
   }
 
   PrintHeader("Parallel scenario sweep", "§4 evaluation methodology (scenario matrix)");
@@ -328,91 +285,29 @@ int Main(int argc, char** argv) {
       s.stream = true;
     }
   }
-  std::printf("%zu scenarios, up to %d host threads (host has %d%s)\n\n", scenarios.size(),
-              max_threads, host.cores, host.detected ? "" : ", detection failed");
 
-  // Thread counts: 1, 2, 4, ... up to max_threads (always including both
-  // endpoints), so the 1→4 scaling factor is directly measurable.
-  std::vector<int> counts;
-  for (int t = 1; t < max_threads; t *= 2) {
-    counts.push_back(t);
-  }
-  counts.push_back(max_threads);
-
-  BenchReport report;
-  report.bench = "sweep";
-  // host_cores is the value the sweep actually used: when detection fails
-  // (hardware_concurrency() == 0) we sweep with 1 thread and must say 1,
-  // not 0, or trend tooling reads a zero-core host. The detection failure
-  // itself is reported explicitly alongside.
-  report.context_num["host_cores"] = host.cores;
-  report.context_num["host_cores_detected"] = host.detected ? 1 : 0;
-  report.context_num["scenarios"] = static_cast<double>(scenarios.size());
-  report.context_num["scale"] = scale;
-
-  uint64_t reference_hash = 0;
-  double wall_1thread = 0;
-  SweepReport last;
-  for (size_t ci = 0; ci < counts.size(); ++ci) {
-    SweepOptions sweep_opts;
-    sweep_opts.threads = counts[ci];
-    SweepReport r = RunSweep(scenarios, sweep_opts);
-    if (ci == 0) {
-      reference_hash = r.CombinedHash();
-      wall_1thread = r.wall_ms;
-    } else {
-      // Parallelism must be invisible in the results.
-      WC_CHECK(r.CombinedHash() == reference_hash, "sweep results differ across thread counts");
-    }
-    double speedup = wall_1thread / (r.wall_ms > 0 ? r.wall_ms : 1e-9);
-    std::printf("threads=%2d  wall=%9.1f ms  speedup=%.2fx  events=%llu  hash=%016llx\n",
-                r.threads, r.wall_ms, speedup,
-                static_cast<unsigned long long>(r.TotalSimEvents()),
-                static_cast<unsigned long long>(r.CombinedHash()));
-    BenchReport::Row row;
-    row.name = "scaling/threads=" + std::to_string(r.threads);
-    row.metrics["threads"] = r.threads;
-    row.metrics["wall_ms"] = r.wall_ms;
-    row.metrics["speedup_vs_1"] = speedup;
-    report.rows.push_back(std::move(row));
-    last = std::move(r);
-  }
-
-  std::printf("\nper-scenario results (threads=%d):\n", last.threads);
-  double total_virtual = 0;
-  for (const ScenarioResult& r : last.results) {
-    total_virtual += r.virtual_seconds;
+  SweepOptions sweep_opts;
+  sweep_opts.threads = threads;
+  SweepReport sweep = RunSweep(scenarios, sweep_opts);
+  std::printf("%zu scenarios  threads=%d  wall=%.1f ms  events=%llu  hash=%016llx\n\n",
+              scenarios.size(), sweep.threads, sweep.wall_ms,
+              static_cast<unsigned long long>(sweep.TotalSimEvents()),
+              static_cast<unsigned long long>(sweep.CombinedHash()));
+  std::printf("per-scenario results:\n");
+  for (const ScenarioResult& r : sweep.results) {
     std::printf("  %-28s hash=%016llx events=%8llu switches=%7llu migr=%6llu %6.1f ms\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.trace_hash),
                 static_cast<unsigned long long>(r.sim_events),
                 static_cast<unsigned long long>(r.context_switches),
                 static_cast<unsigned long long>(r.migrations), r.wall_ms);
-    BenchReport::Row row;
-    row.name = r.name;
-    row.labels["trace_hash"] = Hex16(r.trace_hash);
-    row.metrics["sim_events"] = static_cast<double>(r.sim_events);
-    row.metrics["context_switches"] = static_cast<double>(r.context_switches);
-    row.metrics["migrations"] = static_cast<double>(r.migrations);
-    row.metrics["virtual_s"] = r.virtual_seconds;
-    row.metrics["wall_ms"] = r.wall_ms;
-    for (const auto& [k, v] : r.metrics) {
-      row.metrics[k] = v;
-    }
-    if (stream) {
-      row.metrics["stream_agg_bytes_peak"] = static_cast<double>(r.stream_agg_bytes_peak);
-      row.metrics["stream_budget_bytes"] = static_cast<double>(r.stream_budget_bytes);
-      row.metrics["stream_findings"] = static_cast<double>(r.stream_findings);
-    }
-    report.rows.push_back(std::move(row));
   }
-  report.context_num["virtual_seconds_total"] = total_virtual;
 
   if (stream) {
     // One summary line per run, plus a jsonl artifact, plus the pure-observer
     // cross-check: the same matrix without the stream must hash identically.
     std::printf("\nstreaming summaries (one line per scenario):\n");
     std::string jsonl;
-    for (const ScenarioResult& r : last.results) {
+    for (const ScenarioResult& r : sweep.results) {
       std::printf("STREAM %s %s\n", r.name.c_str(), r.stream_summary.c_str());
       jsonl += "{\"name\": " + QuoteJson(r.name) + ", \"stream\": " + r.stream_summary + "}\n";
       WC_CHECK(r.stream_within_budget, "stream aggregator memory exceeded budget in the sweep");
@@ -423,10 +318,8 @@ int Main(int argc, char** argv) {
     for (Scenario& s : bare) {
       s.stream = false;
     }
-    SweepOptions bare_opts;
-    bare_opts.threads = last.threads;
-    SweepReport bare_report = RunSweep(bare, bare_opts);
-    WC_CHECK(bare_report.CombinedHash() == reference_hash,
+    SweepReport bare_report = RunSweep(bare, sweep_opts);
+    WC_CHECK(bare_report.CombinedHash() == sweep.CombinedHash(),
              "attaching the streaming pipeline changed a trace hash");
     std::printf("pure-observer check: %zu trace hashes identical without the stream (%016llx)\n",
                 bare_report.results.size(),
@@ -434,21 +327,6 @@ int Main(int argc, char** argv) {
     WriteArtifact(std::filesystem::path(opts.telemetry_dir) / "sweep_stream.jsonl", jsonl);
     std::printf("wrote %s/sweep_stream.jsonl\n", opts.telemetry_dir.c_str());
   }
-
-  // The scaling ratio downstream tooling reads (ROADMAP "sweep scaling
-  // evidence"). On a 1-core host there is only the threads=1 row and no
-  // ratio to take — emit an explicit "scaling": null (NaN serializes as
-  // null) rather than omitting the key, so consumers see "unmeasurable
-  // here" instead of dividing by a missing row.
-  if (counts.size() > 1) {
-    report.context_num["scaling"] = wall_1thread / (last.wall_ms > 0 ? last.wall_ms : 1e-9);
-  } else {
-    report.context_num["scaling"] = std::numeric_limits<double>::quiet_NaN();
-    std::printf("\n1-core host: scaling unmeasurable, reporting \"scaling\": null\n");
-  }
-
-  report.Write(opts);
-  std::printf("\nwrote %s/BENCH_sweep.json\n", opts.out_dir.c_str());
   return 0;
 }
 

@@ -1,60 +1,61 @@
 #!/usr/bin/env bash
-# Interleaved A/B perf harness: the paired-ratio methodology the perf PRs
-# use to claim wins on a noisy host.
+# Paired A/B driver over the outside-in benchmark, simbench/run.py: the one
+# harness behind every perf claim.
 #
-# Builds the baseline rev into a scratch worktree (build-ab/), builds HEAD's
-# working tree with the release preset, then alternates runs pair by pair —
-# base/head on even pairs, head/base on odd — so slow drift in host load
-# cancels out of each pair instead of biasing one side. Reports the MEDIAN
-# of the per-pair head/base ratios per metric (ratio < 1.0 means HEAD is
-# faster); medians of paired ratios survive the load spikes that make
-# absolute numbers on this host meaningless.
+# The baseline rev is checked out into a scratch worktree (build-ab/tree);
+# the other side is this working tree. Each tree builds its own simbench
+# (<tree>/.bench_build). Runs alternate pair by pair, base first on even
+# pairs and head first on odd ones, so slow drift in host load cancels out
+# of each pair instead of biasing one side. On its turn a side runs
+#   python3 <tree>/simbench/run.py --workload W --seed 1 --seconds S --trace 0
+# for every workload. Workloads, the end-to-end metrics with their direction
+# and bound, and S (run_seconds) all come from BENCHMARK.json.
 #
-# Metrics:
-#   BM_NewidlePass, BM_SimulatedSecond   (micro_sched_ops real_time)
-#   random/99-4 us/event                 (sweep_driver: wall_ms*1000/sim_events)
+# For each workload and metric the report gives the base and head medians,
+# the median of the per-pair head/base ratios (< 1.0 = head is lower), the
+# number of pairs head won (ties count for neither), and each side's
+# interquartile spread; base's is the noise a claimed gain must beat. A metric whose median ratio
+# is worse than its bound is flagged; the flag does not change the exit
+# status. A run that does not end in simbench's JSON line, or that reports
+# failed > 0, stops the driver with exit 1.
 #
-# Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--min-time=S] [--smoke]
+# Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--smoke]
 #   --baseline=REV  rev to A/B the working tree against (default: HEAD, i.e.
-#                   dirty-tree-vs-last-commit; pass the pre-PR rev for PR claims)
-#   --pairs=N       number of interleaved pairs (default 8; claims need >= 8)
-#   --smoke         harness self-test for CI: one tiny-budget pair, both sides
-#                   the HEAD build (no worktree, ratios ~1.0). Exercises the
-#                   interleave loop, both parsers, and the ratio math; the
-#                   numbers mean nothing, only exit status does.
+#                   dirty tree vs last commit; pass the parent for PR claims)
+#   --pairs=N       number of alternating pairs, a positive integer
+#                   (default 10, the fewest a claimed gain is judged on)
+#   --smoke         harness self-test for CI: the working tree on both
+#                   sides, one pair, S = 1. Only the exit status and the
+#                   report's shape mean anything.
 #
-# Writes the per-pair ratios and medians to out/BENCH_ab.json.
+# Writes out/BENCH_ab.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage() {
+  echo "usage: $0 [--baseline=REV] [--pairs=N] [--smoke]" >&2
+  exit 2
+}
+
 BASELINE="HEAD"
-PAIRS=8
-MIN_TIME=0.1
+PAIRS=10
 SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --baseline=*) BASELINE="${arg#*=}" ;;
     --pairs=*)    PAIRS="${arg#*=}" ;;
-    --min-time=*) MIN_TIME="${arg#*=}" ;;
     --smoke)      SMOKE=1 ;;
-    *) echo "usage: $0 [--baseline=REV] [--pairs=N] [--min-time=S] [--smoke]" >&2
-       exit 2 ;;
+    *) usage ;;
   esac
 done
-
-JOBS="$(nproc 2>/dev/null || echo 2)"
-FILTER='BM_NewidlePass$|BM_SimulatedSecond'
-
-echo "==== [ab] build HEAD (release preset) ===="
-cmake --preset release >/dev/null
-cmake --build --preset release -j "$JOBS" --target micro_sched_ops sweep_driver
+if ! [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]]; then
+  echo "invalid value '$PAIRS' for --pairs: expected a positive integer" >&2
+  exit 2
+fi
 
 HEAD_ROOT="$PWD"
-HEAD_BUILD="$PWD/build-release"
-RUNS="$(mktemp -d)"
 WORKTREE=""
 cleanup() {
-  rm -rf "$RUNS"
   if [ -n "$WORKTREE" ]; then
     git worktree remove --force "$WORKTREE" >/dev/null 2>&1 || true
   fi
@@ -62,92 +63,98 @@ cleanup() {
 trap cleanup EXIT
 
 if [ "$SMOKE" = 1 ]; then
-  # Both sides are the HEAD build: no second compile in CI, and a median
-  # ratio far from 1.0 would itself flag a broken harness (not enforced —
-  # one tiny-budget pair is pure plumbing).
   PAIRS=1
-  MIN_TIME=0.001
+  BASELINE="working tree"
   BASE_ROOT="$HEAD_ROOT"
-  BASE_BUILD="$HEAD_BUILD"
-  SWEEP_ARGS=(--threads=1 --scale=0.02 --random=1)
-  SCENARIO="random/99-0"
 else
   WORKTREE="$PWD/build-ab/tree"
   BASE_ROOT="$WORKTREE"
-  BASE_BUILD="$PWD/build-ab/build"
-  echo "==== [ab] build baseline $BASELINE (worktree) ===="
+  echo "==== [ab] check out baseline $BASELINE into $WORKTREE ===="
   git worktree remove --force "$WORKTREE" >/dev/null 2>&1 || true
   git worktree add --force --detach "$WORKTREE" "$BASELINE" >/dev/null
-  cmake -S "$BASE_ROOT" -B "$BASE_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$BASE_BUILD" -j "$JOBS" --target micro_sched_ops sweep_driver
-  SWEEP_ARGS=(--threads=1)
-  SCENARIO="random/99-4"
 fi
 
-# One side's turn within a pair: micro benches then the sweep, binaries run
-# from their own source root (sweep scenarios resolve paths off the cwd).
-run_side() {
-  local root="$1" build="$2" dir="$3"
-  mkdir -p "$dir"
-  (cd "$root" && "$build/bench/micro_sched_ops" --out="$dir" \
-      --benchmark_filter="$FILTER" --benchmark_min_time="$MIN_TIME" >/dev/null)
-  (cd "$root" && "$build/bench/sweep_driver" --out="$dir" \
-      "${SWEEP_ARGS[@]}" >/dev/null)
-}
-
-for ((i = 0; i < PAIRS; ++i)); do
-  if ((i % 2 == 0)); then order="base head"; else order="head base"; fi
-  echo "==== [ab] pair $((i + 1))/$PAIRS ($order) ===="
-  for side in $order; do
-    if [ "$side" = base ]; then
-      run_side "$BASE_ROOT" "$BASE_BUILD" "$RUNS/base-$i"
-    else
-      run_side "$HEAD_ROOT" "$HEAD_BUILD" "$RUNS/head-$i"
-    fi
-  done
-done
-
 mkdir -p out
-python3 - "$RUNS" "$PAIRS" "$SCENARIO" "$BASELINE" out/BENCH_ab.json <<'EOF'
+python3 - "$BASELINE" "$PAIRS" "$SMOKE" "$BASE_ROOT" "$HEAD_ROOT" out/BENCH_ab.json <<'EOF'
 import json
 import statistics
+import subprocess
 import sys
 
-runs, pairs, scenario, baseline, report_path = (
-    sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5])
+baseline, pairs, smoke, base_root, head_root, report_path = (
+    sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", sys.argv[4], sys.argv[5],
+    sys.argv[6])
+
+with open(f"{head_root}/BENCHMARK.json") as f:
+    spec = json.load(f)
+workloads = [w["name"] for w in spec["workloads"]]
+metrics = spec["end_to_end"]
+seconds = 1 if smoke else spec["run_seconds"]
+roots = {"base": base_root, "head": head_root}
 
 
-def metrics(side, i):
-    m = {}
-    with open(f"{runs}/{side}-{i}/BENCH_micro_sched_ops.json") as f:
-        for row in json.load(f)["results"]:
-            m[row["name"]] = row["real_time"]
-    with open(f"{runs}/{side}-{i}/BENCH_sweep.json") as f:
-        for row in json.load(f)["results"]:
-            if row["name"] == scenario:
-                m[f"{scenario} us/event"] = (
-                    row["wall_ms"] * 1000.0 / row["sim_events"])
-    return m
+def run(side, workload):
+    """One simbench run; returns its metrics as {name: value}."""
+    cmd = ["python3", f"{roots[side]}/simbench/run.py", "--workload", workload,
+           "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=roots[side])
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+        values = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+        failed = result["failed"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        sys.exit(f"ab: {side} {workload}: run did not end in simbench's JSON line "
+                 f"with every end-to-end metric (exit {proc.returncode})")
+    if proc.returncode != 0 or failed > 0:
+        sys.exit(f"ab: {side} {workload}: failed={failed}, exit {proc.returncode}")
+    print(f"  {side} {workload:<12}" +
+          "".join(f" {m['name']}={values[m['name']]:.4g}" for m in metrics), flush=True)
+    return values
 
 
-ratios = {}
+# samples[side][workload][metric] is the list of per-pair values.
+samples = {side: {w: {m["name"]: [] for m in metrics} for w in workloads} for side in roots}
 for i in range(pairs):
-    base, head = metrics("base", i), metrics("head", i)
-    for name in sorted(base):
-        if name in head and base[name] > 0:
-            ratios.setdefault(name, []).append(head[name] / base[name])
+    order = ("base", "head") if i % 2 == 0 else ("head", "base")
+    print(f"==== [ab] pair {i + 1}/{pairs} ({' '.join(order)}) ====", flush=True)
+    for side in order:
+        for w in workloads:
+            for name, value in run(side, w).items():
+                samples[side][w][name].append(value)
 
-report = {"baseline": baseline, "pairs": pairs, "metrics": {}}
-print(f"\npaired head/base ratios vs {baseline} ({pairs} pairs; <1.0 = HEAD faster)")
-for name, rs in ratios.items():
-    med = statistics.median(rs)
-    report["metrics"][name] = {"median_ratio": med, "ratios": rs}
-    print(f"  {name:<34} median {med:.3f}  "
-          f"[{min(rs):.3f} .. {max(rs):.3f}]")
-    if not all(r > 0 for r in rs):
-        sys.exit(f"non-positive ratio for {name}: {rs}")
-if not ratios:
-    sys.exit("no common metrics parsed out of either side")
+
+def iqr(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+report = {"baseline": baseline, "pairs": pairs, "run_seconds": seconds,
+          "workloads": {}, "worse_than_bound": []}
+print(f"\nhead vs {baseline}: {pairs} pairs, S={seconds} "
+      "(ratio = median of per-pair head/base)")
+for w in workloads:
+    report["workloads"][w] = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base, head = samples["base"][w][name], samples["head"][w][name]
+        ratios = [h / b if b > 0 else 1.0 for b, h in zip(base, head)]
+        ratio = statistics.median(ratios)
+        wins = sum(1 for b, h in zip(base, head) if (h < b if lower else h > b))
+        worse = ratio > 1 + m["bound"] if lower else ratio < 1 - m["bound"]
+        report["workloads"][w][name] = {
+            "better": m["better"], "bound": m["bound"],
+            "base_median": statistics.median(base), "head_median": statistics.median(head),
+            "median_ratio": ratio, "head_wins": wins, "base_iqr": iqr(base),
+            "head_iqr": iqr(head), "base": base, "head": head}
+        if worse:
+            report["worse_than_bound"].append(f"{w}/{name}")
+        r = report["workloads"][w][name]
+        print(f"  {w:<12} {name:<12} base {r['base_median']:<10.4g} head "
+              f"{r['head_median']:<10.4g} ratio {ratio:.3f}  head won {wins}/{pairs}  "
+              f"base IQR {r['base_iqr']:.3g}{'  WORSE THAN BOUND' if worse else ''}")
 
 with open(report_path, "w") as f:
     json.dump(report, f, indent=1)

@@ -213,7 +213,7 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
     }
     return false;
   };
-  if (text == "default" || text.empty()) {
+  if (text == "default") {
     *spec = DefaultFleetGrid();
     return true;
   }
@@ -313,6 +313,9 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
         HasDuplicate(out.mix_threads)) {
       return fail("grid spec key '" + key + "' repeats a value");
     }
+  }
+  if (keys.empty()) {
+    return fail("grid spec is empty");
   }
   *spec = out;
   return true;

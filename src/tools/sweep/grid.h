@@ -51,7 +51,8 @@ GridSpec DefaultFleetGrid();
 //   "topo=flat1x4,flat2x4;feat=stock,fixed;policy=cfs,o1;mix=8;seeds=2;
 //    scale=0.02;horizon_ms=40;seed=7"
 // The literal spec "default" yields DefaultFleetGrid(). Returns false and
-// fills *error on an unknown key or malformed value.
+// fills *error on an unknown key, a malformed value, or a spec with no
+// entries ("" or ";"), which is never taken as the default.
 bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error);
 
 // Cross product of the spec's axes, one Scenario per cell, with unique

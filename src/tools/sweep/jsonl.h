@@ -1,5 +1,5 @@
 // Minimal JSON text helpers: the one writer for the fleet-sweep stores
-// (receipt lines, merged trend output) and the BENCH_*.json reports.
+// (receipt lines, merged trend output) and sweep_driver's stream jsonl.
 //
 // The stores are *canonical*: the same logical record must serialize to the
 // same bytes on every host and in every process, because the merge tool

@@ -1,7 +1,8 @@
 // wc-trend CLI: merge/verify sharded sweep results, diff merged stores.
 //
 //   wc-trend merge [--grid=SPEC] --results=DIR [--out=FILE]
-//       Expand the grid (SPEC defaults to "default"; see grid.h), union
+//       Expand the grid (an absent --grid is "default", an empty one a bad
+//       spec; see grid.h), union
 //       shard receipts, verify them against the grid's scenarios, write the
 //       canonical merged store. Exit 0 iff the store is complete and
 //       consistent; 1 on missing/conflicting/corrupt receipts; 2 on a bad

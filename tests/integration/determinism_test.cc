@@ -1,7 +1,7 @@
 // Determinism regression tests (the gate for hot-path optimizations).
 //
 // Two guarantees, checked over the figure/table scenario matrix plus a few
-// random scenarios:
+// random scenarios, at two sizes:
 //  1. Replay: the same scenario run twice produces bit-identical trace
 //     streams (equal TraceHashSink digests and event counts).
 //  2. Goldens: the digests match the checked-in values below, so any
@@ -10,12 +10,14 @@
 //     The golden values were recorded before the rb-tree hint-insert,
 //     event-pool, and RqLoad-cache optimizations; those must not move them.
 //
-// To regenerate after an *intentional* behavior change:
-//   build/bench/sweep_driver --scale=0.1 --random=2 --seed=99 --threads=1
-// and copy the per-scenario hashes printed (and written to BENCH_sweep.json).
+// To regenerate after an *intentional* behavior change, copy the
+// per-scenario hashes that sweep_driver prints:
+//   build/bench/sweep_driver --scale=0.1 --random=2   for kGoldens
+//   build/bench/sweep_driver                          for kSweepMatrixGoldens
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -29,12 +31,21 @@ constexpr double kScale = 0.1;
 constexpr uint64_t kRandomSeed = 99;
 constexpr int kRandomCount = 2;
 
-std::vector<Scenario> TestScenarios() {
-  std::vector<Scenario> scenarios = FigureScenarios(kScale);
-  for (Scenario& s : RandomScenarios(kRandomSeed, kRandomCount)) {
+std::vector<Scenario> Matrix(double scale, int random_count) {
+  std::vector<Scenario> scenarios = FigureScenarios(scale);
+  for (Scenario& s : RandomScenarios(kRandomSeed, random_count)) {
     scenarios.push_back(std::move(s));
   }
   return scenarios;
+}
+
+std::vector<Scenario> TestScenarios() { return Matrix(kScale, kRandomCount); }
+
+// A hash as the C++ literal a golden table holds.
+std::string HashLiteral(uint64_t hash) {
+  char out[32];
+  std::snprintf(out, sizeof(out), "0x%016llxULL", static_cast<unsigned long long>(hash));
+  return out;
 }
 
 struct Golden {
@@ -56,6 +67,26 @@ constexpr Golden kGoldens[] = {
     {"random_mix/fixed", 0xcf17e07bf6a12b97ULL},
     {"random/99-0", 0xb4d23d40a72170d5ULL},
     {"random/99-1", 0x2bec4c17f66584e5ULL},
+};
+
+// sweep_driver's default matrix, FigureScenarios(0.25) then
+// RandomScenarios(99, 6), in sweep order.
+constexpr double kSweepScale = 0.25;
+constexpr int kSweepRandomCount = 6;
+constexpr uint64_t kSweepMatrixGoldens[] = {
+    0x6add9a70832b3277ULL,  // fig2_make_r/stock
+    0x5535436ef061439aULL,  // fig2_make_r/fixed
+    0x56596b16877f0d18ULL,  // fig3_tpch_q18/stock
+    0x91b5b3ba6d1ca67dULL,  // fig3_tpch_q18/fixed
+    0x686d5184cc949ebdULL,  // table1_nas_cg/stock
+    0x686d5184cc949ebdULL,  // table1_nas_cg/fixed
+    0xa9df2a6a6473283aULL,  // table3_nas_lu/stock
+    0xe0d6b18956ca1518ULL,  // table3_nas_lu/fixed
+    0x46b6f6c19b29f067ULL,  // random_mix/stock
+    0xb96252d07035aa9eULL,  // random_mix/fixed
+    // The random mixes with seeds 99-0 through 99-5.
+    0xb4d23d40a72170d5ULL, 0x2bec4c17f66584e5ULL, 0xcfaf97fb36517873ULL,
+    0xbcaeb63efd79022dULL, 0x0337f74a249e1778ULL, 0x0eb5443b941ae183ULL,
 };
 
 TEST(Determinism, SameSeedSameTrace) {
@@ -83,12 +114,25 @@ TEST(Determinism, GoldenHashesUnchanged) {
     ScenarioResult r = RunScenario(s);
     auto it = expected.find(s.name);
     ASSERT_NE(it, expected.end()) << "no golden for scenario " << s.name;
-    char actual[32];
-    std::snprintf(actual, sizeof(actual), "0x%016llxULL",
-                  static_cast<unsigned long long>(r.trace_hash));
     EXPECT_EQ(r.trace_hash, it->second)
-        << "scheduler behavior changed for " << s.name << "; actual hash " << actual
-        << " (regenerate goldens only for intentional changes)";
+        << "scheduler behavior changed for " << s.name << "; actual hash "
+        << HashLiteral(r.trace_hash) << " (regenerate goldens only for intentional changes)";
+  }
+}
+
+// The sweep driver's default matrix, run as the driver runs it, hashes to
+// the pinned values.
+TEST(Determinism, SweepMatrixGoldens) {
+  SweepOptions opts;
+  opts.threads = 1;
+  SweepReport report = RunSweep(Matrix(kSweepScale, kSweepRandomCount), opts);
+  ASSERT_EQ(report.results.size(), std::size(kSweepMatrixGoldens))
+      << "scenario matrix changed; regenerate goldens";
+  for (size_t i = 0; i < report.results.size(); ++i) {
+    const ScenarioResult& r = report.results[i];
+    EXPECT_EQ(r.trace_hash, kSweepMatrixGoldens[i])
+        << "scheduler behavior changed for " << r.name << "; actual hash "
+        << HashLiteral(r.trace_hash) << " (regenerate goldens only for intentional changes)";
   }
 }
 

@@ -1,4 +1,5 @@
-// Tests for the shared bench flag parsing and the BENCH_*.json reporter.
+// Tests for the shared bench flag parsing, the artifact writers, and the
+// jsonl.h text helpers the sweep driver writes its stream summaries with.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -109,9 +110,6 @@ TEST(BenchWriteDeathTest, UnwritablePathIsHardError) {
   opts.out_dir = blocker + "/sub";
   EXPECT_EXIT(WriteFile(opts, "a.csv", "x\n"), ::testing::ExitedWithCode(1),
               "cannot write .*bench_util_test_blocker/sub/a.csv");
-  BenchReport report;
-  report.bench = "unit";
-  EXPECT_EXIT(report.Write(opts), ::testing::ExitedWithCode(1), "BENCH_unit.json");
   EXPECT_EXIT(WriteArtifact(blocker + "/sub/stream.jsonl", "{}\n"), ::testing::ExitedWithCode(1),
               "cannot write .*bench_util_test_blocker/sub/stream.jsonl");
   std::remove(blocker.c_str());
@@ -171,17 +169,8 @@ TEST(BenchNumericFlagsDeathTest, RangeViolationsAreHardErrors) {
               "invalid value 'x' for --scale");
 }
 
-TEST(BenchHostCores, AlwaysAtLeastOne) {
-  // The detection-failure bugfix: whatever hardware_concurrency() says, the
-  // value recorded and used is >= 1, and `detected` says which case we hit.
-  HostCores host = DetectHostCores();
-  EXPECT_GE(host.cores, 1);
-  if (!host.detected) {
-    EXPECT_EQ(host.cores, 1);  // Fallback value is what gets reported.
-  }
-}
-
-// BenchReport writes through jsonl.h's QuoteJson and NumberJson.
+// QuoteJson and NumberJson write the canonical fleet stores and the
+// sweep_stream.jsonl lines.
 TEST(BenchJson, EscapesStrings) {
   EXPECT_EQ(QuoteJson("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
 }
@@ -192,37 +181,6 @@ TEST(BenchJson, NumbersRoundTrip) {
   // A value %g cannot represent exactly falls back to %.17g.
   double v = 1.0 / 3.0;
   EXPECT_EQ(std::strtod(NumberJson(v).c_str(), nullptr), v);
-}
-
-TEST(BenchJson, ReportIsValidJson) {
-  BenchReport report;
-  report.bench = "unit";
-  report.context["build"] = "test";
-  report.context_num["host_cores"] = 8;
-  BenchReport::Row row;
-  row.name = "case/one";
-  row.metrics["wall_ms"] = 12.5;
-  row.labels["hash"] = "00ff";
-  report.rows.push_back(row);
-  row.name = "case/two";
-  report.rows.push_back(row);
-
-  JsonValue root;
-  std::string error;
-  ASSERT_TRUE(ParseJson(report.ToJson(), &root, &error)) << error;
-  const JsonValue* bench = root.Find("bench");
-  ASSERT_NE(bench, nullptr);
-  EXPECT_EQ(bench->str, "unit");
-  const JsonValue* results = root.Find("results");
-  ASSERT_NE(results, nullptr);
-  ASSERT_EQ(results->array.size(), 2u);
-  const JsonValue* wall = results->array[0].Find("wall_ms");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_DOUBLE_EQ(wall->number, 12.5);
-  const JsonValue* ctx = root.Find("context");
-  ASSERT_NE(ctx, nullptr);
-  ASSERT_NE(ctx->Find("host_cores"), nullptr);
-  EXPECT_DOUBLE_EQ(ctx->Find("host_cores")->number, 8);
 }
 
 }  // namespace

@@ -118,7 +118,9 @@ TEST(FleetGrid, ParseGridSpecRejectsBadInput) {
            // Digits only, and nothing that overflows uint64 or Time.
            "horizon_ms=-1", "horizon_ms=+5", "horizon_ms= 5", "horizon_ms=99999999999999",
            "horizon_ms=18446744073709551616", "seed=-1", "seed=18446744073709551616", "mix=-4",
-           "seeds=-1", "mix=0x10"}) {
+           "seeds=-1", "mix=0x10",
+           // No entries at all is an error, never the default grid.
+           "", ";"}) {
     error.clear();
     EXPECT_FALSE(ParseGridSpec(text, &spec, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
