@@ -49,8 +49,10 @@ struct BenchFlag {
 // --telemetry[=DIR] (bare --telemetry defaults to <out_dir>/telemetry) —
 // plus any binary-specific `extra` flags. Unknown flags abort with a usage
 // message listing everything, so the binaries stay runnable with no
-// arguments, as CI expects. An empty --out= or --telemetry= is a hard error
-// (BadFlagValue) rather than the cwd or silently disabled telemetry.
+// arguments, as CI expects. An empty value (--out=, --telemetry=, --seed=)
+// is a hard error (BadFlagValue) rather than the cwd, silently disabled
+// telemetry or the flag's default: an extra flag's value is empty only when
+// the flag was not given.
 inline BenchOptions ParseBenchArgs(int argc, char** argv,
                                    TelemetryFlag telemetry_flag = TelemetryFlag::kRejected,
                                    const std::vector<BenchFlag>& extra = {}) {
@@ -94,6 +96,9 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
       std::string prefix = std::string("--") + f.name + "=";
       if (arg.rfind(prefix, 0) == 0) {
         *f.value = arg.substr(prefix.size());
+        if (f.value->empty()) {
+          BadFlagValue(f.name, "", "a non-empty value");
+        }
         matched = true;
         break;
       }
@@ -110,9 +115,9 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
 
 // ---- Checked numeric flag parsing ------------------------------------------
 //
-// Bare std::stoi/std::stod on flag values turns a typo ("--threads=abc",
-// "--seed=") into an uncaught std::invalid_argument and a terminate() with
-// no indication of which flag was wrong. Every numeric flag goes through
+// Bare std::stoi/std::stod on flag values turns a typo ("--threads=abc")
+// into an uncaught std::invalid_argument and a terminate() with no
+// indication of which flag was wrong. Every numeric flag goes through
 // these instead: the whole value must parse as one in-range number, and
 // anything else takes the same hard-error exit(2) path as an unknown flag
 // (BadFlagValue, above).

@@ -27,7 +27,6 @@
 //       completed scenario to DIR/shard-I.jsonl, and skip anything already
 //       receipted (resume). Merge and verify the shards with
 //       `wc-trend merge --grid=SPEC`.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -234,11 +233,6 @@ int Main(int argc, char** argv) {
   double scale = ParseDoubleFlag("scale", scale_s, 0.25, 1e-6, 1e6);
   int random_count = static_cast<int>(ParseIntFlag("random", random_s, 6, 0, 1 << 20));
   uint64_t seed = ParseU64Flag("seed", seed_s, 99);
-  // An absent --grid is the default fleet grid; a given but empty one is an
-  // error (ParseGridSpec), never the default.
-  const bool grid_given = std::any_of(argv + 1, argv + argc, [](const char* arg) {
-    return std::string(arg).rfind("--grid=", 0) == 0;
-  });
 
   if (!opts.telemetry_dir.empty() &&
       !(shard_s.empty() && bigmix_s.empty() && policy_s.empty())) {
@@ -258,10 +252,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "--shard requires --results=DIR\n");
       return 2;
     }
-    return RunShardMode(grid_given ? grid_s : "default", shard_index, shard_count, results_s,
+    return RunShardMode(grid_s.empty() ? "default" : grid_s, shard_index, shard_count, results_s,
                         threads);
   }
-  if (!results_s.empty() || grid_given) {
+  if (!results_s.empty() || !grid_s.empty()) {
     std::fprintf(stderr, "--results/--grid only apply with --shard\n");
     return 2;
   }

@@ -15,7 +15,8 @@
 #                output happens to look right.
 #                ctest includes every examples/ binary as a smoke test and
 #                scheduler_lab's bad-option cases, so they run sanitized too.
-#                The invariant fuzzer, the allocation budget (no heap
+#                The invariant fuzzer (the conformance suite's gate 1, every
+#                policy under hotplug churn), the allocation budget (no heap
 #                allocation per event, measured by a counting operator new)
 #                and the RqLoad memo's fold-order test run sanitized even
 #                when the caller passes an -R filter.
@@ -92,12 +93,15 @@ done
 
 echo "==== [asan-ubsan] fuzz suite + allocation budget + memo fold order ===="
 # Always run the randomized invariant fuzzer sanitized, even when the caller
-# filtered the matrix above with -R: the fuzzer is where hotplug churn and
-# the RqLoad memo cross-checks get their teeth. The allocation budget runs
-# here for the same reason: it is the only check that the event path does
-# not allocate per event. NonLeftmostPickRekeysRqLoadMemo is the directed
-# check that a non-leftmost pick invalidates the memo (the fold-order bug).
-ctest --preset asan-ubsan -j "$JOBS" -R 'FuzzInvariants\.|AllocBudgetTest\.|NonLeftmostPickRekeysRqLoadMemo'
+# filtered the matrix above with -R: the fuzzer (gate 1 of the conformance
+# suite, under every policy) is where hotplug churn and the RqLoad memo
+# cross-checks get their teeth, and FuzzInvariants holds its two directed
+# tests. The allocation budget runs here for the same reason: it is
+# the only check that the event path does not allocate per event.
+# NonLeftmostPickRekeysRqLoadMemo is the directed check that a non-leftmost
+# pick invalidates the memo (the fold-order bug).
+ctest --preset asan-ubsan -j "$JOBS" \
+  -R 'PolicyConformance\.MechanismInvariants|FuzzInvariants\.|AllocBudgetTest\.|NonLeftmostPickRekeysRqLoadMemo'
 
 echo "==== [tsan] configure ===="
 cmake --preset tsan

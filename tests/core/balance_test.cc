@@ -10,9 +10,12 @@
 #include "src/core/scheduler.h"
 #include "src/tools/recorder.h"
 #include "src/topo/topology.h"
+#include "tests/modsched/conformance_harness.h"
 
 namespace wcores {
 namespace {
+
+using conformance::ScanKickTarget;
 
 class NullClient : public SchedClient {
  public:
@@ -226,17 +229,6 @@ TEST(ConsideredTraceTest, BalanceEventsCoverDomainSpan) {
     }
   }
   EXPECT_EQ(all, CpuSet::FirstN(4));
-}
-
-// The scan NohzKickTarget is pinned against: first online cpu, ascending
-// id, that is tickless and idle.
-CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
-  for (CpuId c = 0; c < n_cores; ++c) {
-    if (sched.IsOnline(c) && sched.IsTickless(c) && sched.IsIdleCpu(c)) {
-      return c;
-    }
-  }
-  return kInvalidCpu;
 }
 
 // The online cpu owning the domain with the earliest idle-path due time

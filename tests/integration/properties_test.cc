@@ -3,20 +3,19 @@
 //  * Work conservation: with all fixes applied, no long-term
 //    idle-while-overloaded episodes survive, across topologies, workload
 //    shapes, and seeds (TEST_P sweeps).
-//  * Determinism: identical seeds give identical traces.
 //  * Conservation of work: total compute consumed equals what was offered.
 //  * Accounting: busy time equals the sum of thread run time.
+//
+// Same seed, same trace is Determinism.SameSeedSameTrace (determinism_test.cc).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <tuple>
 
 #include "src/sim/simulator.h"
-#include "src/tools/recorder.h"
 #include "src/tools/sanity_checker.h"
 #include "src/topo/topology.h"
 #include "src/workloads/behaviors.h"
-#include "src/workloads/nas.h"
 
 namespace wcores {
 namespace {
@@ -64,33 +63,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WorkConservationTest,
                          ::testing::Combine(::testing::Values(1, 2, 4),
                                             ::testing::Values(6, 16, 40),
                                             ::testing::Values(1u, 2u, 3u)));
-
-// ---- Determinism ----------------------------------------------------------------
-
-class DeterminismTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
-  auto run = [&](uint64_t seed) {
-    Topology topo = Topology::Bulldozer8x8();
-    EventRecorder recorder;
-    Simulator::Options opts;
-    opts.seed = seed;
-    Simulator sim(topo, opts, &recorder);
-    NasConfig config;
-    config.app = NasApp::kCg;
-    config.threads = 16;
-    config.scale = 0.05;
-    NasWorkload wl(&sim, config);
-    wl.Setup();
-    sim.Run(Seconds(30));
-    EXPECT_TRUE(wl.Finished());
-    return std::make_tuple(recorder.events().size(), sim.queue().executed_count(),
-                           sim.context_switches(), wl.CompletionTime());
-  };
-  EXPECT_EQ(run(GetParam()), run(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest, ::testing::Values(10u, 20u, 30u, 40u));
 
 // ---- Conservation of compute --------------------------------------------------------
 

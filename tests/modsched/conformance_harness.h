@@ -1,21 +1,26 @@
-// Reusable cross-policy conformance harness.
-//
-// Every scheduling policy in the registry (src/modsched/policy_registry.h)
-// is run through the same machinery: seeded random topologies, feature
-// sets, and workload mixes, with the *mechanism-level* invariants checked
-// at fixed virtual-time intervals. These are the guarantees the core owes
-// regardless of which policy is making decisions:
+// The one invariant-fuzz harness: seeded random topologies, feature sets and
+// workload mixes, with the *mechanism-level* invariants checked at fixed
+// virtual-time intervals, optionally under random hotplug churn. Every
+// policy in the registry (src/modsched/policy_registry.h) and the modular
+// policy run through it (conformance_test.cc), and the directed fuzz tests
+// (tests/integration/fuzz_invariants_test.cc) and the NOHZ kick-target test
+// (tests/core/balance_test.cc) borrow its helpers and oracles. These are the
+// guarantees the core owes regardless of which policy is making decisions:
 //
 //  * Thread census — every alive thread is exactly one of running / queued /
 //    blocked; per-cpu counts match rq nr_running; the running entity matches
 //    CurrentThread.
-//  * Placement legality — every on_rq entity sits on an online cpu inside
-//    its affinity mask (or anywhere online once the mask has no online
-//    member).
+//  * Placement legality — every on_rq entity sits on an online cpu, and,
+//    in runs without hotplug churn, inside its affinity mask (or anywhere
+//    online once the mask has no online member). Under churn the mask check
+//    is off by design: a pinned thread that hotplug evacuates stays where it
+//    landed after its cpu comes back, until its next wakeup
+//    (SimulatorTest.PinnedThreadReturnsToItsCpuAtNextWakeupAfterHotplug).
 //  * Per-cfs_rq min_vruntime never decreases (the runqueue owns vruntime
 //    accounting even when a policy picks non-leftmost entities).
 //  * Load-sum conservation — cached RqLoad equals a from-scratch
-//    recomputation, bit for bit.
+//    recomputation, bit for bit, and an online empty runqueue's load is
+//    exactly +0.0 (the premise the group fold relies on to skip its reads).
 //  * Runqueue structure (red-black invariants, weight accounting), the
 //    stat mirrors (ValidateStatMirrors), and LongestIdleCpu and
 //    NohzKickTarget vs. linear-scan oracles.
@@ -24,19 +29,23 @@
 //    *often* it fires is the policy's business — COREIDLE packs on purpose —
 //    but the detector and the scan must always agree.)
 //
-// Seeding follows fuzz_invariants_test.cc: WC_FUZZ_SEED (env) overrides the
-// base seed and every failure message carries the repro command.
+// Seeding: WC_FUZZ_SEED (env) overrides the base seed, so a CI failure is
+// reproducible locally, and every failure message carries the repro command.
 #ifndef TESTS_MODSCHED_CONFORMANCE_HARNESS_H_
 #define TESTS_MODSCHED_CONFORMANCE_HARNESS_H_
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
 #include "src/tools/sanity_checker.h"
@@ -46,17 +55,39 @@
 namespace wcores {
 namespace conformance {
 
-inline uint64_t BaseSeed() {
-  const char* env = std::getenv("WC_FUZZ_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 0);
+constexpr uint64_t kDefaultBaseSeed = 20260805ULL;
+constexpr Time kHorizon = Milliseconds(300);
+constexpr Time kCheckInterval = Microseconds(997);      // Odd: drifts across ticks.
+constexpr Time kHotplugInterval = Microseconds(13831);  // ~21 toggles per run.
+
+// The base seed: kDefaultBaseSeed, or WC_FUZZ_SEED when it is set. A value
+// that is not a whole unsigned decimal number ("", "abc", "12x", "-1")
+// aborts with a message naming the variable instead of fuzzing some other
+// seed.
+inline uint64_t BaseSeed(const char* env = std::getenv("WC_FUZZ_SEED")) {
+  if (env == nullptr) {
+    return kDefaultBaseSeed;
   }
-  return 20260808ULL;
+  uint64_t seed = 0;
+  const char* end = env + std::strlen(env);
+  auto [ptr, ec] = std::from_chars(env, end, seed);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "WC_FUZZ_SEED='%s' is not an unsigned decimal integer\n", env);
+    std::abort();
+  }
+  return seed;
 }
 
-inline std::string ReproCommand(const std::string& policy, uint64_t seed) {
-  return "policy=" + policy + "; reproduce with: WC_FUZZ_SEED=" + std::to_string(seed) +
-         " ctest --test-dir build -R modsched.PolicyConformance --output-on-failure";
+// The note every randomized run carries on failure, naming the running
+// test. A test seeds its runs at WC_FUZZ_SEED + offset (+ the run index), so
+// WC_FUZZ_SEED = seed - offset makes the failing run that test's first.
+inline std::string ReproCommand(const std::string& label, uint64_t seed, uint64_t offset = 0) {
+  const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string filter = test == nullptr ? std::string()
+                                       : std::string(test->test_suite_name()) + "." + test->name();
+  return label + " seed=" + std::to_string(seed) +
+         "; reproduce with: WC_FUZZ_SEED=" + std::to_string(seed - offset) +
+         " ctest --test-dir build -R '" + filter + "' --output-on-failure";
 }
 
 inline Topology RandomTopology(Rng& rng) {
@@ -102,7 +133,8 @@ inline void SpawnRandomMix(Simulator& sim, Rng& rng, int threads) {
   }
 }
 
-// The LongestIdleCpu oracle: from-scratch linear scan, original tie-break.
+// The LongestIdleCpu oracle: from-scratch linear scan, original tie-break
+// (lowest idle_since, then lowest cpu id).
 inline CpuId ScanLongestIdle(const Scheduler& sched, int n_cores) {
   CpuId best = kInvalidCpu;
   Time best_since = kTimeNever;
@@ -131,13 +163,13 @@ inline CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
 // One mechanism-invariant sweep over the whole machine at the current
 // instant. Policy-agnostic by construction: nothing here asks who decided a
 // placement, only whether the core's bookkeeping is coherent and legal.
-class PolicyInvariantChecker {
+// `churn` says the run toggles cpus, which turns the affinity check off.
+class InvariantChecker {
  public:
-  explicit PolicyInvariantChecker(Simulator* sim)
-      : sim_(sim), checker_(sim), last_min_vruntime_(sim->topo().n_cores(), 0) {}
+  InvariantChecker(Simulator* sim, bool churn)
+      : sim_(sim), churn_(churn), checker_(sim), last_min_vruntime_(sim->topo().n_cores(), 0) {}
 
   int checks() const { return checks_; }
-  int violations_seen() const { return violations_seen_; }
 
   void Check() {
     checks_ += 1;
@@ -156,10 +188,9 @@ class PolicyInvariantChecker {
       if (se.on_rq) {
         ASSERT_GE(se.cpu, 0) << "tid " << tid;
         ASSERT_LT(se.cpu, n_cores) << "tid " << tid;
-        // Placement legality: online, and inside the affinity mask unless
-        // the mask has no online member at this instant.
         ASSERT_TRUE(sched.IsOnline(se.cpu)) << "tid " << tid << " queued on offline cpu";
-        ASSERT_TRUE(se.affinity.Test(se.cpu) || (se.affinity & sched.OnlineCpus()).Empty())
+        ASSERT_TRUE(churn_ || se.affinity.Test(se.cpu) ||
+                    (se.affinity & sched.OnlineCpus()).Empty())
             << "tid " << tid << " placed outside its affinity mask on cpu " << se.cpu;
         on_rq_count[se.cpu] += 1;
         if (se.running) {
@@ -184,6 +215,10 @@ class PolicyInvariantChecker {
 
       ASSERT_EQ(sched.RqLoad(now, cpu), sched.RqLoadRecomputed(now, cpu))
           << "cpu " << cpu << " cached load diverged from recomputation at t=" << now;
+      if (sched.OnlineCpus().Test(cpu) && sched.NrRunning(cpu) == 0) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(sched.RqLoad(now, cpu)), uint64_t{0})
+            << "cpu " << cpu << " is empty but its load is not +0.0 at t=" << now;
+      }
     }
 
     ASSERT_TRUE(sched.ValidateStatMirrors()) << "stat mirrors diverged at t=" << now;
@@ -216,32 +251,46 @@ class PolicyInvariantChecker {
       ASSERT_TRUE(sched.IsIdleCpu(idle_cpu));
       ASSERT_GE(sched.NrRunning(overloaded_cpu), 2);
       ASSERT_TRUE(sched.CanSteal(idle_cpu, overloaded_cpu));
-      violations_seen_ += 1;
     }
   }
 
  private:
   Simulator* sim_;
+  bool churn_;
   SanityChecker checker_;
   std::vector<Time> last_min_vruntime_;
   int checks_ = 0;
-  int violations_seen_ = 0;
 };
 
-// Re-arming check callback. Must stay two pointers wide to fit
-// InlineCallback's inline buffer, so the cadence is fixed here rather than
-// carried in the struct: one sweep every kCheckInterval (odd, so it drifts
-// across tick boundaries) until kCheckHorizon.
-constexpr Time kCheckInterval = Microseconds(997);
-constexpr Time kCheckHorizon = Milliseconds(200);
-
+// Re-arming check callback: one sweep every kCheckInterval until kHorizon.
+// A named struct (two pointers, so it fits InlineCallback's inline buffer)
+// rather than a lambda because it reschedules *itself*.
 struct RearmingCheck {
-  PolicyInvariantChecker* checker;
+  InvariantChecker* checker;
   Simulator* sim;
   void operator()() const {
     checker->Check();
-    if (sim->Now() < kCheckHorizon && !::testing::Test::HasFatalFailure()) {
+    if (sim->Now() < kHorizon && !::testing::Test::HasFatalFailure()) {
       sim->After(kCheckInterval, *this);
+    }
+  }
+};
+
+// Random hotplug churn: every kHotplugInterval, toggle one non-boot cpu.
+// Cpu 0 stays online so evacuation and affinity fallback always have a
+// target. Same self-rescheduling shape as RearmingCheck; the Rng lives in
+// the caller because the callback must stay two pointers wide.
+struct RearmingHotplug {
+  Simulator* sim;
+  Rng* rng;
+  void operator()() const {
+    int n_cores = sim->topo().n_cores();
+    if (n_cores > 1) {
+      CpuId victim = static_cast<CpuId>(1 + rng->NextBelow(static_cast<uint64_t>(n_cores - 1)));
+      sim->SetCpuOnline(victim, !sim->sched().IsOnline(victim));
+    }
+    if (sim->Now() < kHorizon && !::testing::Test::HasFatalFailure()) {
+      sim->After(kHotplugInterval, *this);
     }
   }
 };

@@ -2,10 +2,12 @@
 // through the same three gates.
 //
 //  1. Mechanism invariants under fuzz — seeded random topologies, feature
-//     sets, and workload mixes, with PolicyInvariantChecker sweeps at fixed
-//     virtual-time intervals (census, placement legality, vruntime/load
-//     conservation, rq structure, stat mirrors, idle-cpu oracles and
-//     sanity-checker parity).
+//     sets, and workload mixes, half of the runs with random hotplug churn,
+//     with InvariantChecker sweeps at fixed virtual-time intervals (census,
+//     placement legality, vruntime/load conservation, rq structure, stat
+//     mirrors, idle-cpu oracles and sanity-checker parity;
+//     conformance_harness.h). The cfs row is the CFS invariant fuzzer
+//     (CfsBitExact pins registry cfs to the built-in scheduler).
 //  2. Differential fold — the one-pass streaming analyzer and the
 //     whole-trace recorder observe the identical callback stream; every
 //     incremental accumulator must equal the from-scratch reduction, bit
@@ -19,6 +21,7 @@
 // row here and an expectation row in policy_bug_matrix_test.cc.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,14 +41,15 @@ namespace wcores {
 namespace {
 
 using conformance::BaseSeed;
-using conformance::PolicyInvariantChecker;
+using conformance::InvariantChecker;
 using conformance::RandomFeatures;
 using conformance::RandomTopology;
 using conformance::RearmingCheck;
+using conformance::RearmingHotplug;
 using conformance::ReproCommand;
 using conformance::SpawnRandomMix;
 
-constexpr int kRunsPerPolicy = 3;
+constexpr int kRunsPerPolicy = 6;
 
 TEST(PolicyConformance, RegistryHasAtLeastThreeDistinctPolicies) {
   const std::vector<std::string>& names = SchedPolicyNames();
@@ -65,8 +69,22 @@ TEST(PolicyConformance, RegistryHasAtLeastThreeDistinctPolicies) {
   EXPECT_EQ(CreateSchedPolicy("no-such-policy"), nullptr);
 }
 
+// WC_FUZZ_SEED must be a whole unsigned decimal number: a malformed value
+// must stop the suite rather than fuzz seed 0 ("abc") or 12 ("12x").
+TEST(PolicyConformanceDeathTest, BaseSeedParsesTheWholeValueOrAborts) {
+  EXPECT_EQ(BaseSeed(nullptr), conformance::kDefaultBaseSeed);
+  EXPECT_EQ(BaseSeed("12"), 12u);
+  EXPECT_EQ(BaseSeed("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"abc", "12x", "-1", "", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_DEATH(BaseSeed(bad), "WC_FUZZ_SEED='.*' is not an unsigned decimal integer");
+  }
+}
+
 // One gate-1 run: a seeded random machine, feature set, and mix under
-// `policy`, swept by PolicyInvariantChecker every kCheckInterval.
+// `policy`, swept by InvariantChecker every kCheckInterval, with hotplug
+// churn when the run's churn draw says so. Draw order matters: adding or
+// moving a draw changes every run's machine, mix and churn.
 void FuzzMechanismInvariants(SchedPolicy* policy, uint64_t seed) {
   uint64_t sm = seed;
   Rng rng(SplitMix64(sm));
@@ -77,10 +95,19 @@ void FuzzMechanismInvariants(SchedPolicy* policy, uint64_t seed) {
   opts.policy = policy;
   Simulator sim(topo, opts);
   SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
+  const bool churn = rng.NextBool(0.5);
 
-  PolicyInvariantChecker checker(&sim);
+  InvariantChecker checker(&sim, churn);
+  // Scheduled through the event queue so checks interleave
+  // deterministically with scheduler activity.
   sim.After(conformance::kCheckInterval, RearmingCheck{&checker, &sim});
-  sim.Run(conformance::kCheckHorizon);
+  // Churn fuzzes the tickless mask, the RqLoad memo and domain regeneration
+  // across offline/online transitions, not just in the steady topology.
+  Rng hotplug_rng(SplitMix64(sm));
+  if (churn) {
+    sim.After(conformance::kHotplugInterval / 2, RearmingHotplug{&sim, &hotplug_rng});
+  }
+  sim.Run(conformance::kHorizon);
   if (::testing::Test::HasFatalFailure()) {
     return;
   }
@@ -94,7 +121,7 @@ TEST(PolicyConformance, MechanismInvariantsHoldUnderEveryPolicy) {
   for (const std::string& name : SchedPolicyNames()) {
     for (int run = 0; run < kRunsPerPolicy; ++run) {
       uint64_t seed = base + static_cast<uint64_t>(run);
-      SCOPED_TRACE(ReproCommand(name, seed));
+      SCOPED_TRACE(ReproCommand("policy=" + name, seed));
       std::unique_ptr<SchedPolicy> policy = CreateSchedPolicy(name);
       ASSERT_NE(policy, nullptr);
       FuzzMechanismInvariants(policy.get(), seed);
@@ -112,7 +139,7 @@ TEST(PolicyConformance, MechanismInvariantsHoldUnderModularPolicy) {
   uint64_t base = BaseSeed();
   for (int run = 0; run < kRunsPerPolicy; ++run) {
     uint64_t seed = base + static_cast<uint64_t>(run);
-    SCOPED_TRACE(ReproCommand("modular", seed));
+    SCOPED_TRACE(ReproCommand("policy=modular", seed));
     ModularPolicy policy;
     policy.Add(std::make_unique<CacheAffinityModule>());
     policy.Add(std::make_unique<NumaLocalityModule>());
@@ -124,16 +151,21 @@ TEST(PolicyConformance, MechanismInvariantsHoldUnderModularPolicy) {
 }
 
 // Gate 2: streaming accumulators equal the recorder's from-scratch fold
-// under every policy — the differential-fuzz half of the suite. A policy
-// that, say, drops a trace callback or emits a switch-out without the
-// matching switch-in breaks the fold equality even if no invariant sweep
-// happens to land on the broken instant.
+// under every policy — the differential-fuzz half of the suite. Both sinks
+// observe the identical callback stream (fanned out by MultiSink), so every
+// accumulator the stream keeps incrementally must equal the reduction over
+// the recorder's array, bit for bit, integers throughout. (The recorder
+// stores nanoseconds in a double; values stay far below 2^53, so the uint64
+// round-trip is exact.) A policy that, say, drops a trace callback or emits
+// a switch-out without the matching switch-in breaks the fold equality even
+// if no invariant sweep happens to land on the broken instant.
 TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
-  uint64_t base = BaseSeed() + 55000ULL;
+  constexpr uint64_t kSeedOffset = 99000;
+  uint64_t base = BaseSeed() + kSeedOffset;
   for (const std::string& name : SchedPolicyNames()) {
-    for (int run = 0; run < 2; ++run) {
+    for (int run = 0; run < kRunsPerPolicy; ++run) {
       uint64_t seed = base + static_cast<uint64_t>(run);
-      SCOPED_TRACE(ReproCommand(name, seed));
+      SCOPED_TRACE(ReproCommand("policy=" + name, seed, kSeedOffset));
       uint64_t sm = seed;
       Rng rng(SplitMix64(sm));
       Topology topo = RandomTopology(rng);
@@ -151,9 +183,10 @@ TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
       multi.Add(&stream);
       Simulator sim(topo, opts, &multi);
       SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
-      sim.Run(Milliseconds(100));
+      sim.Run(conformance::kHorizon);
       stream.Finish(sim.Now());
 
+      // Conservation first: both sinks saw every callback, nothing dropped.
       ASSERT_EQ(recorder.dropped(), 0u);
       ASSERT_EQ(stream.events(), recorder.events().size());
 
@@ -161,6 +194,7 @@ TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
         uint64_t runtime = 0, wait = 0, switches = 0, wakeups = 0, migrations = 0;
       };
       std::map<ThreadId, Totals> batch;
+      uint64_t idle_ns = 0;
       for (const TraceEvent& e : recorder.events()) {
         switch (e.kind) {
           case TraceEvent::Kind::kSwitchIn:
@@ -175,6 +209,9 @@ TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
             break;
           case TraceEvent::Kind::kMigration:
             batch[e.tid].migrations += 1;
+            break;
+          case TraceEvent::Kind::kIdleExit:
+            idle_ns += static_cast<uint64_t>(e.value);
             break;
           default:
             break;
@@ -194,8 +231,10 @@ TEST(PolicyConformance, StreamFoldMatchesRecorderUnderEveryPolicy) {
         sum_runtime += t.runtime;
         sum_wait += t.wait;
       }
+      // And the machine-level totals are the per-task sums, also exactly.
       ASSERT_EQ(stream.Machine().oncpu.Sum(), sum_runtime);
       ASSERT_EQ(stream.Machine().rq_wait.Sum(), sum_wait);
+      ASSERT_EQ(stream.idle_ns(), static_cast<Time>(idle_ns));
     }
   }
 }

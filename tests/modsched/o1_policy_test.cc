@@ -206,7 +206,7 @@ void SweepArrays(SweepState* st) {
     st->renices += 1;
   }
   st->sim->sched().SetNice(st->sim->Now(), tid, static_cast<int>(st->rng.NextBelow(11)) - 5);
-  if (st->sim->Now() < conformance::kCheckHorizon && !::testing::Test::HasFatalFailure()) {
+  if (st->sim->Now() < conformance::kHorizon && !::testing::Test::HasFatalFailure()) {
     st->sim->After(conformance::kCheckInterval, [st] { SweepArrays(st); });
   }
 }
@@ -228,9 +228,10 @@ TEST(O1Policy, ArraysMatchTheRunqueuesUnderRandomMixes) {
 
     SweepState st{&sim, &policy, Rng(seed)};
     sim.After(conformance::kCheckInterval, [p = &st] { SweepArrays(p); });
-    sim.Run(conformance::kCheckHorizon + Milliseconds(1));
-    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << conformance::ReproCommand("o1", seed);
-    EXPECT_GE(st.sweeps, 150) << conformance::ReproCommand("o1", seed);
+    sim.Run(conformance::kHorizon + Milliseconds(1));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure())
+        << conformance::ReproCommand("policy=o1", seed, 7919 * run);
+    EXPECT_GE(st.sweeps, 150) << conformance::ReproCommand("policy=o1", seed, 7919 * run);
     renices += st.renices;
   }
   EXPECT_GT(renices, 0) << "no sweep reweighted a queued thread";

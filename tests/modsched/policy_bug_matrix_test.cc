@@ -2,10 +2,11 @@
 //
 // The directed scenarios from §3 (Fig. 2 group imbalance, Table 1 group
 // construction, Fig. 3 overload-on-wakeup, Fig. 5 missing domains) are run
-// under every registered policy, probing each bug's observable signature —
-// the same signatures tests/integration/bugs_test.cc pins for stock-vs-fixed
-// CFS. The expectation table below is checked in, so a policy change that
-// silently acquires or sheds one of the pathologies fails here.
+// under every registered policy, probing each bug's observable signature.
+// The cfs/stock and cfs/fixed rows are the signature tests for CFS itself;
+// tests/integration/bugs_test.cc pins only the fixes' magnitudes. The
+// expectation table below is checked in, so a policy change that silently
+// acquires or sheds one of the pathologies fails here.
 //
 // The "fixed" row ablates per bug, the paper's own methodology: each probe
 // enables only the fix flag targeting the bug it probes, everything else

@@ -266,5 +266,55 @@ TEST(SimulatorTest, TimerWakeOnOfflinedCoreStillWorks) {
   EXPECT_EQ(sim.thread(tid).state, ThreadState::kExited);
 }
 
+// Hotplug evacuates a pinned thread off its only cpu. When the cpu comes
+// back the thread stays where evacuation put it, and only its next wakeup
+// places it inside its mask again; at no instant does it sit on an offline
+// cpu. (This is why the invariant fuzzer checks affinity only in runs
+// without hotplug churn.)
+TEST(SimulatorTest, PinnedThreadReturnsToItsCpuAtNextWakeupAfterHotplug) {
+  Topology topo = Topology::Flat(1, 4);
+  Simulator sim(topo, DefaultOptions());
+  Simulator::SpawnParams params;
+  params.affinity = CpuSet::Single(2);
+  params.parent_cpu = 2;
+  ThreadId tid = sim.Spawn(
+      std::make_unique<ScriptBehavior>(
+          std::vector<Action>{ComputeAction{Milliseconds(4)}, SleepAction{Milliseconds(1)}},
+          /*repeat=*/100),
+      params);
+  const SchedEntity& se = sim.sched().Entity(tid);
+
+  // Every 50 us, a queued thread must be on an online cpu.
+  struct Probe {
+    Simulator* sim;
+    const SchedEntity* se;
+    int samples = 0;
+    int offline = 0;
+  } probe{&sim, &se};
+  for (Time t = Microseconds(50); t <= Milliseconds(10); t += Microseconds(50)) {
+    sim.At(t, [p = &probe] {
+      p->samples += 1;
+      if (p->se->on_rq && !p->sim->sched().IsOnline(p->se->cpu)) {
+        p->offline += 1;
+      }
+    });
+  }
+
+  sim.Run(Milliseconds(1));
+  ASSERT_TRUE(se.on_rq);
+  ASSERT_EQ(se.cpu, 2);
+  sim.SetCpuOnline(2, false);
+  sim.Run(Milliseconds(2));
+  sim.SetCpuOnline(2, true);
+  EXPECT_TRUE(se.on_rq);
+  EXPECT_EQ(se.cpu, 0) << "still where evacuation put it";
+  sim.Run(Milliseconds(8));  // Its compute ends at ~4 ms; it wakes at ~5 ms.
+  EXPECT_TRUE(se.on_rq);
+  EXPECT_EQ(se.cpu, 2) << "its next wakeup honors the mask again";
+  sim.Run(Milliseconds(10));
+  EXPECT_EQ(probe.samples, 200);
+  EXPECT_EQ(probe.offline, 0);
+}
+
 }  // namespace
 }  // namespace wcores

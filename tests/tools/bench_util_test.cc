@@ -80,6 +80,15 @@ TEST(BenchArgsDeathTest, EmptyTelemetryDirIsHardError) {
               ::testing::ExitedWithCode(2), "invalid value '' for --telemetry");
 }
 
+TEST(BenchArgsDeathTest, EmptyExtraFlagIsHardError) {
+  // Empty would run the flag's default: another experiment than the one asked for.
+  std::string seed;
+  Argv a({"bin", "--seed="});
+  EXPECT_EXIT(ParseBenchArgs(a.argc(), a.argv(), TelemetryFlag::kRejected,
+                             {{"seed", &seed, "random seed"}}),
+              ::testing::ExitedWithCode(2), "invalid value '' for --seed");
+}
+
 TEST(BenchArgsDeathTest, TelemetryRejectedWhereNotWritten) {
   // A binary that writes no telemetry must not accept the flag and ignore it.
   Argv bare({"bin", "--telemetry"});
