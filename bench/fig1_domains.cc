@@ -53,17 +53,17 @@ int main(int argc, char** argv) {
   std::printf("Section 3.2 example — machine-level groups seen by a core of Node 2:\n");
   std::printf("stock (Core-0 perspective, bug):\n");
   const SchedDomain& stock_top = stock_trees[node2_cpu].domains.back();
-  for (size_t g = 0; g < stock_top.groups.size(); ++g) {
+  for (size_t g = 0; g < stock_top.groups().size(); ++g) {
     std::printf("  group %zu%s: cpus %s\n", g,
                 static_cast<int>(g) == stock_top.local_group ? " (local)" : "",
-                stock_top.groups[g].cpus.ToString().c_str());
+                stock_top.groups()[g].cpus.ToString().c_str());
   }
   std::printf("fixed (per-core perspective):\n");
   const SchedDomain& fixed_top = fixed_trees[node2_cpu].domains.back();
-  for (size_t g = 0; g < fixed_top.groups.size(); ++g) {
+  for (size_t g = 0; g < fixed_top.groups().size(); ++g) {
     std::printf("  group %zu%s: cpus %s\n", g,
                 static_cast<int>(g) == fixed_top.local_group ? " (local)" : "",
-                fixed_top.groups[g].cpus.ToString().c_str());
+                fixed_top.groups()[g].cpus.ToString().c_str());
   }
   std::printf("\nNote how with the bug, Nodes 1 (cpus 8-15) and 2 (cpus 16-23) appear\n"
               "together in every group, so neither can ever observe an imbalance in the\n"

@@ -19,7 +19,7 @@
 # status. A run that does not end in simbench's JSON line, or that reports
 # failed > 0, stops the driver with exit 1.
 #
-# Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--smoke]
+# Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--smoke] [--record]
 #   --baseline=REV  rev to A/B the working tree against (default: HEAD, i.e.
 #                   dirty tree vs last commit; pass the parent for PR claims)
 #   --pairs=N       number of alternating pairs, a positive integer
@@ -27,27 +27,39 @@
 #   --smoke         harness self-test for CI: the working tree on both
 #                   sides, one pair, S = 1. Only the exit status and the
 #                   report's shape mean anything.
+#   --record        also append the head side to BENCH_simbench.json, the
+#                   perf trajectory: one record per change, holding the
+#                   commit, the pair count, and per workload the head
+#                   medians of every end-to-end metric. A commit id ending
+#                   in "+wt" is the uncommitted working tree on top of that
+#                   commit. Not with --smoke, whose numbers mean nothing.
 #
 # Writes out/BENCH_ab.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 [--baseline=REV] [--pairs=N] [--smoke]" >&2
+  echo "usage: $0 [--baseline=REV] [--pairs=N] [--smoke] [--record]" >&2
   exit 2
 }
 
 BASELINE="HEAD"
 PAIRS=10
 SMOKE=0
+RECORD=0
 for arg in "$@"; do
   case "$arg" in
     --baseline=*) BASELINE="${arg#*=}" ;;
     --pairs=*)    PAIRS="${arg#*=}" ;;
     --smoke)      SMOKE=1 ;;
+    --record)     RECORD=1 ;;
     *) usage ;;
   esac
 done
+if [ "$SMOKE" = 1 ] && [ "$RECORD" = 1 ]; then
+  echo "--record does not take --smoke: a smoke pair is not a measurement" >&2
+  exit 2
+fi
 if ! [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]]; then
   echo "invalid value '$PAIRS' for --pairs: expected a positive integer" >&2
   exit 2
@@ -161,3 +173,31 @@ with open(report_path, "w") as f:
     f.write("\n")
 print(f"wrote {report_path}")
 EOF
+
+if [ "$RECORD" = 1 ]; then
+  COMMIT="$(git rev-parse HEAD)"
+  if [ -n "$(git status --porcelain)" ]; then
+    COMMIT="$COMMIT+wt"
+  fi
+  python3 - "$COMMIT" out/BENCH_ab.json BENCH_simbench.json <<'EOF'
+import json
+import os
+import sys
+
+commit, report_path, ledger_path = sys.argv[1:]
+with open(report_path) as f:
+    report = json.load(f)
+records = []
+if os.path.exists(ledger_path):
+    with open(ledger_path) as f:
+        records = json.load(f)
+records.append({
+    "commit": commit, "pairs": report["pairs"], "run_seconds": report["run_seconds"],
+    "workloads": {w: {name: m["head_median"] for name, m in metrics.items()}
+                  for w, metrics in report["workloads"].items()}})
+with open(ledger_path, "w") as f:
+    json.dump(records, f, indent=1)
+    f.write("\n")
+print(f"appended {commit} to {ledger_path} ({len(records)} records)")
+EOF
+fi

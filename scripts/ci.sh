@@ -32,7 +32,11 @@
 #                driver over simbench that every perf claim comes from, in
 #                its self-vs-self mode (one pair, 1 s runs). Numbers from
 #                this stage are meaningless; only exit status and the shape
-#                of out/BENCH_ab.json matter.
+#                of out/BENCH_ab.json matter. Last, the perf trajectory
+#                BENCH_simbench.json (appended by `ab_bench.sh --record`)
+#                must parse as an array of records, and the records of the
+#                last commit and of its parent must be an unchanged prefix of
+#                it: the trajectory only grows.
 #   5. stream  - the streaming-telemetry soak: one >=10M-event random mix in
 #                a single pass with the bounded-memory pipeline attached.
 #                The binary's own WC_CHECKs enforce the contract (every
@@ -131,6 +135,42 @@ echo "==== [bench] ab_bench.sh harness smoke (self-vs-self, one pair) ===="
 scripts/ab_bench.sh --smoke
 test -s out/BENCH_ab.json
 grep -q '"median_ratio"' out/BENCH_ab.json
+echo "==== [bench] BENCH_simbench.json parses; earlier records unchanged ===="
+python3 - <<'PY'
+import json
+import subprocess
+import sys
+
+
+def load(text, where):
+    records = json.loads(text)
+    if not isinstance(records, list) or not records:
+        sys.exit(f"{where}: not a non-empty JSON array")
+    for i, r in enumerate(records):
+        ok = (isinstance(r, dict) and isinstance(r.get("commit"), str)
+              and isinstance(r.get("pairs"), int) and isinstance(r.get("workloads"), dict)
+              and r["workloads"])
+        ok = ok and all(isinstance(m.get(name), (int, float))
+                        for m in r["workloads"].values()
+                        for name in ("run_s", "setup_s", "peak_rss_mb"))
+        if not ok:
+            sys.exit(f"{where}: record {i} lacks commit, pairs or a workload's "
+                     "run_s/setup_s/peak_rss_mb")
+    return records
+
+
+with open("BENCH_simbench.json") as f:
+    current = load(f.read(), "BENCH_simbench.json")
+for rev in ("HEAD", "HEAD~1"):
+    shown = subprocess.run(["git", "show", f"{rev}:BENCH_simbench.json"],
+                           capture_output=True, text=True)
+    if shown.returncode != 0:
+        continue  # No such commit, or the file is newer than it.
+    earlier = load(shown.stdout, f"{rev}:BENCH_simbench.json")
+    if current[:len(earlier)] != earlier:
+        sys.exit(f"BENCH_simbench.json: a record committed at {rev} changed or went")
+print(f"BENCH_simbench.json: {len(current)} records")
+PY
 
 echo "==== [stream] big-mix soak (>=10M events, bounded memory) ===="
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --seed=4242 --big-mix=10000000

@@ -47,15 +47,7 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
 
   // Boot-time domain construction always includes the cross-NUMA levels; the
   // Missing Scheduling Domains bug only shows on *regeneration* (§3.4).
-  DomainBuildOptions opts;
-  opts.perspective = features_.fix_group_construction ? GroupPerspective::kPerCore
-                                                      : GroupPerspective::kCore0;
-  opts.cross_node_levels = true;
-  opts.base_balance_interval = tunables_.base_balance_interval;
-  auto trees = BuildDomains(*topo_, online_, opts);
-  for (CpuId c = 0; c < topo.n_cores(); ++c) {
-    cpus_[c].domains = std::move(trees[c]);
-  }
+  RebuildDomains(/*cross_node_levels=*/true);
 
   policy_->Attach(this);
   if (policy_->WantsQueueEvents()) {
@@ -481,7 +473,10 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
     tickless_.Set(cpu);
     c.need_resched = false;
   }
-  RebuildDomains();
+  // §3.4: regeneration is a two-step process — domains inside NUMA nodes,
+  // then across them. Stock kernels dropped the second step during a
+  // refactoring; fix_missing_domains restores it.
+  RebuildDomains(features_.fix_missing_domains);
 }
 
 CpuId Scheduler::DesignatedCpu(CpuId cpu, const SchedDomain& sd) const {
@@ -490,7 +485,7 @@ CpuId Scheduler::DesignatedCpu(CpuId cpu, const SchedDomain& sd) const {
   // core responsible for load balancing on each node" (§3.2) — so the
   // balance mask is the local group restricted to this cpu's node. For
   // SMT/NODE domains the local group is the balance mask itself.
-  const SchedGroup& local = sd.groups[sd.local_group];
+  const SchedGroup& local = sd.groups()[sd.local_group];
   CpuSet mask = local.cpus & online_;
   if (local.seed_node != kInvalidNode) {
     CpuSet node_cpus = topo_->CpusOfNode(topo_->NodeOf(cpu)) & mask;
@@ -504,14 +499,11 @@ CpuId Scheduler::DesignatedCpu(CpuId cpu, const SchedDomain& sd) const {
   return idle != kInvalidCpu ? idle : mask.First();
 }
 
-void Scheduler::RebuildDomains() {
-  // §3.4: regeneration is a two-step process — domains inside NUMA nodes,
-  // then across them. Stock kernels dropped the second step during a
-  // refactoring; fix_missing_domains restores it.
+void Scheduler::RebuildDomains(bool cross_node_levels) {
   DomainBuildOptions opts;
   opts.perspective = features_.fix_group_construction ? GroupPerspective::kPerCore
                                                       : GroupPerspective::kCore0;
-  opts.cross_node_levels = features_.fix_missing_domains;
+  opts.cross_node_levels = cross_node_levels;
   opts.base_balance_interval = tunables_.base_balance_interval;
   auto trees = BuildDomains(*topo_, online_, opts);
   for (CpuId c = 0; c < topo_->n_cores(); ++c) {

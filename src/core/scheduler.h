@@ -287,7 +287,7 @@ class Scheduler {
                           const CpuSet& allowed, CpuSet* considered);
 
   // One Algorithm-1 body for (cpu, domain). Returns #threads moved.
-  int BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind);
+  int BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, ConsideredKind kind);
 
   // Lines 2-9 of Algorithm 1: the core designated to balance `sd` on behalf
   // of its local group — the first idle cpu of the group's balance mask
@@ -308,7 +308,8 @@ class Scheduler {
 
   void EnqueueWake(Time now, SchedEntity* se, CpuId cpu);
   void UpdateIdleState(Time now, CpuId cpu);
-  void RebuildDomains();
+  // Replaces every cpu's domain tree with a fresh BuildDomains over online_.
+  void RebuildDomains(bool cross_node_levels);
 
   // Algorithm 1 over `cpu`'s domains, bottom-up: interval check (stretched
   // by busy_balance_factor when `busy`), designated-core check (lines 2-9),

@@ -47,7 +47,7 @@ Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& c
   return gs;
 }
 
-int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind) {
+int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, ConsideredKind kind) {
   stats_.balance_calls += 1;
 
   MigrationReason reason = kind == ConsideredKind::kPeriodicBalance
@@ -76,9 +76,9 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
   // later comparison, counter, and steal decision exactly as the refold
   // would have, at O(groups) per redo instead of O(domain cpus).
   std::vector<GroupLoadStats>& stats = balance_stats_scratch_;
-  stats.assign(sd.groups.size(), GroupLoadStats{});
-  for (size_t g = 0; g < sd.groups.size(); ++g) {
-    stats[g] = ComputeGroupStats(now, sd.groups[g].cpus);
+  stats.assign(sd.groups().size(), GroupLoadStats{});
+  for (size_t g = 0; g < sd.groups().size(); ++g) {
+    stats[g] = ComputeGroupStats(now, sd.groups()[g].cpus);
   }
   // The cores examined: every online member of every group, which is the
   // span itself — BuildDomains restricts each group to online & span and
@@ -121,7 +121,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
     for (;;) {
       CpuId src = kInvalidCpu;
       double src_load = 0;
-      for (CpuId c : sd.groups[busiest].cpus) {
+      for (CpuId c : sd.groups()[busiest].cpus) {
         if (c == cpu || excluded.Test(c) || !online_.Test(c)) {
           continue;
         }
@@ -175,7 +175,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
       // Exclude what remains of this group and redo group selection. Each
       // redo shrinks the candidate set, so this terminates; a group with
       // every cpu excluded has n_cpus == 0 and is never selected again.
-      for (CpuId c : sd.groups[busiest].cpus) {
+      for (CpuId c : sd.groups()[busiest].cpus) {
         if (c != cpu && online_.Test(c)) {
           excluded.Set(c);
         }

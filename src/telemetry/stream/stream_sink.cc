@@ -25,7 +25,9 @@ TelemetryStream::Options TelemetryStream::ForTopology(const Topology& topo,
 
 TelemetryStream::TelemetryStream(Options opts) : opts_(std::move(opts)) {
   open_.resize(opts_.n_cpus > 0 ? opts_.n_cpus : 1);
-  spans_.resize(opts_.span_capacity > 0 ? opts_.span_capacity : 1);
+  // The window's capacity is reserved (and charged to the budget) either
+  // way, but spans are only written into it when someone reads them.
+  spans_.reserve(SpanWindow());
   findings_.reserve(opts_.max_stored_findings);
   heap_.reserve(64);
   UpdatePeak();
@@ -189,13 +191,11 @@ void TelemetryStream::RaiseFinding(ThreadId tid, Time since, Time detected_at, T
 }
 
 void TelemetryStream::EmitSpan(Time start, Time end, ThreadId tid, CpuId cpu, bool preempted) {
-  Span& s = spans_[spans_buffered_];
-  s.start = start;
-  s.end = end;
-  s.tid = tid;
-  s.cpu = static_cast<int16_t>(cpu);
-  s.preempted = preempted ? 1 : 0;
-  if (++spans_buffered_ == spans_.size()) {
+  if (opts_.span_out != nullptr) {
+    spans_.push_back(
+        Span{start, end, tid, static_cast<int16_t>(cpu), static_cast<uint8_t>(preempted ? 1 : 0)});
+  }
+  if (++spans_buffered_ == SpanWindow()) {
     FlushSpans();
   }
 }
@@ -203,12 +203,12 @@ void TelemetryStream::EmitSpan(Time start, Time end, ThreadId tid, CpuId cpu, bo
 void TelemetryStream::FlushSpans() {
   if (opts_.span_out != nullptr) {
     char line[96];
-    for (size_t i = 0; i < spans_buffered_; ++i) {
-      const Span& s = spans_[i];
+    for (const Span& s : spans_) {
       std::snprintf(line, sizeof(line), "%d,%d,%" PRIu64 ",%" PRIu64 ",%u\n", s.tid, s.cpu,
                     s.start, s.end, s.preempted);
       *opts_.span_out << line;
     }
+    spans_.clear();
   }
   spans_emitted_ += spans_buffered_;
   spans_buffered_ = 0;

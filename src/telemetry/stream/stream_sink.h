@@ -67,7 +67,7 @@ class TelemetryStream : public TraceSink {
     // latency_snapshot, so both monitors attach the same evidence).
     std::function<std::string()> snapshot;
     // Completed Gantt spans are flushed here as CSV lines when the window
-    // fills; null discards them (they are still counted).
+    // fills; null counts them without buffering them.
     std::ostream* span_out = nullptr;
     size_t span_capacity = 4096;
     size_t max_stored_findings = 32;
@@ -183,6 +183,8 @@ class TelemetryStream : public TraceSink {
   // Every callback starts here: confirm the starvation deadlines that
   // expired by `now`, then count the event.
   void Advance(Time now);
+  // Spans per flush.
+  size_t SpanWindow() const { return opts_.span_capacity > 0 ? opts_.span_capacity : 1; }
   bool CpuOk(CpuId cpu) const { return cpu >= 0 && static_cast<size_t>(cpu) < open_.size(); }
   TaskStats& Slot(ThreadId tid);
   void ProcessDeadlines(Time now);
@@ -202,8 +204,8 @@ class TelemetryStream : public TraceSink {
   MachineStats machine_;
 
   std::vector<OpenSpan> open_;  // Indexed by cpu, fixed at construction.
-  std::vector<Span> spans_;     // Fixed window, flushed when full.
-  size_t spans_buffered_ = 0;
+  std::vector<Span> spans_;     // The window, filled only with a span_out.
+  size_t spans_buffered_ = 0;   // Completed since the last flush.
   uint64_t spans_emitted_ = 0;
 
   std::vector<Deadline> heap_;  // Min-heap on (at, tid); <= 1 entry per task.

@@ -19,6 +19,7 @@
 #ifndef SRC_TOPO_DOMAINS_H_
 #define SRC_TOPO_DOMAINS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,18 +38,27 @@ struct SchedGroup {
   NodeId seed_node = kInvalidNode;
 };
 
+// One domain's groups. BuildDomains builds each distinct list once and every
+// cpu whose domain has those groups refers to the same immutable copy, as
+// Linux cpus share refcounted sched_groups.
+using SchedGroupList = std::vector<SchedGroup>;
+
 struct SchedDomain {
   std::string name;   // "SMT", "NODE", "NUMA(1)", ...
   int level = 0;      // 0 = bottom.
   CpuSet span;        // All cpus this domain balances across.
-  std::vector<SchedGroup> groups;
   Time balance_interval = 0;  // How often periodic balancing runs here.
 
-  // Mutable per-core balancing state (each core owns its domain copies).
+  // Mutable per-core balancing state (each core owns its domains).
   Time last_balance = 0;
 
   // Index of the group containing the owning cpu, set at build time.
   int local_group = -1;
+
+  // Shared with every other cpu whose domain has the same groups.
+  std::shared_ptr<const SchedGroupList> shared_groups;
+
+  const SchedGroupList& groups() const { return *shared_groups; }
 };
 
 // The bottom-up domain list owned by one cpu.
@@ -71,7 +81,9 @@ struct DomainBuildOptions {
 };
 
 // Builds a domain tree for every cpu in `online` (offline cpus get an empty
-// tree). Group membership is restricted to online cpus.
+// tree). Group membership is restricted to online cpus. Each distinct group
+// list is built once per call and shared by the trees that use it; nothing
+// is kept across calls.
 std::vector<DomainTree> BuildDomains(const Topology& topo, const CpuSet& online,
                                      const DomainBuildOptions& options);
 

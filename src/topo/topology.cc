@@ -40,24 +40,42 @@ Topology::Topology(int n_nodes, int cores_per_node, int smt_width,
     WC_CHECK(node_hops_[a][a] == 0, "topology: nonzero self distance");
     for (int b = 0; b < n_nodes_; ++b) {
       WC_CHECK(node_hops_[a][b] == node_hops_[b][a], "topology: asymmetric hops");
+      WC_CHECK(a == b || node_hops_[a][b] >= 1, "topology: distinct nodes less than one hop apart");
       if (node_hops_[a][b] > max_hops_) {
         max_hops_ = node_hops_[a][b];
       }
     }
   }
 
-  node_cpus_.resize(n_nodes_);
-  for (int n = 0; n < n_nodes_; ++n) {
+  // Each node's own cpus at hops 0, then the cpus exactly h hops away, then
+  // a prefix union over h.
+  const int levels = max_hops_ + 1;
+  cpus_within_.resize(static_cast<size_t>(n_nodes_) * levels);
+  for (NodeId n = 0; n < n_nodes_; ++n) {
     for (int c = n * cores_per_node_; c < (n + 1) * cores_per_node_; ++c) {
-      node_cpus_[n].Set(c);
+      cpus_within_[n * levels].Set(c);
+    }
+  }
+  for (NodeId a = 0; a < n_nodes_; ++a) {
+    CpuSet* within = &cpus_within_[a * levels];
+    for (NodeId b = 0; b < n_nodes_; ++b) {
+      if (b != a) {
+        within[node_hops_[a][b]] |= CpusOfNode(b);
+      }
+    }
+    for (int hops = 1; hops < levels; ++hops) {
+      within[hops] |= within[hops - 1];
     }
   }
 
   smt_siblings_.resize(n_cores_);
-  for (CpuId c = 0; c < n_cores_; ++c) {
-    CpuId base = c - (c % smt_width_);
+  for (CpuId base = 0; base < n_cores_; base += smt_width_) {
+    CpuSet siblings;
     for (int i = 0; i < smt_width_; ++i) {
-      smt_siblings_[c].Set(base + i);
+      siblings.Set(base + i);
+    }
+    for (int i = 0; i < smt_width_; ++i) {
+      smt_siblings_[base + i] = siblings;
     }
   }
 }
@@ -109,27 +127,8 @@ Topology Topology::Bulldozer8x8() {
       }
     }
   }
-  Topology topo(/*n_nodes=*/8, /*cores_per_node=*/8, /*smt_width=*/2, std::move(hops));
-  topo.set_spec(HardwareSpec{});
-  return topo;
-}
-
-std::vector<NodeId> Topology::NodesWithin(NodeId node, int hops) const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < n_nodes_; ++n) {
-    if (node_hops_[node][n] <= hops) {
-      out.push_back(n);
-    }
-  }
-  return out;
-}
-
-CpuSet Topology::CpusWithin(NodeId node, int hops) const {
-  CpuSet set;
-  for (NodeId n : NodesWithin(node, hops)) {
-    set |= node_cpus_[n];
-  }
-  return set;
+  // HardwareSpec's defaults already describe this machine (Table 5).
+  return Topology(/*n_nodes=*/8, /*cores_per_node=*/8, /*smt_width=*/2, std::move(hops));
 }
 
 std::string Topology::HopMatrixToString() const {

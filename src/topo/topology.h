@@ -33,8 +33,9 @@ class Topology {
   // `node_hops` is the symmetric inter-node hop matrix; when empty, every
   // pair of distinct nodes is one hop apart (a "flat" interconnect). An
   // invalid shape — no nodes or cores, an smt width that does not divide
-  // the node, more than kMaxCpus cores, a malformed hop matrix — aborts
-  // (WC_CHECK), in every build type.
+  // the node, more than kMaxCpus cores, a malformed hop matrix (not square,
+  // asymmetric, a nonzero diagonal or a distinct pair less than one hop
+  // apart) — aborts (WC_CHECK), in every build type.
   Topology(int n_nodes, int cores_per_node, int smt_width,
            std::vector<std::vector<int>> node_hops = {});
 
@@ -58,7 +59,7 @@ class Topology {
   int smt_width() const { return smt_width_; }
 
   NodeId NodeOf(CpuId cpu) const { return cpu / cores_per_node_; }
-  const CpuSet& CpusOfNode(NodeId node) const { return node_cpus_[node]; }
+  const CpuSet& CpusOfNode(NodeId node) const { return CpusWithin(node, 0); }
 
   // SMT siblings of `cpu`, including `cpu` itself.
   const CpuSet& SmtSiblings(CpuId cpu) const { return smt_siblings_[cpu]; }
@@ -69,11 +70,11 @@ class Topology {
   // Largest hop distance between any two nodes.
   int MaxHops() const { return max_hops_; }
 
-  // Nodes within `hops` of `node` (inclusive of `node` itself).
-  std::vector<NodeId> NodesWithin(NodeId node, int hops) const;
-
-  // Union of CpusOfNode over NodesWithin.
-  CpuSet CpusWithin(NodeId node, int hops) const;
+  // Cpus of every node within `hops` of `node` (inclusive of `node`
+  // itself), for 0 <= hops <= MaxHops(). Precomputed: no allocation.
+  const CpuSet& CpusWithin(NodeId node, int hops) const {
+    return cpus_within_[node * (max_hops_ + 1) + hops];
+  }
 
   CpuSet AllCpus() const { return CpuSet::FirstN(n_cores_); }
 
@@ -90,8 +91,8 @@ class Topology {
   int n_cores_;
   int max_hops_ = 0;
   std::vector<std::vector<int>> node_hops_;
-  std::vector<CpuSet> node_cpus_;
   std::vector<CpuSet> smt_siblings_;
+  std::vector<CpuSet> cpus_within_;  // [node * (max_hops_ + 1) + hops].
   HardwareSpec spec_;
 };
 

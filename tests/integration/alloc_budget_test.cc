@@ -26,6 +26,9 @@
 // fig3_tpch_q18/fixed) and far below the smallest mutant signal that fails
 // a case (about 0.9 MB for a retained append on fig3, at least 208 calls for
 // a transient allocation per context switch).
+//
+// A separate case counts the calls of one Scheduler construction, which
+// shared scheduling-group lists keep from growing with cpus x levels.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -37,7 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core/scheduler.h"
 #include "src/tools/sweep/scenario.h"
+#include "src/topo/topology.h"
 
 namespace {
 
@@ -171,6 +176,34 @@ std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(FigureScenarios, AllocBudgetTest, ::testing::ValuesIn(AllCases()),
                          CaseName);
+
+class NullClient : public SchedClient {
+ public:
+  void KickCpu(CpuId) override {}
+  void NohzKick(CpuId) override {}
+};
+
+// Operator new calls one Scheduler construction may make on Bulldozer8x8.
+// BuildDomains builds each distinct group list once (two calls each: the
+// shared list and its buffer) and gives each cpu one domain vector, so the
+// count is about 2 x (32 SMT + 8 NODE + 8 to 16 NUMA lists) + 64 + a few
+// dozen fixed ones, and does not grow with cpus x levels. A per-cpu deep
+// copy of every group list makes 2493 (stock) and 2557 (fixed) calls.
+constexpr uint64_t kSchedulerSetupCallBudget = 256;
+
+TEST(SchedulerSetupAllocTest, SharedGroupListsBoundSetupCalls) {
+  const Topology topo = Topology::Bulldozer8x8();
+  for (const SchedFeatures& features : {SchedFeatures::Stock(), SchedFeatures::AllFixed()}) {
+    NullClient client;
+    const uint64_t before = g_new_calls;
+    { Scheduler sched(topo, features, SchedTunables::ForCpus(topo.n_cores()), &client); }
+    const uint64_t calls = g_new_calls - before;
+    std::printf("alloc_budget scheduler_setup fix_group_construction=%d: calls=%llu\n",
+                features.fix_group_construction ? 1 : 0, static_cast<unsigned long long>(calls));
+    EXPECT_LE(calls, kSchedulerSetupCallBudget)
+        << "Scheduler construction allocates per cpu per level: group lists are not shared";
+  }
+}
 
 }  // namespace
 }  // namespace wcores

@@ -182,13 +182,50 @@ TEST(StreamSpans, WindowedEmitterFlushesCompletedSpans) {
   }
   stream.Finish(1000);
   EXPECT_EQ(stream.spans_emitted(), 10u);
-  // CSV lines: tid,cpu,start,end,preempted.
-  EXPECT_NE(spans.str().find("0,0,0,60,1\n"), std::string::npos) << spans.str();
-  int lines = 0;
-  for (char c : spans.str()) {
-    lines += c == '\n' ? 1 : 0;
+  // CSV lines: tid,cpu,start,end,preempted, in completion order.
+  EXPECT_EQ(spans.str(),
+            "0,0,0,60,1\n1,0,100,160,0\n2,0,200,260,1\n0,0,300,360,0\n1,0,400,460,1\n"
+            "2,0,500,560,0\n0,0,600,660,1\n1,0,700,760,0\n2,0,800,860,1\n0,0,900,960,0\n");
+}
+
+// Without a span_out the stream counts spans instead of buffering them; its
+// counters, memory contract and summary are those of a stream that writes
+// them out, at every flush.
+TEST(StreamSpans, NullSinkCountsLikeAWritingSink) {
+  for (size_t capacity : {size_t{4}, TelemetryStream::Options().span_capacity}) {
+    std::ostringstream csv;
+    TelemetryStream::Options with_out;
+    with_out.n_cpus = 4;
+    with_out.span_capacity = capacity;
+    with_out.span_out = &csv;
+    TelemetryStream::Options without_out = with_out;
+    without_out.span_out = nullptr;
+    TelemetryStream written(with_out);
+    TelemetryStream counted(without_out);
+    for (TelemetryStream* stream : {&written, &counted}) {
+      for (int i = 0; i < 50; ++i) {
+        const Time t0 = static_cast<Time>(i) * 1000;
+        const CpuId cpu = i % 4;
+        const ThreadId tid = i % 7;
+        stream->OnWakeupLatency(t0, cpu, tid, 40 + i);
+        stream->OnSwitchIn(t0 + 50, cpu, tid, 50 + i);
+        stream->OnMigration(t0 + 60, tid, cpu, (cpu + 1) % 4, MigrationReason::kIdleBalance);
+        stream->OnSwitchOut(t0 + 700, cpu, tid, 650, i % 3 == 0);
+      }
+      EXPECT_EQ(stream->spans_emitted(), 50 - 50 % capacity);  // Full windows flushed.
+      stream->Finish(60000);
+    }
+    EXPECT_EQ(counted.spans_emitted(), 50u);
+    EXPECT_EQ(counted.spans_emitted(), written.spans_emitted());
+    EXPECT_EQ(counted.PeakAggregatorBytes(), written.PeakAggregatorBytes());
+    EXPECT_EQ(counted.BudgetBytes(), written.BudgetBytes());
+    EXPECT_EQ(counted.SummaryJson(), written.SummaryJson());
+    int lines = 0;
+    for (char c : csv.str()) {
+      lines += c == '\n' ? 1 : 0;
+    }
+    EXPECT_EQ(lines, 50);
   }
-  EXPECT_EQ(lines, 10);
 }
 
 // ---- One-line JSON summary ------------------------------------------------

@@ -22,6 +22,80 @@ DomainBuildOptions Fixed() {
 
 const SchedDomain& TopDomain(const DomainTree& tree) { return tree.domains.back(); }
 
+// FNV-1a, 64-bit, over the bytes of `text`.
+uint64_t Digest(const std::string& text, uint64_t h = 0xcbf29ce484222325ULL) {
+  for (unsigned char ch : text) {
+    h = (h ^ ch) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// One digest of every cpu's rendered tree per (topology, perspective,
+// cross-node levels, online mask), pinned from the per-cpu deep-copy builder
+// that shared group lists replaced: sharing must not change a single group,
+// span, interval or local-group index. Rows are topologies in the order of
+// `topos` below; within a row, perspective (kCore0, kPerCore) is outermost,
+// then cross_node_levels (true, false), then the mask (all cpus, all but
+// cpu 0, all but the last node, one seeded random mask).
+constexpr uint64_t kDomainGoldens[5][16] = {
+    {0x55b77aac8ea998a5ULL, 0x26a7108e5df7e19fULL, 0x90365e9fbe6c6bd5ULL, 0x26a7108e5df7e19fULL,
+     0x55b77aac8ea998a5ULL, 0x26a7108e5df7e19fULL, 0x90365e9fbe6c6bd5ULL, 0x26a7108e5df7e19fULL,
+     0x55b77aac8ea998a5ULL, 0x26a7108e5df7e19fULL, 0x90365e9fbe6c6bd5ULL, 0x26a7108e5df7e19fULL,
+     0x55b77aac8ea998a5ULL, 0x26a7108e5df7e19fULL, 0x90365e9fbe6c6bd5ULL, 0x26a7108e5df7e19fULL},
+    {0x70e8452a24c7d995ULL, 0x0d50d1eb130b1bc1ULL, 0x8ff30512c489a625ULL, 0x355ba9b6e9108f67ULL,
+     0x556e9657e7615aedULL, 0x9699bfd2e26194dfULL, 0x8ff30512c489a625ULL, 0xf8ef39ab39ab93f1ULL,
+     0x1f0a6ea8ee00aa85ULL, 0x77f7756f7ebee6ddULL, 0x8ff30512c489a625ULL, 0x169e69adf9565ff7ULL,
+     0x556e9657e7615aedULL, 0x9699bfd2e26194dfULL, 0x8ff30512c489a625ULL, 0xf8ef39ab39ab93f1ULL},
+    {0x1bdd94b018d322f9ULL, 0xee2f31e29cfd5defULL, 0x361967ee7feeb277ULL, 0x97bc1bce07780af0ULL,
+     0x262cfd1b8a2f0ecbULL, 0x31caca0055b31666ULL, 0xf2d6031d923bb323ULL, 0xed76a7a16d8b327cULL,
+     0x43fb9c7df3a07a61ULL, 0xf23dda24b084c27fULL, 0x793bf60428cd49d7ULL, 0xfe31c34107ebcf52ULL,
+     0x262cfd1b8a2f0ecbULL, 0x31caca0055b31666ULL, 0xf2d6031d923bb323ULL, 0xed76a7a16d8b327cULL},
+    {0xccc68bd64d51a01fULL, 0x84a04a59b09204c3ULL, 0x58bfc8bb2c388f43ULL, 0x3ebe87e398c041a5ULL,
+     0x32b72c4061943843ULL, 0xab599102b9a10586ULL, 0x1d79ba5873654a53ULL, 0x86908cd0876f370cULL,
+     0x0e698d37d16809b5ULL, 0x159f4ce2a044a78bULL, 0x4dcc558446e15181ULL, 0x3d8e9078b6a78012ULL,
+     0x32b72c4061943843ULL, 0xab599102b9a10586ULL, 0x1d79ba5873654a53ULL, 0x86908cd0876f370cULL},
+    {0x4bb3a59ab36c26a9ULL, 0x2470cae2d7548f0cULL, 0x13dd4234e2fc15cdULL, 0xc7175fe3af9ace0cULL,
+     0x262cfd1b8a2f0ecbULL, 0x31caca0055b31666ULL, 0xf2d6031d923bb323ULL, 0x567d72b599bd4f61ULL,
+     0x3d07aa7d1656eb11ULL, 0xafb98a5b1cb5cfa6ULL, 0x21a7f3229fab43a3ULL, 0x72f4ad2b4827d791ULL,
+     0x262cfd1b8a2f0ecbULL, 0x31caca0055b31666ULL, 0xf2d6031d923bb323ULL, 0x567d72b599bd4f61ULL},
+};
+
+TEST(DomainsTest, TreesMatchDeepCopyGoldens) {
+  const Topology topos[] = {Topology::Flat(1, 4), Topology::Flat(2, 4), Topology::Flat(4, 8),
+                            Topology::Bulldozer8x8(), Topology::Example32()};
+  Rng rng(31);
+  for (int t = 0; t < 5; ++t) {
+    const Topology& topo = topos[t];
+    CpuSet random;
+    for (CpuId c = 0; c < topo.n_cores(); ++c) {
+      if (rng.NextBool(0.6)) {
+        random.Set(c);
+      }
+    }
+    CpuSet all_but_cpu0 = topo.AllCpus();
+    all_but_cpu0.Clear(0);
+    const CpuSet masks[] = {topo.AllCpus(), all_but_cpu0,
+                            topo.AllCpus() & ~topo.CpusOfNode(topo.n_nodes() - 1), random};
+    int i = 0;
+    for (GroupPerspective perspective : {GroupPerspective::kCore0, GroupPerspective::kPerCore}) {
+      for (bool cross_node : {true, false}) {
+        DomainBuildOptions opts;
+        opts.perspective = perspective;
+        opts.cross_node_levels = cross_node;
+        for (const CpuSet& online : masks) {
+          auto trees = BuildDomains(topo, online, opts);
+          uint64_t h = Digest("");
+          for (const DomainTree& tree : trees) {
+            h = Digest(DomainTreeToString(tree), h);
+          }
+          EXPECT_EQ(h, kDomainGoldens[t][i]) << "topology " << t << " config " << i;
+          ++i;
+        }
+      }
+    }
+  }
+}
+
 TEST(DomainsTest, BottomUpLevelsOnBulldozer) {
   Topology topo = Topology::Bulldozer8x8();
   auto trees = BuildDomains(topo, topo.AllCpus(), Stock());
@@ -51,8 +125,8 @@ TEST(DomainsTest, SmtDomainHasPerCpuGroups) {
   auto trees = BuildDomains(topo, topo.AllCpus(), Stock());
   const SchedDomain& smt = trees[5].domains[0];
   EXPECT_EQ(smt.span.ToString(), "4-5");
-  ASSERT_EQ(smt.groups.size(), 2u);
-  EXPECT_EQ(smt.groups[0].cpus.Count(), 1);
+  ASSERT_EQ(smt.groups().size(), 2u);
+  EXPECT_EQ(smt.groups()[0].cpus.Count(), 1);
   EXPECT_EQ(smt.local_group, 1);  // cpu 5 is in the second group.
 }
 
@@ -61,8 +135,8 @@ TEST(DomainsTest, NodeDomainGroupsAreSmtPairs) {
   auto trees = BuildDomains(topo, topo.AllCpus(), Stock());
   const SchedDomain& node = trees[0].domains[1];
   EXPECT_EQ(node.span.Count(), 8);
-  ASSERT_EQ(node.groups.size(), 4u);
-  for (const SchedGroup& g : node.groups) {
+  ASSERT_EQ(node.groups().size(), 4u);
+  for (const SchedGroup& g : node.groups()) {
     EXPECT_EQ(g.cpus.Count(), 2);
   }
 }
@@ -96,7 +170,7 @@ TEST(DomainsTest, GroupsCoverSpan) {
           for (CpuId c : online) {
             for (const SchedDomain& sd : trees[c].domains) {
               CpuSet covered;
-              for (const SchedGroup& g : sd.groups) {
+              for (const SchedGroup& g : sd.groups()) {
                 covered |= g.cpus;
               }
               EXPECT_EQ(covered, sd.span) << "cpu " << c << " domain " << sd.name << " online "
@@ -117,7 +191,7 @@ TEST(DomainsTest, LocalGroupContainsOwner) {
     for (CpuId c = 0; c < topo.n_cores(); ++c) {
       for (const SchedDomain& sd : trees[c].domains) {
         ASSERT_GE(sd.local_group, 0);
-        EXPECT_TRUE(sd.groups[sd.local_group].cpus.Test(c));
+        EXPECT_TRUE(sd.groups()[sd.local_group].cpus.Test(c));
       }
     }
   }
@@ -134,9 +208,9 @@ TEST(DomainsTest, StockMachineGroupsMatchPaperExample) {
                         topo.CpusOfNode(4) | topo.CpusOfNode(5) | topo.CpusOfNode(7);
   for (CpuId c : {0, 8, 16, 33, 63}) {
     const SchedDomain& top = TopDomain(trees[c]);
-    ASSERT_EQ(top.groups.size(), 2u) << "cpu " << c;
-    EXPECT_EQ(top.groups[0].cpus, group0_nodes) << "cpu " << c;
-    EXPECT_EQ(top.groups[1].cpus, group1_nodes) << "cpu " << c;
+    ASSERT_EQ(top.groups().size(), 2u) << "cpu " << c;
+    EXPECT_EQ(top.groups()[0].cpus, group0_nodes) << "cpu " << c;
+    EXPECT_EQ(top.groups()[1].cpus, group1_nodes) << "cpu " << c;
   }
 }
 
@@ -146,7 +220,7 @@ TEST(DomainsTest, StockGroupsPutNodes1And2Everywhere) {
   Topology topo = Topology::Bulldozer8x8();
   auto trees = BuildDomains(topo, topo.AllCpus(), Stock());
   const SchedDomain& top = TopDomain(trees[16]);  // A node-2 core.
-  for (const SchedGroup& g : top.groups) {
+  for (const SchedGroup& g : top.groups()) {
     EXPECT_TRUE(g.cpus.Intersects(topo.CpusOfNode(1)));
     EXPECT_TRUE(g.cpus.Intersects(topo.CpusOfNode(2)));
   }
@@ -159,7 +233,7 @@ TEST(DomainsTest, FixedGroupsSeparateNodes1And2ForNode2Cores) {
   auto trees = BuildDomains(topo, topo.AllCpus(), Fixed());
   const SchedDomain& top = TopDomain(trees[16]);  // A node-2 core.
   bool some_group_separates = false;
-  for (const SchedGroup& g : top.groups) {
+  for (const SchedGroup& g : top.groups()) {
     bool has1 = g.cpus.Intersects(topo.CpusOfNode(1));
     bool has2 = g.cpus.Intersects(topo.CpusOfNode(2));
     if (has1 != has2) {
@@ -174,7 +248,7 @@ TEST(DomainsTest, FixedGroupsSeededFromOwnNode) {
   auto trees = BuildDomains(topo, topo.AllCpus(), Fixed());
   for (CpuId c : {0, 8, 16, 24, 40, 63}) {
     const SchedDomain& top = TopDomain(trees[c]);
-    EXPECT_EQ(top.groups[0].seed_node, topo.NodeOf(c));
+    EXPECT_EQ(top.groups()[0].seed_node, topo.NodeOf(c));
     EXPECT_EQ(top.local_group, 0);
   }
 }
@@ -188,14 +262,44 @@ TEST(DomainsTest, PerCoreAndCore0AgreeOnFlatMachines) {
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
     const SchedDomain& a = TopDomain(stock[c]);
     const SchedDomain& b = TopDomain(fixed[c]);
-    ASSERT_EQ(a.groups.size(), b.groups.size());
+    ASSERT_EQ(a.groups().size(), b.groups().size());
     // Same group *sets* (order may differ by seed).
-    for (const SchedGroup& ga : a.groups) {
+    for (const SchedGroup& ga : a.groups()) {
       bool found = false;
-      for (const SchedGroup& gb : b.groups) {
+      for (const SchedGroup& gb : b.groups()) {
         found = found || ga.cpus == gb.cpus;
       }
       EXPECT_TRUE(found);
+    }
+  }
+}
+
+// Each call builds each distinct group list once: two domains at the same
+// level refer to one list exactly when their groups are equal. A second call
+// builds its own lists.
+TEST(DomainsTest, EachDistinctGroupListIsBuiltOnce) {
+  const Topology topos[] = {Topology::Flat(4, 8), Topology::Bulldozer8x8(),
+                            Topology::Example32()};
+  for (const Topology& topo : topos) {
+    for (const auto& opts : {Stock(), Fixed()}) {
+      auto trees = BuildDomains(topo, topo.AllCpus(), opts);
+      auto again = BuildDomains(topo, topo.AllCpus(), opts);
+      for (CpuId a = 0; a < topo.n_cores(); ++a) {
+        for (CpuId b = 0; b < topo.n_cores(); ++b) {
+          for (size_t l = 0; l < trees[a].domains.size(); ++l) {
+            const SchedDomain& da = trees[a].domains[l];
+            const SchedDomain& db = trees[b].domains[l];
+            bool same_groups = da.groups().size() == db.groups().size();
+            for (size_t g = 0; same_groups && g < da.groups().size(); ++g) {
+              same_groups = da.groups()[g].cpus == db.groups()[g].cpus &&
+                            da.groups()[g].seed_node == db.groups()[g].seed_node;
+            }
+            EXPECT_EQ(da.shared_groups == db.shared_groups, same_groups)
+                << "cpus " << a << " and " << b << " level " << l;
+            EXPECT_NE(da.shared_groups, again[b].domains[l].shared_groups);
+          }
+        }
+      }
     }
   }
 }
@@ -223,7 +327,7 @@ TEST(DomainsTest, OfflineCpusExcluded) {
   for (CpuId c : online) {
     for (const SchedDomain& sd : trees[c].domains) {
       EXPECT_FALSE(sd.span.Test(3)) << "cpu " << c;
-      for (const SchedGroup& g : sd.groups) {
+      for (const SchedGroup& g : sd.groups()) {
         EXPECT_FALSE(g.cpus.Test(3));
       }
     }

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "src/topo/domains.h"
 
 namespace wcores {
 namespace {
+
+CpuSet CpusOfNodes(const Topology& topo, std::initializer_list<NodeId> nodes) {
+  CpuSet set;
+  for (NodeId n : nodes) {
+    set |= topo.CpusOfNode(n);
+  }
+  return set;
+}
 
 TEST(TopologyTest, FlatBasics) {
   Topology topo = Topology::Flat(4, 8, 2);
@@ -73,16 +83,14 @@ TEST(BulldozerTest, Node0OneHopNeighboursMatchPaper) {
   // the cores of all the nodes that are one hop apart from Node 0, namely
   // Nodes 1, 2, 4 and 6."
   Topology topo = Topology::Bulldozer8x8();
-  std::vector<NodeId> within = topo.NodesWithin(0, 1);
-  EXPECT_EQ(within, (std::vector<NodeId>{0, 1, 2, 4, 6}));
+  EXPECT_EQ(topo.CpusWithin(0, 1), CpusOfNodes(topo, {0, 1, 2, 4, 6}));
 }
 
 TEST(BulldozerTest, Node3OneHopNeighboursMatchPaper) {
   // "The second scheduling group contains ... Node 3, plus cores of all
   // nodes that are one hop apart from Node 3: Nodes 1, 2, 4, 5, 7."
   Topology topo = Topology::Bulldozer8x8();
-  std::vector<NodeId> within = topo.NodesWithin(3, 1);
-  EXPECT_EQ(within, (std::vector<NodeId>{1, 2, 3, 4, 5, 7}));
+  EXPECT_EQ(topo.CpusWithin(3, 1), CpusOfNodes(topo, {1, 2, 3, 4, 5, 7}));
 }
 
 TEST(BulldozerTest, Nodes1And2AreTwoHopsApart) {
@@ -96,7 +104,7 @@ TEST(BulldozerTest, EveryNodeReachableWithinTwoHops) {
   Topology topo = Topology::Bulldozer8x8();
   EXPECT_EQ(topo.MaxHops(), 2);
   for (NodeId a = 0; a < 8; ++a) {
-    EXPECT_EQ(topo.NodesWithin(a, 2).size(), 8u);
+    EXPECT_EQ(topo.CpusWithin(a, 2), topo.AllCpus());
   }
 }
 
@@ -136,10 +144,10 @@ TEST(Example32Test, MatchesFigure1Description) {
   EXPECT_EQ(topo.smt_width(), 2);
   // "at the second level of the hierarchy we have a group of three nodes
   // ... reachable from the first core in one hop."
-  EXPECT_EQ(topo.NodesWithin(0, 1).size(), 3u);
+  EXPECT_EQ(topo.CpusWithin(0, 1), CpusOfNodes(topo, {0, 1, 2}));
   // "At the 4th level, we have all nodes of the machine because all nodes
   // are reachable in 2 hops."
-  EXPECT_EQ(topo.NodesWithin(0, 2).size(), 4u);
+  EXPECT_EQ(topo.CpusWithin(0, 2), topo.AllCpus());
   EXPECT_EQ(topo.MaxHops(), 2);
 }
 
@@ -169,6 +177,14 @@ TEST(TopologyDeathTest, MoreCoresThanKMaxCpusAborts) {
 
 TEST(TopologyDeathTest, ZeroNodesAborts) {
   EXPECT_DEATH(Topology::Flat(0, 4), "need at least one node");
+}
+
+// A hop count indexes the precomputed CpusWithin table, so distinct nodes
+// zero or fewer hops apart must be rejected, not folded into a node.
+TEST(TopologyDeathTest, DistinctNodesLessThanOneHopApartAbort) {
+  for (int hops : {0, -1}) {
+    EXPECT_DEATH(Topology(2, 2, 1, {{0, hops}, {hops, 0}}), "less than one hop apart");
+  }
 }
 
 }  // namespace
