@@ -19,7 +19,8 @@
 #                policy under hotplug churn), the allocation budget (no heap
 #                allocation per event, measured by a counting operator new)
 #                and the RqLoad memo's fold-order test run sanitized even
-#                when the caller passes an -R filter.
+#                when the caller passes an -R filter; gate 1 then runs again
+#                sanitized under WC_FUZZ_SEED=1, 2 and 3.
 #   3. tsan    - build the TSan configuration and run the determinism layer
 #                (golden hashes + sweep thread-count invariance) under it, so
 #                the parallel sweep runner's "same report at -j1/-j2/-j4"
@@ -95,7 +96,7 @@ for preset in release asan-ubsan; do
   ctest --preset "$preset" -j "$JOBS" "$@"
 done
 
-echo "==== [asan-ubsan] fuzz suite + allocation budget + memo fold order ===="
+echo "==== [asan-ubsan] fuzz suite (default seed, then seeds 1-3) + allocation budget + memo fold order ===="
 # Always run the randomized invariant fuzzer sanitized, even when the caller
 # filtered the matrix above with -R: the fuzzer (gate 1 of the conformance
 # suite, under every policy) is where hotplug churn and the RqLoad memo
@@ -103,9 +104,14 @@ echo "==== [asan-ubsan] fuzz suite + allocation budget + memo fold order ===="
 # tests. The allocation budget runs here for the same reason: it is
 # the only check that the event path does not allocate per event.
 # NonLeftmostPickRekeysRqLoadMemo is the directed check that a non-leftmost
-# pick invalidates the memo (the fold-order bug).
+# pick invalidates the memo (the fold-order bug). Gate 1 checks every queued
+# thread against its affinity mask under churn too, so it also runs on three
+# more fuzz seeds: each seed draws other machines, mixes and hotplug toggles.
 ctest --preset asan-ubsan -j "$JOBS" \
   -R 'PolicyConformance\.MechanismInvariants|FuzzInvariants\.|AllocBudgetTest\.|NonLeftmostPickRekeysRqLoadMemo'
+for seed in 1 2 3; do
+  WC_FUZZ_SEED="$seed" ctest --preset asan-ubsan -j "$JOBS" -R 'PolicyConformance\.MechanismInvariants'
+done
 
 echo "==== [tsan] configure ===="
 cmake --preset tsan

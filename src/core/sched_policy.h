@@ -69,8 +69,8 @@ class SchedPolicy : public RqObserver {
   // ---- Decision hooks (defaults = CFS) ------------------------------------
 
   // Wakeup placement for `se` (select_task_rq). Must return a cpu of
-  // Scheduler::WakeAllowed(se); the core WC_CHECKs this. `considered` feeds
-  // the kWakeup OnConsidered trace record.
+  // Scheduler::WakeAllowed(se), never empty (SelectFallbackRq ran first);
+  // the core WC_CHECKs this. `considered` feeds the kWakeup trace record.
   virtual CpuId SelectWakeCpu(Time now, const SchedEntity& se, CpuId waker_cpu,
                               CpuSet* considered);
 

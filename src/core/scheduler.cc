@@ -110,18 +110,20 @@ ThreadId Scheduler::CurrentThread(CpuId cpu) const {
   return curr != nullptr ? curr->tid : kInvalidThread;
 }
 
-CpuId Scheduler::FirstAllowedOnline(const CpuSet& affinity) const {
-  CpuId c = (affinity & online_).First();
-  return c != kInvalidCpu ? c : online_.First();
+void Scheduler::SelectFallbackRq(SchedEntity& se) {
+  if ((se.affinity & online_).Empty()) {
+    se.affinity = topo_->AllCpus();
+  }
 }
 
 CpuId Scheduler::CfsForkCpu(const SchedEntity& se, CpuId parent_cpu) const {
   // Fork placement: the parent's core when allowed (§3.2), otherwise the
-  // first allowed online cpu.
+  // first allowed online cpu. CreateThread's SelectFallbackRq guarantees
+  // there is one.
   if (parent_cpu != kInvalidCpu && online_.Test(parent_cpu) && se.affinity.Test(parent_cpu)) {
     return parent_cpu;
   }
-  return FirstAllowedOnline(se.affinity);
+  return (se.affinity & online_).First();
 }
 
 void Scheduler::NotifyNrRunning(Time now, CpuId cpu) {
@@ -205,10 +207,10 @@ ThreadId Scheduler::CreateThread(Time now, const ThreadParams& params) {
   stats_.forks += 1;
 
   // Fork placement is the policy's call; the core checks the answer is an
-  // online allowed cpu (any online cpu when affinity has no online member).
+  // online allowed cpu.
+  SelectFallbackRq(se);
   CpuId target = policy_->SelectForkCpu(now, se, params.parent_cpu);
-  WC_CHECK(target != kInvalidCpu && online_.Test(target) &&
-               (se.affinity.Test(target) || (se.affinity & online_).Empty()),
+  WC_CHECK(target != kInvalidCpu && online_.Test(target) && se.affinity.Test(target),
            "policy fork placement violated affinity/online");
 
   Cpu& c = cpus_[target];
@@ -262,9 +264,9 @@ CpuId Scheduler::Wake(Time now, ThreadId tid, CpuId waker_cpu) {
   stats_.wakeups += 1;
 
   CpuSet considered;
+  SelectFallbackRq(se);
   CpuId target = policy_->SelectWakeCpu(now, se, waker_cpu, &considered);
-  WC_CHECK(target != kInvalidCpu && online_.Test(target) &&
-               (se.affinity.Test(target) || (se.affinity & online_).Empty()),
+  WC_CHECK(target != kInvalidCpu && online_.Test(target) && se.affinity.Test(target),
            "policy wakeup placement violated affinity/online");
   trace_->OnConsidered(now, waker_cpu != kInvalidCpu ? waker_cpu : target, considered,
                        ConsideredKind::kWakeup);
@@ -446,7 +448,8 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
       if (se->on_rq) {
         c.rq.DequeueQueued(se, now);
       }
-      CpuId target = FirstAllowedOnline(se->affinity);
+      SelectFallbackRq(*se);
+      CpuId target = (se->affinity & online_).First();
       Time src_min = c.rq.min_vruntime();
       Time dst_min = cpus_[target].rq.min_vruntime();
       Time rel = se->vruntime > src_min ? se->vruntime - src_min : 0;

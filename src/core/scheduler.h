@@ -52,7 +52,8 @@ class SchedClient {
 struct ThreadParams {
   int nice = 0;
   AutogroupId autogroup = kRootAutogroup;
-  // Allowed cpus; empty means "all cpus".
+  // Allowed cpus; empty means "all cpus", and so does a mask with no online
+  // cpu at fork (select_fallback_rq).
   CpuSet affinity;
   // Fork placement: "Linux spawns threads on the same core as their parent
   // thread" (§3.2). kInvalidCpu places on the first allowed online cpu.
@@ -173,13 +174,9 @@ class Scheduler {
   // the lowest id), or kInvalidCpu.
   CpuId LongestIdleCpu(const CpuSet& allowed) const;
 
-  // The cpus a wakeup of `se` may land on: its affinity intersected with the
-  // online set, or every online cpu when hotplug left that intersection
-  // empty (the affinity is broken rather than the wakeup stranded).
-  CpuSet WakeAllowed(const SchedEntity& se) const {
-    CpuSet allowed = se.affinity & online_;
-    return allowed.Empty() ? online_ : allowed;
-  }
+  // The cpus a placement of `se` may choose: its affinity intersected with
+  // the online set. Never empty at a placement: SelectFallbackRq runs first.
+  CpuSet WakeAllowed(const SchedEntity& se) const { return se.affinity & online_; }
 
   // Re-resolves the autogroup divisor for load computations.
   double AutogroupDivisor(AutogroupId id) const;
@@ -319,7 +316,10 @@ class Scheduler {
   // RqLoad's miss path: folds the runqueue (LoadAt) and refills the memo.
   // Out of line so the inline hit path stays a handful of compares.
   double RqLoadFill(Time now, CpuId cpu) const;
-  CpuId FirstAllowedOnline(const CpuSet& affinity) const;
+  // select_fallback_rq without cpusets: a mask with no online cpu widens to
+  // every cpu (the thread is no longer affine). Runs before every fork, wake
+  // and hotplug-evacuation placement, so no placement needs a fallback.
+  void SelectFallbackRq(SchedEntity& se);
   void NotifyNrRunning(Time now, CpuId cpu);
   void NotifyLoad(Time now, CpuId cpu);
 

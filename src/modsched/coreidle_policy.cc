@@ -35,11 +35,7 @@ bool CoreIdlePolicy::AnyOverloaded() const {
 }
 
 CpuId CoreIdlePolicy::Place(const SchedEntity& se, CpuId prev, CpuSet* considered) const {
-  CpuSet online = sched_->OnlineCpus();
-  CpuSet allowed = se.affinity & online;
-  if (allowed.Empty()) {
-    allowed = online;  // Affinity became unsatisfiable (hotplug); break it.
-  }
+  CpuSet allowed = sched_->WakeAllowed(se);
   CpuSet candidates = allowed & ActiveSet();
   if (candidates.Empty()) {
     candidates = allowed;  // Pinned entirely outside the active set.

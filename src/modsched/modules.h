@@ -28,7 +28,7 @@
 namespace wcores {
 
 // An optimization module for the wakeup path. `allowed` is the wakee's
-// Scheduler::WakeAllowed set.
+// Scheduler::WakeAllowed set: its mask's online cpus, never empty.
 class WakeModule {
  public:
   virtual ~WakeModule() = default;

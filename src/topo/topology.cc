@@ -92,12 +92,7 @@ Topology Topology::Example32() {
       {1, 2, 0, 1},
       {2, 1, 1, 0},
   };
-  Topology topo(/*n_nodes=*/4, /*cores_per_node=*/8, /*smt_width=*/2, std::move(hops));
-  HardwareSpec spec;
-  spec.cpus = "4 x 8-core (32 threads total), Figure 1's example machine";
-  spec.interconnect = "ring, max 2 hops";
-  topo.set_spec(spec);
-  return topo;
+  return Topology(/*n_nodes=*/4, /*cores_per_node=*/8, /*smt_width=*/2, std::move(hops));
 }
 
 Topology Topology::Bulldozer8x8() {
@@ -127,7 +122,6 @@ Topology Topology::Bulldozer8x8() {
       }
     }
   }
-  // HardwareSpec's defaults already describe this machine (Table 5).
   return Topology(/*n_nodes=*/8, /*cores_per_node=*/8, /*smt_width=*/2, std::move(hops));
 }
 

@@ -16,15 +16,6 @@ namespace wcores {
 using NodeId = int;
 constexpr NodeId kInvalidNode = -1;
 
-// Static description of a machine, à la Table 5 of the paper.
-struct HardwareSpec {
-  std::string cpus = "8 x 8-core Opteron 6272 (64 threads total)";
-  std::string clock = "2.1 GHz";
-  std::string caches = "768 KB L1, 16 MB L2, 12 MB L3 per CPU";
-  std::string memory = "512 GB of 1.6 GHz DDR-3";
-  std::string interconnect = "HyperTransport 3.0";
-};
-
 class Topology {
  public:
   // A machine with `n_nodes` NUMA nodes of `cores_per_node` cores each.
@@ -78,9 +69,6 @@ class Topology {
 
   CpuSet AllCpus() const { return CpuSet::FirstN(n_cores_); }
 
-  const HardwareSpec& spec() const { return spec_; }
-  void set_spec(HardwareSpec spec) { spec_ = std::move(spec); }
-
   // Renders the hop matrix (Figure 4 as a table).
   std::string HopMatrixToString() const;
 
@@ -93,7 +81,6 @@ class Topology {
   std::vector<std::vector<int>> node_hops_;
   std::vector<CpuSet> smt_siblings_;
   std::vector<CpuSet> cpus_within_;  // [node * (max_hops_ + 1) + hops].
-  HardwareSpec spec_;
 };
 
 }  // namespace wcores

@@ -10,12 +10,10 @@
 //  * Thread census — every alive thread is exactly one of running / queued /
 //    blocked; per-cpu counts match rq nr_running; the running entity matches
 //    CurrentThread.
-//  * Placement legality — every on_rq entity sits on an online cpu, and,
-//    in runs without hotplug churn, inside its affinity mask (or anywhere
-//    online once the mask has no online member). Under churn the mask check
-//    is off by design: a pinned thread that hotplug evacuates stays where it
-//    landed after its cpu comes back, until its next wakeup
-//    (SimulatorTest.PinnedThreadReturnsToItsCpuAtNextWakeupAfterHotplug).
+//  * Placement legality — every on_rq entity sits on an online cpu inside
+//    its affinity mask, hotplug churn included: the core's
+//    select_fallback_rq step widens a mask with no online cpu to every cpu
+//    before it places the thread, so no placement leaves the mask.
 //  * Per-cfs_rq min_vruntime never decreases (the runqueue owns vruntime
 //    accounting even when a policy picks non-leftmost entities).
 //  * Load-sum conservation — cached RqLoad equals a from-scratch
@@ -163,11 +161,10 @@ inline CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
 // One mechanism-invariant sweep over the whole machine at the current
 // instant. Policy-agnostic by construction: nothing here asks who decided a
 // placement, only whether the core's bookkeeping is coherent and legal.
-// `churn` says the run toggles cpus, which turns the affinity check off.
 class InvariantChecker {
  public:
-  InvariantChecker(Simulator* sim, bool churn)
-      : sim_(sim), churn_(churn), checker_(sim), last_min_vruntime_(sim->topo().n_cores(), 0) {}
+  explicit InvariantChecker(Simulator* sim)
+      : sim_(sim), checker_(sim), last_min_vruntime_(sim->topo().n_cores(), 0) {}
 
   int checks() const { return checks_; }
 
@@ -189,8 +186,7 @@ class InvariantChecker {
         ASSERT_GE(se.cpu, 0) << "tid " << tid;
         ASSERT_LT(se.cpu, n_cores) << "tid " << tid;
         ASSERT_TRUE(sched.IsOnline(se.cpu)) << "tid " << tid << " queued on offline cpu";
-        ASSERT_TRUE(churn_ || se.affinity.Test(se.cpu) ||
-                    (se.affinity & sched.OnlineCpus()).Empty())
+        ASSERT_TRUE(se.affinity.Test(se.cpu))
             << "tid " << tid << " placed outside its affinity mask on cpu " << se.cpu;
         on_rq_count[se.cpu] += 1;
         if (se.running) {
@@ -256,7 +252,6 @@ class InvariantChecker {
 
  private:
   Simulator* sim_;
-  bool churn_;
   SanityChecker checker_;
   std::vector<Time> last_min_vruntime_;
   int checks_ = 0;

@@ -97,7 +97,7 @@ void FuzzMechanismInvariants(SchedPolicy* policy, uint64_t seed) {
   SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
   const bool churn = rng.NextBool(0.5);
 
-  InvariantChecker checker(&sim, churn);
+  InvariantChecker checker(&sim);
   // Scheduled through the event queue so checks interleave
   // deterministically with scheduler activity.
   sim.After(conformance::kCheckInterval, RearmingCheck{&checker, &sim});

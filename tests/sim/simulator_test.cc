@@ -266,12 +266,12 @@ TEST(SimulatorTest, TimerWakeOnOfflinedCoreStillWorks) {
   EXPECT_EQ(sim.thread(tid).state, ThreadState::kExited);
 }
 
-// Hotplug evacuates a pinned thread off its only cpu. When the cpu comes
-// back the thread stays where evacuation put it, and only its next wakeup
-// places it inside its mask again; at no instant does it sit on an offline
-// cpu. (This is why the invariant fuzzer checks affinity only in runs
-// without hotplug churn.)
-TEST(SimulatorTest, PinnedThreadReturnsToItsCpuAtNextWakeupAfterHotplug) {
+// Hotplug evacuates a pinned thread off its only cpu. As in Linux's
+// select_fallback_rq, a mask with no online cpu means the thread is no
+// longer affine: its mask widens to every cpu, it runs on an online one,
+// and the widening stays after the cpu comes back. At no instant does it
+// sit on an offline cpu.
+TEST(SimulatorTest, PinnedThreadIsNoLongerAffineOnceHotplugOfflinesItsCpu) {
   Topology topo = Topology::Flat(1, 4);
   Simulator sim(topo, DefaultOptions());
   Simulator::SpawnParams params;
@@ -304,16 +304,44 @@ TEST(SimulatorTest, PinnedThreadReturnsToItsCpuAtNextWakeupAfterHotplug) {
   ASSERT_TRUE(se.on_rq);
   ASSERT_EQ(se.cpu, 2);
   sim.SetCpuOnline(2, false);
+  EXPECT_EQ(se.affinity, topo.AllCpus()) << "no longer affine to cpu 2";
+  EXPECT_TRUE(se.on_rq);
+  EXPECT_TRUE(sim.sched().IsOnline(se.cpu));
   sim.Run(Milliseconds(2));
   sim.SetCpuOnline(2, true);
-  EXPECT_TRUE(se.on_rq);
-  EXPECT_EQ(se.cpu, 0) << "still where evacuation put it";
-  sim.Run(Milliseconds(8));  // Its compute ends at ~4 ms; it wakes at ~5 ms.
-  EXPECT_TRUE(se.on_rq);
-  EXPECT_EQ(se.cpu, 2) << "its next wakeup honors the mask again";
   sim.Run(Milliseconds(10));
+  EXPECT_EQ(se.affinity, topo.AllCpus());
   EXPECT_EQ(probe.samples, 200);
   EXPECT_EQ(probe.offline, 0);
+}
+
+// The fallback runs at wakeup and fork too, not only at evacuation: a
+// thread asleep when its only cpu goes offline, and a thread spawned pinned
+// to that offline cpu, each land on an online cpu with the mask widened.
+TEST(SimulatorTest, WakeAndForkWidenAMaskWithNoOnlineCpu) {
+  Topology topo = Topology::Flat(1, 4);
+  Simulator sim(topo, DefaultOptions());
+  Simulator::SpawnParams params;
+  params.affinity = CpuSet::Single(2);
+  params.parent_cpu = 2;
+  auto spawn = [&] {
+    return sim.Spawn(std::make_unique<ScriptBehavior>(std::vector<Action>{
+                         ComputeAction{Milliseconds(1)}, SleepAction{Milliseconds(5)},
+                         ComputeAction{Milliseconds(2)}}),
+                     params);
+  };
+  ThreadId sleeper = spawn();
+  sim.Run(Milliseconds(2));
+  ASSERT_FALSE(sim.sched().Entity(sleeper).on_rq);
+  sim.SetCpuOnline(2, false);
+  ThreadId forked = spawn();
+  sim.Run(Milliseconds(7));  // The sleeper has woken at ~6 ms.
+  for (ThreadId tid : {sleeper, forked}) {
+    const SchedEntity& se = sim.sched().Entity(tid);
+    EXPECT_TRUE(sim.sched().IsOnline(se.cpu)) << "tid " << tid;
+    EXPECT_EQ(se.affinity, topo.AllCpus()) << "tid " << tid;
+  }
+  EXPECT_TRUE(sim.RunUntilAllExited(Seconds(1)));
 }
 
 }  // namespace

@@ -163,12 +163,6 @@ TEST(Example32Test, DomainLevelsMatchFigure1) {
   EXPECT_EQ(domains[3].span.Count(), 32);  // Whole machine.
 }
 
-TEST(BulldozerTest, SpecDescribesOpteron) {
-  Topology topo = Topology::Bulldozer8x8();
-  EXPECT_NE(topo.spec().cpus.find("Opteron"), std::string::npos);
-  EXPECT_NE(topo.spec().interconnect.find("HyperTransport"), std::string::npos);
-}
-
 // Shape checks survive Release builds: a machine wider than kMaxCpus would
 // otherwise write past CpuSet's words.
 TEST(TopologyDeathTest, MoreCoresThanKMaxCpusAborts) {
