@@ -31,7 +31,6 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   const size_t n = static_cast<size_t>(topo.n_cores());
   nr_running_.assign(n, 0);
   load_version_.assign(n, 0);
-  imbalanced_.assign(n, 0);
   idle_since_.assign(n, 0);
   load_cache_now_.assign(n, kTimeNever);
   load_cache_version_.assign(n, 0);

@@ -153,8 +153,9 @@ class Scheduler {
   // The per-cpu stat mirrors match their sources: the write-through
   // nr_running/load_version mirrors, the overloaded-cpu count, and the
   // tickless mask — set on an online cpu exactly when its runqueue is empty,
-  // which DesignatedCpu, LongestIdleCpu and NohzKickTarget rely on. Fuzzer
-  // cross-check, like RqLoadRecomputed for the RqLoad memo.
+  // which the group census, the steal scan, DesignatedCpu, LongestIdleCpu
+  // and NohzKickTarget rely on. Fuzzer cross-check, like RqLoadRecomputed
+  // for the RqLoad memo.
   bool ValidateStatMirrors() const;
   Time MinVruntime(CpuId cpu) const { return cpus_[cpu].rq.min_vruntime(); }
   // Runqueue structural invariants (test support; see CfsRunqueue).
@@ -177,6 +178,46 @@ class Scheduler {
   // The cpus a placement of `se` may choose: its affinity intersected with
   // the online set. Never empty at a placement: SelectFallbackRq runs first.
   CpuSet WakeAllowed(const SchedEntity& se) const { return se.affinity & online_; }
+
+  // Aggregate load/occupancy of one scheduling group (Algorithm 1 lines
+  // 10-12): the inputs to busiest-group selection.
+  struct GroupLoadStats {
+    // The one load value busiest selection compares: the average member
+    // load under the stock metric, the minimum under fix_group_imbalance;
+    // 0.0 for a group with no online member.
+    double metric = 0.0;
+    int n_cpus = 0;
+    int nr_running = 0;
+    bool imbalanced = false;
+
+    bool Overloaded() const { return nr_running > n_cpus; }
+
+    // Busiest-selection rank (line 13): overloaded groups first, then groups
+    // marked imbalanced by failed affinity moves, then the rest.
+    int Rank() const {
+      if (Overloaded()) {
+        return 2;
+      }
+      if (imbalanced) {
+        return 1;
+      }
+      return 0;
+    }
+  };
+
+  // The stats of the online members of `cpus` under the active metric. The
+  // integer census comes from word-wide masks: tickless_ is the idle set, so
+  // only busy members are visited. Loads come off the RqLoad memo and only
+  // where the metric compares them: the busy members' loads in ascending
+  // order under stock (an idle member's load is exactly +0.0), and under the
+  // fix none at all when the group holds an idle member (its minimum is
+  // 0.0). The only sanctioned way for balancing code to aggregate
+  // per-entity loads: a fold in any other order can round differently.
+  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
+  // The specification ComputeGroupStats must match bit for bit: every online
+  // member folded in ascending order with no skip, off the runqueues and
+  // RqLoadRecomputed. The conformance harness cross-checks the two.
+  GroupLoadStats GroupStatsRecomputed(Time now, const CpuSet& cpus) const;
 
   // Re-resolves the autogroup divisor for load computations.
   double AutogroupDivisor(AutogroupId id) const;
@@ -238,41 +279,6 @@ class Scheduler {
     int last_nr_reported = -1;
     double last_load_reported = -1.0;
   };
-
-  // Aggregate load/occupancy of one scheduling group (Algorithm 1 lines
-  // 10-12): the inputs to busiest-group selection.
-  struct GroupLoadStats {
-    // The one load value busiest selection compares: the average member
-    // load under the stock metric, the minimum under fix_group_imbalance;
-    // 0.0 for a group with no online member.
-    double metric = 0.0;
-    int n_cpus = 0;
-    int nr_running = 0;
-    bool imbalanced = false;
-
-    bool Overloaded() const { return nr_running > n_cpus; }
-
-    // Busiest-selection rank (line 13): overloaded groups first, then groups
-    // marked imbalanced by failed affinity moves, then the rest.
-    int Rank() const {
-      if (Overloaded()) {
-        return 2;
-      }
-      if (imbalanced) {
-        return 1;
-      }
-      return 0;
-    }
-  };
-
-  // The stats of `cpus` under the active metric, folded member by member
-  // off the RqLoad memo. Reads only the loads that metric needs: none for
-  // an empty runqueue (its load is exactly +0.0), and under the fix none
-  // once an idle member pins the minimum at 0.0. The only sanctioned way
-  // for balancing code to aggregate per-entity loads: a fold in any other
-  // order can round differently from RqLoad, the value the fuzz and
-  // conformance suites check against RqLoadRecomputed.
-  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
 
   // Wakeup placement; fills `considered` for the visualization tool.
   CpuId SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu, CpuSet* considered);
@@ -343,7 +349,6 @@ class Scheduler {
   // arrays are exact, not eventually-consistent.
   std::vector<int> nr_running_;        // == cpus_[c].rq.nr_running().
   std::vector<uint64_t> load_version_; // == cpus_[c].rq.load_version().
-  std::vector<uint8_t> imbalanced_;    // A steal from this rq failed on affinity.
   std::vector<Time> idle_since_;       // Valid while nr_running_[c] == 0.
 
   // RqLoad memo (see Scheduler::RqLoad), SoA: the last computed load per
@@ -365,6 +370,8 @@ class Scheduler {
   // exactly when nr_running_ is 0 (ValidateStatMirrors). Offline cpus may
   // keep a stale bit, so every reader masks with online_.
   CpuSet tickless_;
+  // A steal from this rq failed on affinity; cleared by a successful steal.
+  CpuSet imbalanced_;
 
   StableVector<SchedEntity> entities_;  // Indexed by tid; stable addresses.
   std::vector<Autogroup> autogroups_;

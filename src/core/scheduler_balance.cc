@@ -15,34 +15,53 @@ Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& c
   // Group Imbalance bug. The fix compares the *minimum* loads: if some core
   // in another group is busier than every core in ours is idle-ish, steal.
   //
-  // An empty runqueue's load is exactly +0.0 (LoadAt's empty fold) and no
-  // member load is negative, so its read is skipped: the sum is unchanged
-  // (x + 0.0 == x for x >= +0), and the minimum is pinned at 0.0
-  // (min(m, 0.0) == 0.0 for m >= +0), after which no later member can move
-  // it. The integer census (n_cpus, nr_running, imbalanced) still visits
-  // every member.
+  // tickless_ is exactly the idle set on online cpus (ValidateStatMirrors),
+  // so the census is word-wide and only busy members are visited. An idle
+  // member's nr_running is 0 and its load exactly +0.0 (LoadAt's empty
+  // fold), and no member load is negative, so skipping it leaves the sum
+  // unchanged (x + 0.0 == x for x >= +0) and pins the minimum at 0.0
+  // (min(m, 0.0) == 0.0 for m >= +0): under the fix a group holding an idle
+  // member reads no load at all. GroupStatsRecomputed is the unskipped fold.
+  const bool by_min = features_.fix_group_imbalance;
+  GroupLoadStats gs;
+  const CpuSet members = cpus & online_;
+  const CpuSet busy = members & ~tickless_;
+  gs.n_cpus = members.Count();
+  if (gs.n_cpus == 0) {
+    return gs;
+  }
+  gs.imbalanced = members.Intersects(imbalanced_);
+  const bool read_loads = !by_min || busy == members;
+  double acc = by_min ? std::numeric_limits<double>::infinity() : 0.0;
+  for (CpuId c : busy) {
+    gs.nr_running += nr_running_[c];
+    if (read_loads) {
+      double load = RqLoad(now, c);
+      acc = by_min ? std::min(acc, load) : acc + load;
+    }
+  }
+  if (read_loads) {
+    gs.metric = by_min ? acc : acc / gs.n_cpus;
+  }
+  return gs;
+}
+
+Scheduler::GroupLoadStats Scheduler::GroupStatsRecomputed(Time now, const CpuSet& cpus) const {
   const bool by_min = features_.fix_group_imbalance;
   GroupLoadStats gs;
   double acc = by_min ? std::numeric_limits<double>::infinity() : 0.0;
-  bool idle_member = false;
   for (CpuId c : cpus) {
     if (!online_.Test(c)) {
       continue;
     }
-    int nr = nr_running_[c];
     gs.n_cpus += 1;
-    gs.nr_running += nr;
-    gs.imbalanced = gs.imbalanced || imbalanced_[c] != 0;
-    if (nr == 0) {
-      idle_member = true;
-    } else if (!by_min) {
-      acc += RqLoad(now, c);
-    } else if (!idle_member) {
-      acc = std::min(acc, RqLoad(now, c));
-    }
+    gs.nr_running += cpus_[c].rq.nr_running();
+    gs.imbalanced = gs.imbalanced || imbalanced_.Test(c);
+    double load = RqLoadRecomputed(now, c);
+    acc = by_min ? std::min(acc, load) : acc + load;
   }
   if (gs.n_cpus > 0) {
-    gs.metric = by_min ? (idle_member ? 0.0 : acc) : acc / gs.n_cpus;
+    gs.metric = by_min ? acc : acc / gs.n_cpus;
   }
   return gs;
 }
@@ -62,19 +81,18 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
   CpuSet excluded;
 
   // Lines 10-12: the load metric of every scheduling group, computed once
-  // per call. A fold visits every member for the integer census and reads a
-  // load (off the per-cpu RqLoad memo) only where the metric needs one; see
-  // ComputeGroupStats.
+  // per call from word-wide masks, reading a load (off the per-cpu RqLoad
+  // memo) only where the metric compares one; see ComputeGroupStats.
   //
-  // Redo passes (the kernel's LBF_ALL_PINNED path) do NOT refold: within
-  // one call, cpus are only ever excluded from the *busiest* group — the
-  // src loop picks sources there, and group exhaustion excludes its
-  // remainder — and groups partition the domain, so every other group's
-  // refold under the exclusion would reproduce the same member loads folded
-  // in the same order, bit-identically. Zeroing the exhausted group's slot
-  // in place (n_cpus == 0 groups are never selected) therefore leaves every
-  // later comparison, counter, and steal decision exactly as the refold
-  // would have, at O(groups) per redo instead of O(domain cpus).
+  // Redo passes (the kernel's LBF_ALL_PINNED path) do NOT refold: the stats
+  // are the call's snapshot, and a redo only drops the exhausted group's
+  // slot (n_cpus == 0 groups are never selected), at O(groups) instead of
+  // O(domain cpus). Groups need not be disjoint (NUMA groups overlap by
+  // construction, §3.2), so this is not a refold under the exclusion.
+  // ComputeGroupStats never reads `excluded`, and a pass that reaches a redo
+  // moved no task, so a refold would differ only in the imbalanced flag a
+  // failed steal has just set. Linux refolds every group over its span &
+  // env->cpus; EXPERIMENTS.md measures what either refold would change.
   std::vector<GroupLoadStats>& stats = balance_stats_scratch_;
   stats.assign(sd.groups().size(), GroupLoadStats{});
   for (size_t g = 0; g < sd.groups().size(); ++g) {
@@ -121,17 +139,15 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
     for (;;) {
       CpuId src = kInvalidCpu;
       double src_load = 0;
-      for (CpuId c : sd.groups()[busiest].cpus) {
-        if (c == cpu || excluded.Test(c) || !online_.Test(c)) {
-          continue;
-        }
-        // Nothing stealable (curr cannot be migrated). Screened through the
-        // dense nr mirror first: nr == 0 means an empty tree and nr >= 2
-        // guarantees a queued entity (at most one curr), so only nr == 1 —
-        // where curr-only and one-queued look alike — needs to dereference
-        // the runqueue.
-        int nr = nr_running_[c];
-        if (nr < 1 || (nr == 1 && cpus_[c].rq.queued() < 1)) {
+      // Busy candidates only (tickless_ is the idle set on online cpus), so
+      // every candidate has nr_running >= 1.
+      CpuSet candidates = sd.groups()[busiest].cpus & online_ & ~tickless_ & ~excluded;
+      candidates.Clear(cpu);
+      for (CpuId c : candidates) {
+        // Nothing stealable (curr cannot be migrated). nr >= 2 guarantees a
+        // queued entity (at most one curr), so only nr == 1 — where
+        // curr-only and one-queued look alike — dereferences the runqueue.
+        if (nr_running_[c] == 1 && cpus_[c].rq.queued() < 1) {
           continue;
         }
         double load = RqLoad(now, c);
@@ -154,9 +170,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
 
       int moved = MoveTasks(now, src, cpu, imbalance, force_min_one, reason);
       if (moved > 0) {
-        if (imbalanced_[src] != 0) {
-          imbalanced_[src] = 0;
-        }
+        imbalanced_.Clear(src);
         stats_.balance_success += 1;
         stats_.balance_moved_tasks += static_cast<uint64_t>(moved);
         return moved;
@@ -164,9 +178,8 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
       // Lines 20-22: the busiest cpu's threads are pinned elsewhere; mark
       // the source imbalanced (so its group is favoured by cores that *can*
       // help) and retry with the next busiest cpu.
-      if (cpus_[src].rq.queued() >= 1 && !cpus_[src].rq.HasStealableFor(cpu) &&
-          imbalanced_[src] == 0) {
-        imbalanced_[src] = 1;
+      if (cpus_[src].rq.queued() >= 1 && !cpus_[src].rq.HasStealableFor(cpu)) {
+        imbalanced_.Set(src);
       }
       stats_.balance_affinity_retries += 1;
       excluded.Set(src);
@@ -175,19 +188,15 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
       // Exclude what remains of this group and redo group selection. Each
       // redo shrinks the candidate set, so this terminates; a group with
       // every cpu excluded has n_cpus == 0 and is never selected again.
-      for (CpuId c : sd.groups()[busiest].cpus) {
-        if (c != cpu && online_.Test(c)) {
-          excluded.Set(c);
-        }
-      }
+      excluded |= sd.groups()[busiest].cpus & online_;
+      excluded.Clear(cpu);
       if (excluded.Count() == excluded_at_pass_start) {
         // Sterile pass: nothing new to exclude, nothing movable.
         stats_.balance_failures += 1;
         return 0;
       }
       // Redo group selection without the exhausted group (see the stats
-      // comment above: disjointness makes dropping its slot bit-identical
-      // to refolding every group under the exclusion).
+      // comment above).
       stats[busiest] = GroupLoadStats{};
     }
   }

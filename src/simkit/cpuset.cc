@@ -1,6 +1,7 @@
 #include "src/simkit/cpuset.h"
 
 #include <cstdio>
+#include <ostream>
 
 namespace wcores {
 
@@ -38,5 +39,7 @@ std::string CpuSet::ToString() const {
   }
   return out;
 }
+
+std::ostream& operator<<(std::ostream& os, const CpuSet& set) { return os << set.ToString(); }
 
 }  // namespace wcores

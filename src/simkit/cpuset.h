@@ -6,6 +6,7 @@
 #define SRC_SIMKIT_CPUSET_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace wcores {
@@ -221,6 +222,9 @@ class CpuSet {
 
   uint64_t words_[kWords];
 };
+
+// Streams ToString(), so gtest prints a failed CpuSet comparison as "0-3,8".
+std::ostream& operator<<(std::ostream& os, const CpuSet& set);
 
 }  // namespace wcores
 

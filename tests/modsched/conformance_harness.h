@@ -19,6 +19,10 @@
 //  * Load-sum conservation — cached RqLoad equals a from-scratch
 //    recomputation, bit for bit, and an online empty runqueue's load is
 //    exactly +0.0 (the premise the group fold relies on to skip its reads).
+//  * Group-fold twin — ComputeGroupStats equals GroupStatsRecomputed (census
+//    equal, metric bit-equal) for every group of every level of every online
+//    cpu, and for the whole machine's mask, which under churn holds offline
+//    cpus that no group does.
 //  * Runqueue structure (red-black invariants, weight accounting), the
 //    stat mirrors (ValidateStatMirrors), and LongestIdleCpu and
 //    NohzKickTarget vs. linear-scan oracles.
@@ -158,6 +162,18 @@ inline CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
   return kInvalidCpu;
 }
 
+// ComputeGroupStats against its from-scratch twin over `cpus`.
+inline void ExpectGroupStatsMatchTwin(const Scheduler& sched, Time now, const CpuSet& cpus) {
+  Scheduler::GroupLoadStats fast = sched.ComputeGroupStats(now, cpus);
+  Scheduler::GroupLoadStats twin = sched.GroupStatsRecomputed(now, cpus);
+  ASSERT_EQ(fast.n_cpus, twin.n_cpus) << "group " << cpus << " at t=" << now;
+  ASSERT_EQ(fast.nr_running, twin.nr_running) << "group " << cpus << " at t=" << now;
+  ASSERT_EQ(fast.imbalanced, twin.imbalanced) << "group " << cpus << " at t=" << now;
+  ASSERT_EQ(std::bit_cast<uint64_t>(fast.metric), std::bit_cast<uint64_t>(twin.metric))
+      << "group " << cpus << " metric " << fast.metric << " != twin " << twin.metric
+      << " at t=" << now;
+}
+
 // One mechanism-invariant sweep over the whole machine at the current
 // instant. Policy-agnostic by construction: nothing here asks who decided a
 // placement, only whether the core's bookkeeping is coherent and legal.
@@ -218,6 +234,14 @@ class InvariantChecker {
     }
 
     ASSERT_TRUE(sched.ValidateStatMirrors()) << "stat mirrors diverged at t=" << now;
+    for (CpuId cpu : sched.OnlineCpus()) {
+      for (const SchedDomain& sd : sched.Domains(cpu).domains) {
+        for (const SchedGroup& group : sd.groups()) {
+          ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, group.cpus));
+        }
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, sim_->topo().AllCpus()));
     ASSERT_EQ(sched.LongestIdleCpu(sim_->topo().AllCpus()), ScanLongestIdle(sched, n_cores))
         << "LongestIdleCpu disagrees with linear scan at t=" << now;
     ASSERT_EQ(sched.NohzKickTarget(), ScanKickTarget(sched, n_cores))

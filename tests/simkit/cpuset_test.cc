@@ -215,6 +215,12 @@ TEST(CpuSetTest, ToStringRanges) {
   EXPECT_EQ(CpuSet{}.ToString(), "(empty)");
 }
 
+TEST(CpuSetTest, GtestPrintsTheCpuList) {
+  CpuSet s = CpuSet::FirstN(4);
+  s.Set(8);
+  EXPECT_EQ(::testing::PrintToString(s), "0-3,8");
+}
+
 TEST(CpuSetTest, RandomizedAgainstStdSet) {
   Rng rng(123);
   CpuSet s;
