@@ -27,9 +27,8 @@ double PinnedLuSeconds(int busy_factor, Time ctx_cost) {
   Simulator::Options opts;
   opts.seed = 6001;
   opts.tunables = SchedTunables::ForCpus(topo.n_cores());
-  opts.tunables.busy_balance_factor = busy_factor;
-  opts.tunables.context_switch_cost = ctx_cost;
-  opts.tunables_set = true;
+  opts.tunables->busy_balance_factor = busy_factor;
+  opts.tunables->context_switch_cost = ctx_cost;
   Simulator sim(topo, opts);
   NasConfig config;
   config.app = NasApp::kLu;

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>

@@ -3,7 +3,6 @@
 #include "src/simkit/check.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace wcores {
 

@@ -23,7 +23,6 @@
 #ifndef SRC_CORE_RBTREE_H_
 #define SRC_CORE_RBTREE_H_
 
-#include <cassert>
 #include <cstddef>
 
 namespace wcores {
@@ -123,7 +122,6 @@ class RbTree {
 
   void Insert(T* item) {
     RbNode* node = &(item->*Member);
-    assert(!node->linked && "node already in a tree");
     RbNode* root = base_.root();
     if (root == nullptr) {
       base_.InsertAt(node, nullptr, base_.mutable_root());
@@ -170,19 +168,12 @@ class RbTree {
 
   void Erase(T* item) {
     RbNode* node = &(item->*Member);
-    assert(node->linked && "node not in a tree");
     base_.Erase(node);
   }
 
   // Smallest element or nullptr.
   T* Leftmost() const {
     RbNode* node = base_.LeftmostNode();
-    return node != nullptr ? FromNode(node) : nullptr;
-  }
-
-  // Largest element or nullptr.
-  T* Rightmost() const {
-    RbNode* node = base_.RightmostNode();
     return node != nullptr ? FromNode(node) : nullptr;
   }
 

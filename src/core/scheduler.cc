@@ -2,7 +2,6 @@
 
 #include "src/core/sched_policy.h"
 #include "src/simkit/check.h"
-#include "src/simkit/log.h"
 
 namespace wcores {
 
@@ -92,6 +91,7 @@ void Scheduler::UpdateFeatures(const SchedFeatures& features) {
 }
 
 void Scheduler::SetNice(Time now, ThreadId tid, int nice) {
+  WC_CHECK(nice >= kMinNice && nice <= kMaxNice, "nice outside [-20, 19]");
   SchedEntity& se = entities_[tid];
   if (se.nice == nice) {
     return;
@@ -192,6 +192,7 @@ bool Scheduler::CanSteal(CpuId idle_cpu, CpuId busy_cpu) const {
 }
 
 ThreadId Scheduler::CreateThread(Time now, const ThreadParams& params) {
+  WC_CHECK(params.nice >= kMinNice && params.nice <= kMaxNice, "nice outside [-20, 19]");
   ThreadId tid = static_cast<ThreadId>(entities_.size());
   entities_.emplace_back();
   SchedEntity& se = entities_.back();

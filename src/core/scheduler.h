@@ -165,7 +165,6 @@ class Scheduler {
   SchedEntity& MutableEntity(ThreadId tid) { return entities_[tid]; }
   int ThreadCount() const { return static_cast<int>(entities_.size()); }
   const SchedStats& stats() const { return stats_; }
-  SchedStats& mutable_stats() { return stats_; }
 
   // The sanity checker's can_steal(idle, busy): some thread queued on
   // `busy_cpu` is allowed to run on `idle_cpu`.
@@ -253,12 +252,6 @@ class Scheduler {
   void CfsPeriodicBalance(Time now, CpuId cpu);
   void CfsIdleBalance(Time now, CpuId cpu) { IdleBalance(now, cpu); }
   void CfsNohzBalance(Time now, CpuId cpu);
-
-  // Visits the queued (not running) entities of `cpu` in vruntime order.
-  template <typename Visitor>
-  void ForEachQueuedOn(CpuId cpu, Visitor&& visit) const {
-    cpus_[cpu].rq.ForEachQueued(visit);
-  }
 
  private:
   // Per-cpu state that is *not* read by balance folds. Everything a group

@@ -1,7 +1,6 @@
 // Hierarchical load balancing: Algorithm 1 of the paper, plus (new-)idle
 // balancing. The Group Imbalance bug/fix of §3.1 lives in the group metric.
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <vector>
 

@@ -1,7 +1,5 @@
 #include "src/core/weights.h"
 
-#include <cassert>
-
 namespace wcores {
 
 namespace {
@@ -33,12 +31,10 @@ constexpr uint32_t kPrioToWmult[40] = {
 }  // namespace
 
 uint32_t NiceToWeight(int nice) {
-  assert(nice >= kMinNice && nice <= kMaxNice);
   return kPrioToWeight[nice - kMinNice];
 }
 
 uint32_t NiceToInverseWeight(int nice) {
-  assert(nice >= kMinNice && nice <= kMaxNice);
   return kPrioToWmult[nice - kMinNice];
 }
 

@@ -16,7 +16,8 @@ constexpr int kMaxNice = 19;
 // Weight of a nice-0 thread; vruntime advances at wall speed for this weight.
 constexpr uint32_t kNice0Weight = 1024;
 
-// Weight corresponding to a nice value in [-20, 19].
+// Weight corresponding to a nice value in [-20, 19]; the scheduler checks the
+// range where a nice value comes in (CreateThread, SetNice).
 uint32_t NiceToWeight(int nice);
 
 // Inverse mapping used to convert real runtime to weighted vruntime:

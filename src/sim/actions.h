@@ -1,19 +1,23 @@
-// The vocabulary of things a simulated thread can do.
+// The vocabulary of things a simulated thread can do: the nine actions the
+// paper's workloads use. make and R compute and sleep (Compute, Sleep;
+// §3.1); the database's worker pools sleep at blocking barriers
+// (BlockingBarrier; §3.3); NAS spins at barriers and locks and hands off
+// through lu's pipeline counters (SpinBarrier, SpinLock/SpinUnlock,
+// SpinUntil/VarAdd; §3.2, §3.4). Exit ends the thread.
 //
 // A Behavior emits one Action at a time; the simulator interprets it.
-// Compute consumes CPU; the synchronization actions interact with the sync
-// objects owned by the simulator (src/sim/sync.h). Spin variants burn CPU
-// while waiting — which is how lock-holder preemption translates scheduling
-// bugs into the super-linear slowdowns of Tables 1 and 3 — while blocking
-// variants sleep and later travel through the scheduler wakeup path, which
-// is where the Overload-on-Wakeup bug lives.
+// The synchronization actions act on the sync objects owned by the
+// simulator (src/sim/sync.h). Spin variants burn CPU while waiting — which
+// is how lock-holder preemption translates scheduling bugs into the
+// super-linear slowdowns of Tables 1 and 3 — while blocking variants sleep
+// and later travel through the scheduler wakeup path, which is where the
+// Overload-on-Wakeup bug lives.
 #ifndef SRC_SIM_ACTIONS_H_
 #define SRC_SIM_ACTIONS_H_
 
 #include <cstdint>
 #include <variant>
 
-#include "src/core/entity.h"
 #include "src/simkit/time.h"
 
 namespace wcores {
@@ -29,23 +33,12 @@ struct SleepAction {
   Time duration;
 };
 
-// Block until explicitly woken (WakeThreadAction or an event signal).
-struct BlockAction {};
-
 struct SpinLockAction {
   SyncId lock;
 };
 
 struct SpinUnlockAction {
   SyncId lock;
-};
-
-struct MutexLockAction {
-  SyncId mutex;
-};
-
-struct MutexUnlockAction {
-  SyncId mutex;
 };
 
 // Spin-barrier: arrivals burn CPU until the last participant arrives.
@@ -74,29 +67,11 @@ struct VarAddAction {
   int64_t delta;
 };
 
-// Block on an event object until signalled.
-struct EventWaitAction {
-  SyncId event;
-};
-
-// Wake up to `count` waiters of an event (-1 = all).
-struct EventSignalAction {
-  SyncId event;
-  int count = 1;
-};
-
-// Wake a specific blocked thread (producer/consumer hand-off).
-struct WakeThreadAction {
-  ThreadId target;
-};
-
 struct ExitAction {};
 
-using Action =
-    std::variant<ComputeAction, SleepAction, BlockAction, SpinLockAction, SpinUnlockAction,
-                 MutexLockAction, MutexUnlockAction, SpinBarrierAction, BlockingBarrierAction,
-                 SpinUntilAction, VarAddAction, EventWaitAction, EventSignalAction,
-                 WakeThreadAction, ExitAction>;
+using Action = std::variant<ComputeAction, SleepAction, SpinLockAction, SpinUnlockAction,
+                            SpinBarrierAction, BlockingBarrierAction, SpinUntilAction,
+                            VarAddAction, ExitAction>;
 
 }  // namespace wcores
 

@@ -2,16 +2,12 @@
 
 #include "src/simkit/check.h"
 
-#include <cassert>
-
-#include "src/simkit/log.h"
-
 namespace wcores {
 
 Simulator::Simulator(const Topology& topo, Options options, TraceSink* trace)
     : topo_(&topo),
       features_(options.features),
-      tunables_(options.tunables_set ? options.tunables : SchedTunables::ForCpus(topo.n_cores())),
+      tunables_(options.tunables.value_or(SchedTunables::ForCpus(topo.n_cores()))),
       rng_(options.seed),
       acct_(topo.n_cores()) {
   sched_ = std::make_unique<Scheduler>(topo, features_, tunables_, this, trace, options.policy);
@@ -38,7 +34,6 @@ ThreadId Simulator::Spawn(std::unique_ptr<Behavior> behavior, const SpawnParams&
   t.tid = tid;
   t.behavior = std::move(behavior);
   t.rng = rng_.Fork();
-  t.created_at = Now();
   alive_ += 1;
   return tid;
 }
@@ -46,11 +41,6 @@ ThreadId Simulator::Spawn(std::unique_ptr<Behavior> behavior, const SpawnParams&
 SyncId Simulator::CreateSpinLock() {
   spin_locks_.emplace_back();
   return static_cast<SyncId>(spin_locks_.size() - 1);
-}
-
-SyncId Simulator::CreateMutex() {
-  mutexes_.emplace_back();
-  return static_cast<SyncId>(mutexes_.size() - 1);
 }
 
 SyncId Simulator::CreateSpinBarrier(int participants) {
@@ -68,11 +58,6 @@ SyncId Simulator::CreateBlockingBarrier(int participants) {
 SyncId Simulator::CreateVar() {
   vars_.emplace_back();
   return static_cast<SyncId>(vars_.size() - 1);
-}
-
-SyncId Simulator::CreateEvent() {
-  events_.emplace_back();
-  return static_cast<SyncId>(events_.size() - 1);
 }
 
 void Simulator::At(Time when, EventQueue::Callback fn) { queue_.ScheduleAt(when, std::move(fn)); }
@@ -167,7 +152,6 @@ void Simulator::OnSegmentEnd(CpuId cpu) {
   WC_CHECK(t.mode == RunMode::kCompute, "segment end for non-computing thread");
   t.total_compute += t.seg_remaining;
   t.seg_remaining = 0;
-  t.segments_done += 1;
   t.mode = RunMode::kIdleSlot;
   ProcessActions(cpu, tid);
 }
@@ -472,11 +456,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
     return false;
   }
 
-  if (std::get_if<BlockAction>(&action) != nullptr) {
-    BlockAndSwitch(cpu, t);
-    return false;
-  }
-
   if (const auto* a = std::get_if<SpinLockAction>(&action)) {
     SpinLock& lock = spin_locks_[a->lock];
     if (lock.holder == kInvalidThread) {
@@ -504,35 +483,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
         NotifySpinner(spinner);
         break;
       }
-    }
-    return true;
-  }
-
-  if (const auto* a = std::get_if<MutexLockAction>(&action)) {
-    Mutex& m = mutexes_[a->mutex];
-    if (m.holder == kInvalidThread) {
-      m.holder = t.tid;
-      m.acquisitions += 1;
-      return true;
-    }
-    m.contended_acquisitions += 1;
-    m.waiters.push_back(t.tid);
-    BlockAndSwitch(cpu, t);
-    return false;
-  }
-
-  if (const auto* a = std::get_if<MutexUnlockAction>(&action)) {
-    Mutex& m = mutexes_[a->mutex];
-    WC_CHECK(m.holder == t.tid, "unlocking a mutex not held");
-    if (!m.waiters.empty()) {
-      // Direct hand-off: the head waiter owns the mutex and is woken.
-      ThreadId next = m.waiters.front();
-      m.waiters.pop_front();
-      m.holder = next;
-      m.acquisitions += 1;
-      WakeThreadInternal(next, cpu);
-    } else {
-      m.holder = kInvalidThread;
     }
     return true;
   }
@@ -603,33 +553,6 @@ bool Simulator::ApplyAction(CpuId cpu, SimThread& t, const Action& action) {
       } else {
         ++i;
       }
-    }
-    return true;
-  }
-
-  if (const auto* a = std::get_if<EventWaitAction>(&action)) {
-    events_[a->event].waiters.push_back(t.tid);
-    BlockAndSwitch(cpu, t);
-    return false;
-  }
-
-  if (const auto* a = std::get_if<EventSignalAction>(&action)) {
-    SyncEvent& ev = events_[a->event];
-    ev.signals += 1;
-    int remaining = a->count < 0 ? static_cast<int>(ev.waiters.size()) : a->count;
-    while (remaining > 0 && !ev.waiters.empty()) {
-      ThreadId waiter = ev.waiters.front();
-      ev.waiters.pop_front();
-      WakeThreadInternal(waiter, cpu);
-      --remaining;
-    }
-    return true;
-  }
-
-  if (const auto* a = std::get_if<WakeThreadAction>(&action)) {
-    SimThread& target = threads_[a->target];
-    if (target.state == ThreadState::kBlocked) {
-      WakeThreadInternal(a->target, cpu);
     }
     return true;
   }

@@ -15,6 +15,7 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -31,9 +32,8 @@ class Simulator : public SchedClient {
  public:
   struct Options {
     SchedFeatures features;
-    // Defaulted from SchedTunables::ForCpus(n_cores) when left zeroed.
-    SchedTunables tunables;
-    bool tunables_set = false;
+    // Unset = SchedTunables::ForCpus(n_cores).
+    std::optional<SchedTunables> tunables;
     uint64_t seed = 1;
     // Scheduling policy (src/core/sched_policy.h); null = CFS. Borrowed:
     // must outlive the simulator, one instance per simulator.
@@ -59,11 +59,9 @@ class Simulator : public SchedClient {
   AutogroupId CreateAutogroup() { return sched_->CreateAutogroup(); }
 
   SyncId CreateSpinLock();
-  SyncId CreateMutex();
   SyncId CreateSpinBarrier(int participants);
   SyncId CreateBlockingBarrier(int participants);
   SyncId CreateVar();
-  SyncId CreateEvent();
 
   // Schedules an arbitrary callback (workload generators, tools). Captures
   // must fit InlineCallback's 16-byte inline buffer; point at out-of-line
@@ -100,12 +98,10 @@ class Simulator : public SchedClient {
   const SimThread& thread(ThreadId tid) const { return threads_[tid]; }
   int thread_count() const { return static_cast<int>(threads_.size()); }
   int alive_threads() const { return alive_; }
-  ThreadId RunningOn(CpuId cpu) const { return cores_[cpu].running; }
 
   CpuAccounting& accounting() { return acct_; }
 
   const SpinLock& spin_lock(SyncId id) const { return spin_locks_[id]; }
-  const Mutex& mutex(SyncId id) const { return mutexes_[id]; }
   const SpinBarrier& spin_barrier(SyncId id) const { return spin_barriers_[id]; }
   const BlockingBarrier& blocking_barrier(SyncId id) const { return blocking_barriers_[id]; }
   const SpinVar& var(SyncId id) const { return vars_[id]; }
@@ -177,11 +173,9 @@ class Simulator : public SchedClient {
   uint64_t context_switches_ = 0;
 
   StableVector<SpinLock> spin_locks_;
-  StableVector<Mutex> mutexes_;
   StableVector<SpinBarrier> spin_barriers_;
   StableVector<BlockingBarrier> blocking_barriers_;
   StableVector<SpinVar> vars_;
-  StableVector<SyncEvent> events_;
   std::vector<ThreadId> wake_scratch_;  // See TakeWaiters.
 };
 

@@ -14,7 +14,6 @@
 #define SRC_SIM_SYNC_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/core/entity.h"
@@ -26,13 +25,6 @@ struct SpinLock {
   ThreadId holder = kInvalidThread;
   // Arrival-ordered spinners (descheduled or running).
   std::vector<ThreadId> spinners;
-  uint64_t acquisitions = 0;
-  uint64_t contended_acquisitions = 0;
-};
-
-struct Mutex {
-  ThreadId holder = kInvalidThread;
-  std::deque<ThreadId> waiters;
   uint64_t acquisitions = 0;
   uint64_t contended_acquisitions = 0;
 };
@@ -60,11 +52,6 @@ struct SpinVar {
   int64_t value = 0;
   // (thread, threshold) pairs spinning until value >= threshold.
   std::vector<std::pair<ThreadId, int64_t>> spinners;
-};
-
-struct SyncEvent {
-  std::deque<ThreadId> waiters;
-  uint64_t signals = 0;
 };
 
 // What a spinning thread is waiting for; checked when the spinner is

@@ -60,22 +60,6 @@ class ScriptBehavior : public Behavior {
   int iteration_ = 0;
 };
 
-// Behavior built from a lambda: Action(BehaviorContext&).
-template <typename Fn>
-class LambdaBehavior : public Behavior {
- public:
-  explicit LambdaBehavior(Fn fn) : fn_(std::move(fn)) {}
-  Action Next(BehaviorContext& ctx) override { return fn_(ctx); }
-
- private:
-  Fn fn_;
-};
-
-template <typename Fn>
-std::unique_ptr<Behavior> MakeBehavior(Fn fn) {
-  return std::make_unique<LambdaBehavior<Fn>>(std::move(fn));
-}
-
 enum class ThreadState {
   kRunnable,  // In a runqueue or running.
   kBlocked,   // Sleeping / waiting on a blocking sync object.
@@ -110,12 +94,10 @@ struct SimThread {
   EventHandle sleep_timer;
 
   // Statistics.
-  Time created_at = 0;
   Time finished_at = 0;
   Time total_compute = 0;  // Productive CPU time (excludes spinning).
   Time spin_time = 0;      // CPU time burned while spinning.
   Time spin_started = 0;   // While kSpin and on cpu.
-  uint64_t segments_done = 0;
 
   bool Alive() const { return state != ThreadState::kExited; }
 };

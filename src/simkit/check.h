@@ -1,10 +1,11 @@
 // Always-on invariant checks.
 //
-// Unlike assert(), WC_CHECK survives NDEBUG builds: scheduler-state
-// corruption (double enqueue, waking a runnable thread, unlocking a lock
-// that is not held) must abort loudly in every configuration, because a
-// simulation that silently continues produces plausible-looking wrong
-// numbers. The checks guard O(1) conditions only, so the cost is noise.
+// Unlike the standard assert macro, WC_CHECK survives NDEBUG builds:
+// scheduler-state corruption (double enqueue, waking a runnable thread,
+// unlocking a lock that is not held) must abort loudly in every
+// configuration, because a simulation that silently continues produces
+// plausible-looking wrong numbers. The checks guard O(1) conditions only,
+// so the cost is noise.
 #ifndef SRC_SIMKIT_CHECK_H_
 #define SRC_SIMKIT_CHECK_H_
 

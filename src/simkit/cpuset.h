@@ -42,18 +42,6 @@ class CpuSet {
   constexpr void Clear(CpuId cpu) { words_[Word(cpu)] &= ~Bit(cpu); }
   constexpr bool Test(CpuId cpu) const { return (words_[Word(cpu)] & Bit(cpu)) != 0; }
 
-  constexpr void SetAll(int n_cpus) {
-    for (int i = 0; i < n_cpus; ++i) {
-      Set(i);
-    }
-  }
-
-  constexpr void Reset() {
-    for (auto& w : words_) {
-      w = 0;
-    }
-  }
-
   constexpr bool Empty() const {
     for (auto w : words_) {
       if (w != 0) {

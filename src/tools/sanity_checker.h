@@ -67,12 +67,6 @@ class SanityChecker {
   uint64_t candidates() const { return candidates_; }
   const std::vector<Violation>& violations() const { return violations_; }
 
-  // Total virtual time during which a confirmed violation was in effect
-  // (approximated as one confirmation window per confirmed hit).
-  Time FlaggedTime() const {
-    return static_cast<Time>(violations_.size()) * options_.confirmation_window;
-  }
-
   // Runs Algorithm 2 once; returns true and fills the pair on violation.
   // Public so benches can measure the cost of a single pass.
   bool CheckOnce(CpuId* idle_cpu, CpuId* overloaded_cpu) const;

@@ -174,8 +174,6 @@ ScenarioResult RunScenario(const Scenario& scenario) {
     result.stream_agg_bytes_peak = stream->PeakAggregatorBytes();
     result.stream_budget_bytes = stream->BudgetBytes();
     result.stream_within_budget = stream->WithinBudget();
-    result.stream_findings = stream->findings_total();
-    result.stream_worst_wait_ns = stream->worst_wait();
   }
 
   // wc-lint: allow(D3 wall_ms measures host cost only and is excluded from the trace hash)

@@ -81,8 +81,6 @@ struct ScenarioResult {
   uint64_t stream_agg_bytes_peak = 0;  // Peak aggregator footprint.
   uint64_t stream_budget_bytes = 0;    // O(tasks + cpus) budget.
   bool stream_within_budget = true;
-  uint64_t stream_findings = 0;        // Starvation findings at stream_horizon.
-  uint64_t stream_worst_wait_ns = 0;
 };
 
 ScenarioResult RunScenario(const Scenario& scenario);

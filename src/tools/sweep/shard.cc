@@ -4,18 +4,17 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "src/simkit/check.h"
 #include "src/tools/sweep/grid.h"
 #include "src/tools/sweep/jsonl.h"
 #include "src/tools/sweep/receipts.h"
+#include "src/tools/sweep/sweep.h"
 
 namespace wcores {
 
@@ -161,82 +160,55 @@ ShardReport RunShard(const std::vector<Scenario>& scenarios, const ShardOptions&
     }
   }
 
-  std::atomic<size_t> cursor{0};
   std::mutex io_mutex;  // Guards receipts_out, the report counters, and rescans.
 
-  auto worker = [&]() {
-    for (;;) {
-      size_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= order.size()) {
+  ParallelFor(order.size(), options.threads, [&](size_t slot) {
+    size_t i = order[slot];
+    const Scenario& s = scenarios[i];
+    uint64_t fingerprint = fingerprints[i];
+
+    bool had_receipts = false;
+    if (startup.Done(s.name, fingerprint, &had_receipts)) {
+      std::lock_guard<std::mutex> lock(io_mutex);
+      report.skipped++;
+      return;
+    }
+    int claim_fd = TryClaim(claims_dir, fingerprint);
+    if (claim_fd < 0) {
+      // A live process owns this scenario right now; its receipt will
+      // cover it. (A dead owner's flock is gone, so we would have won.)
+      std::lock_guard<std::mutex> lock(io_mutex);
+      report.contended++;
+      return;
+    }
+    // Between our startup scan and this claim another shard may have
+    // finished and released; recheck against a fresh store before paying
+    // for the run.
+    {
+      std::lock_guard<std::mutex> lock(io_mutex);
+      DoneIndex fresh = DoneIndex::Load(options.results_dir);
+      if (fresh.Done(s.name, fingerprint, &had_receipts)) {
+        report.skipped++;
+        ReleaseClaim(claim_fd);
         return;
       }
-      size_t i = order[slot];
-      const Scenario& s = scenarios[i];
-      uint64_t fingerprint = fingerprints[i];
-
-      bool had_receipts = false;
-      if (startup.Done(s.name, fingerprint, &had_receipts)) {
-        std::lock_guard<std::mutex> lock(io_mutex);
-        report.skipped++;
-        continue;
-      }
-      int claim_fd = TryClaim(claims_dir, fingerprint);
-      if (claim_fd < 0) {
-        // A live process owns this scenario right now; its receipt will
-        // cover it. (A dead owner's flock is gone, so we would have won.)
-        std::lock_guard<std::mutex> lock(io_mutex);
-        report.contended++;
-        continue;
-      }
-      // Between our startup scan and this claim another shard may have
-      // finished and released; recheck against a fresh store before paying
-      // for the run.
-      {
-        std::lock_guard<std::mutex> lock(io_mutex);
-        DoneIndex fresh = DoneIndex::Load(options.results_dir);
-        if (fresh.Done(s.name, fingerprint, &had_receipts)) {
-          report.skipped++;
-          ReleaseClaim(claim_fd);
-          continue;
-        }
-      }
-
-      ScenarioResult result = RunScenario(s);
-      Receipt receipt = ReceiptFromResult(result, fingerprint);
-      {
-        std::lock_guard<std::mutex> lock(io_mutex);
-        receipts_out << ReceiptLine(receipt) << "\n";
-        receipts_out.flush();
-        WC_CHECK(receipts_out.good(), "receipt append failed");
-        report.ran++;
-        if (had_receipts) {
-          report.requeued++;  // Stale fingerprint or conflicting receipts.
-        }
-        report.wall_ms_total += result.wall_ms;
-      }
-      ReleaseClaim(claim_fd);
     }
-  };
 
-  int threads = options.threads;
-  if (threads < 1) {
-    threads = 1;
-  }
-  if (threads > static_cast<int>(scenarios.size()) && !scenarios.empty()) {
-    threads = static_cast<int>(scenarios.size());
-  }
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
+    ScenarioResult result = RunScenario(s);
+    Receipt receipt = ReceiptFromResult(result, fingerprint);
+    {
+      std::lock_guard<std::mutex> lock(io_mutex);
+      receipts_out << ReceiptLine(receipt) << "\n";
+      receipts_out.flush();
+      WC_CHECK(receipts_out.good(), "receipt append failed");
+      report.ran++;
+      if (had_receipts) {
+        report.requeued++;  // Stale fingerprint or conflicting receipts.
+      }
+      report.wall_ms_total += result.wall_ms;
     }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+    ReleaseClaim(claim_fd);
+  });
   return report;
 }
 

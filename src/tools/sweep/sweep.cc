@@ -44,44 +44,13 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
   SweepReport report;
   report.results.resize(scenarios.size());
 
-  int threads = options.threads;
-  if (threads < 1) {
-    threads = 1;
-  }
-  if (threads > static_cast<int>(scenarios.size()) && !scenarios.empty()) {
-    threads = static_cast<int>(scenarios.size());
-  }
-  report.threads = threads;
-
   // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
   auto wall_start = std::chrono::steady_clock::now();
 
-  // Work stealing by atomic cursor: whichever worker is free takes the next
-  // scenario. Results land in per-scenario slots, so the report does not
-  // depend on which worker ran what.
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= scenarios.size()) {
-        return;
-      }
-      report.results[i] = RunScenario(scenarios[i]);
-    }
-  };
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  // Results land in per-scenario slots, so the report does not depend on
+  // which worker ran what.
+  report.threads = ParallelFor(scenarios.size(), options.threads,
+                               [&](size_t i) { report.results[i] = RunScenario(scenarios[i]); });
 
   // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
   auto wall_end = std::chrono::steady_clock::now();
@@ -89,6 +58,38 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)
           .count();
   return report;
+}
+
+int ParallelFor(size_t n, int threads, const std::function<void(size_t)>& body) {
+  if (threads < 1) {
+    threads = 1;
+  }
+  if (threads > static_cast<int>(n) && n > 0) {
+    threads = static_cast<int>(n);
+  }
+  std::atomic<size_t> next{0};
+  auto worker = [&]() {
+    for (;;) {
+      size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) {
+        return;
+      }
+      body(i);
+    }
+  };
+  if (threads == 1) {
+    worker();
+    return threads;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back(worker);
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+  return threads;
 }
 
 }  // namespace wcores

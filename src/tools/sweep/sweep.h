@@ -10,6 +10,8 @@
 #ifndef SRC_TOOLS_SWEEP_SWEEP_H_
 #define SRC_TOOLS_SWEEP_SWEEP_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,12 @@ struct SweepReport {
 };
 
 SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions& options);
+
+// The fan-out under RunSweep and RunShard: calls body(i) once for each i in
+// [0, n) on `threads` host threads, clamped to [1, n]. Work stealing by
+// atomic cursor: whichever worker is free takes the next index. A single
+// worker runs on the calling thread. Returns the worker count used.
+int ParallelFor(size_t n, int threads, const std::function<void(size_t)>& body);
 
 }  // namespace wcores
 

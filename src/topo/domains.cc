@@ -1,7 +1,8 @@
 #include "src/topo/domains.h"
 
-#include <cassert>
 #include <cstdio>
+
+#include "src/simkit/check.h"
 
 namespace wcores {
 
@@ -119,7 +120,7 @@ std::vector<DomainTree> BuildDomains(const Topology& topo, const CpuSet& online,
           break;
         }
       }
-      assert(sd.local_group >= 0 && "owning cpu must appear in one of its groups");
+      WC_CHECK(sd.local_group >= 0, "owning cpu must appear in one of its groups");
       prev_span = span;
       interval *= 2;
     };

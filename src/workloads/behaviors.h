@@ -67,12 +67,16 @@ class BarrierComputeBehavior : public Behavior {
 };
 
 // compute(g) ; lock ; compute(critical) ; unlock — spinlock-heavy codes (cg).
+// Exits after the last unlock.
 class LockComputeBehavior : public Behavior {
  public:
   LockComputeBehavior(SyncId lock, Time granularity, Time critical, int iterations)
       : lock_(lock), granularity_(granularity), critical_(critical), iterations_(iterations) {}
 
   Action Next(BehaviorContext& ctx) override {
+    if (done_) {
+      return ExitAction{};
+    }
     switch (step_) {
       case 0:
         step_ = 1;
@@ -85,10 +89,7 @@ class LockComputeBehavior : public Behavior {
         return ComputeAction{critical_};
       default:
         step_ = 0;
-        ++iteration_;
-        if (iteration_ >= iterations_) {
-          exit_next_ = true;
-        }
+        done_ = ++iteration_ >= iterations_;
         return SpinUnlockAction{lock_};
     }
   }
@@ -100,11 +101,7 @@ class LockComputeBehavior : public Behavior {
   int iterations_;
   int iteration_ = 0;
   int step_ = 0;
-  bool exit_next_ = false;
-
- public:
-  // ScriptBehavior-style epilogue: after the last unlock, exit.
-  bool exit_next() const { return exit_next_; }
+  bool done_ = false;
 };
 
 // Pipeline hand-off (NAS lu): thread k spins until its predecessor finished
@@ -162,29 +159,6 @@ class PipelineBehavior : public Behavior {
   int iterations_;
   int64_t iteration_ = 0;
   int step_ = 0;
-};
-
-// Fix for LockComputeBehavior's exit: wrap to emit ExitAction after the
-// final unlock completes.
-class LockComputeApp : public Behavior {
- public:
-  LockComputeApp(SyncId lock, Time granularity, Time critical, int iterations)
-      : inner_(lock, granularity, critical, iterations) {}
-
-  Action Next(BehaviorContext& ctx) override {
-    if (done_) {
-      return ExitAction{};
-    }
-    Action a = inner_.Next(ctx);
-    if (inner_.exit_next()) {
-      done_ = true;
-    }
-    return a;
-  }
-
- private:
-  LockComputeBehavior inner_;
-  bool done_ = false;
 };
 
 // Pure compute in a handful of chunks, then one final barrier (NAS ep).

@@ -1,14 +1,14 @@
 #include "src/workloads/make_r.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/simkit/check.h"
 #include "src/workloads/behaviors.h"
 
 namespace wcores {
 
 void MakeRWorkload::Setup() {
-  assert(make_tids_.empty() && "Setup called twice");
+  WC_CHECK(make_tids_.empty(), "Setup called twice");
   started_ = sim_->Now();
 
   // Three ttys => three autogroups (§2.2.1, autogroup feature).

@@ -1,8 +1,8 @@
 #include "src/workloads/nas.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/simkit/check.h"
 #include "src/workloads/behaviors.h"
 
 namespace wcores {
@@ -127,7 +127,7 @@ AppParams ParamsFor(NasApp app, double scale) {
 }  // namespace
 
 void NasWorkload::Setup() {
-  assert(tids_.empty() && "Setup called twice");
+  WC_CHECK(tids_.empty(), "Setup called twice");
   started_ = sim_->Now();
   AppParams params = ParamsFor(config_.app, config_.scale);
 
@@ -166,8 +166,8 @@ void NasWorkload::Setup() {
       SyncId lock = sim_->CreateSpinLock();
       for (int i = 0; i < config_.threads; ++i) {
         tids_.push_back(sim_->Spawn(
-            std::make_unique<LockComputeApp>(lock, params.granularity, params.critical,
-                                             params.iterations),
+            std::make_unique<LockComputeBehavior>(lock, params.granularity, params.critical,
+                                                  params.iterations),
             sp));
       }
       break;

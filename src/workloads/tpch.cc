@@ -1,8 +1,8 @@
 #include "src/workloads/tpch.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/simkit/check.h"
 #include "src/workloads/behaviors.h"
 
 namespace wcores {
@@ -62,13 +62,12 @@ namespace {
 // completion times into the workload.
 class DbWorker : public Behavior {
  public:
-  DbWorker(TpchWorkload* wl, std::vector<Time>* query_times, Time* started,
+  DbWorker(std::vector<Time>* query_times, Time* started,
            const std::vector<TpchQuerySpec>* queries, SyncId barrier, bool is_recorder)
-      : wl_(wl), query_times_(query_times), started_(started), queries_(queries),
-        barrier_(barrier), is_recorder_(is_recorder) {}
+      : query_times_(query_times), started_(started), queries_(queries), barrier_(barrier),
+        is_recorder_(is_recorder) {}
 
   Action Next(BehaviorContext& ctx) override {
-    (void)wl_;
     if (pending_record_) {
       // Fires on the first call after the query's final barrier crossing.
       pending_record_ = false;
@@ -107,7 +106,6 @@ class DbWorker : public Behavior {
     return total;
   }
 
-  TpchWorkload* wl_;
   std::vector<Time>* query_times_;
   Time* started_;
   const std::vector<TpchQuerySpec>* queries_;
@@ -122,7 +120,7 @@ class DbWorker : public Behavior {
 }  // namespace
 
 void TpchWorkload::Setup() {
-  assert(worker_tids_.empty() && "Setup called twice");
+  WC_CHECK(worker_tids_.empty(), "Setup called twice");
   started_ = sim_->Now();
   if (config_.queries.empty()) {
     config_.queries = FullTpchSuite();
@@ -142,8 +140,7 @@ void TpchWorkload::Setup() {
         (pool_index * sim_->topo().cores_per_node()) % sim_->topo().n_cores();
     for (int i = 0; i < pool_size; ++i) {
       worker_tids_.push_back(sim_->Spawn(
-          std::make_unique<DbWorker>(this, &query_times_, &started_, &config_.queries, barrier,
-                                     first),
+          std::make_unique<DbWorker>(&query_times_, &started_, &config_.queries, barrier, first),
           params));
       first = false;
     }

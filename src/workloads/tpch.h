@@ -56,8 +56,6 @@ class TpchWorkload {
   const std::vector<ThreadId>& workers() const { return worker_tids_; }
 
  private:
-  friend class DbWorkerBehavior;
-
   Simulator* sim_;
   TpchConfig config_;
   std::vector<ThreadId> worker_tids_;

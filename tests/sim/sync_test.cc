@@ -68,45 +68,6 @@ TEST(SpinLockSemanticsTest, ManyContendersAllEventuallyAcquire) {
   EXPECT_EQ(sim.spin_lock(lock).holder, kInvalidThread);
 }
 
-TEST(MutexSemanticsTest, FifoHandOff) {
-  Topology topo = Topology::Flat(1, 4, 1);
-  Simulator sim(topo, Opts());
-  SyncId mutex = sim.CreateMutex();
-  std::vector<ThreadId> tids;
-  for (int i = 0; i < 4; ++i) {
-    Simulator::SpawnParams params;
-    params.parent_cpu = i;
-    // Stagger arrival so the wait order is deterministic: 0,1,2,3.
-    tids.push_back(sim.Spawn(
-        std::make_unique<ScriptBehavior>(std::vector<Action>{
-            ComputeAction{Microseconds(100) * (i + 1)}, MutexLockAction{mutex},
-            ComputeAction{Milliseconds(10)}, MutexUnlockAction{mutex}}),
-        params));
-  }
-  ASSERT_TRUE(sim.RunUntilAllExited(Seconds(2)));
-  // FIFO hand-off: finish order matches arrival order.
-  for (int i = 0; i + 1 < 4; ++i) {
-    EXPECT_LT(sim.thread(tids[i]).finished_at, sim.thread(tids[i + 1]).finished_at);
-  }
-}
-
-TEST(MutexSemanticsTest, WaitersDoNotBurnCpu) {
-  Topology topo = Topology::Flat(1, 2, 1);
-  Simulator sim(topo, Opts());
-  SyncId mutex = sim.CreateMutex();
-  for (int i = 0; i < 2; ++i) {
-    Simulator::SpawnParams params;
-    params.parent_cpu = i;
-    sim.Spawn(std::make_unique<ScriptBehavior>(std::vector<Action>{
-                  MutexLockAction{mutex}, ComputeAction{Milliseconds(20)},
-                  MutexUnlockAction{mutex}}),
-              params);
-  }
-  ASSERT_TRUE(sim.RunUntilAllExited(Seconds(1)));
-  // The machine was busy only ~40ms total (plus switches): no spinning.
-  EXPECT_LT(sim.accounting().TotalBusy(), Milliseconds(42));
-}
-
 TEST(BarrierSemanticsTest, ReusableAcrossGenerations) {
   Topology topo = Topology::Flat(1, 4, 1);
   Simulator sim(topo, Opts());
@@ -198,31 +159,6 @@ TEST(VarSemanticsTest, MultipleThresholdsReleaseIndependently) {
   EXPECT_EQ(sim.VarValue(var), 5);
 }
 
-TEST(EventSemanticsTest, SignalOneWakesOneInFifoOrder) {
-  Topology topo = Topology::Flat(1, 4, 1);
-  Simulator sim(topo, Opts());
-  SyncId ev = sim.CreateEvent();
-  std::vector<ThreadId> waiters;
-  for (int i = 0; i < 3; ++i) {
-    Simulator::SpawnParams params;
-    params.parent_cpu = i;
-    waiters.push_back(
-        sim.Spawn(std::make_unique<ScriptBehavior>(std::vector<Action>{
-                      ComputeAction{Microseconds(100) * (i + 1)}, EventWaitAction{ev},
-                      ComputeAction{Milliseconds(1)}}),
-                  params));
-  }
-  Simulator::SpawnParams p3;
-  p3.parent_cpu = 3;
-  sim.Spawn(std::make_unique<ScriptBehavior>(
-                std::vector<Action>{ComputeAction{Milliseconds(10)}, EventSignalAction{ev, 1}},
-                /*repeat=*/3),
-            p3);
-  ASSERT_TRUE(sim.RunUntilAllExited(Seconds(1)));
-  EXPECT_LT(sim.thread(waiters[0]).finished_at, sim.thread(waiters[1]).finished_at);
-  EXPECT_LT(sim.thread(waiters[1]).finished_at, sim.thread(waiters[2]).finished_at);
-}
-
 TEST(SleepSemanticsTest, EarlyWakeCancelsTimer) {
   Topology topo = Topology::Flat(1, 2, 1);
   Simulator sim(topo, Opts());
@@ -295,8 +231,7 @@ TEST(AccountingSemanticsTest, BusyTimeMatchesComputePlusSpin) {
   Topology topo = Topology::Flat(1, 2, 1);
   Simulator::Options opts = Opts();
   opts.tunables = SchedTunables::ForCpus(2);
-  opts.tunables.context_switch_cost = 0;  // Exact accounting.
-  opts.tunables_set = true;
+  opts.tunables->context_switch_cost = 0;  // Exact accounting.
   Simulator sim(topo, opts);
   SyncId barrier = sim.CreateSpinBarrier(2);
   for (int i = 0; i < 2; ++i) {

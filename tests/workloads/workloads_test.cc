@@ -2,9 +2,11 @@
 
 #include <set>
 #include <string>
+#include <variant>
 
 #include "src/sim/simulator.h"
 #include "src/topo/topology.h"
+#include "src/workloads/behaviors.h"
 #include "src/workloads/make_r.h"
 #include "src/workloads/nas.h"
 #include "src/workloads/tpch.h"
@@ -60,6 +62,46 @@ TEST(NasWorkloadTest, AffinityIsRespected) {
   EXPECT_TRUE(wl.Finished());
   for (ThreadId tid : wl.threads()) {
     EXPECT_TRUE(topo.CpusOfNode(2).Test(sim.sched().Entity(tid).cpu));
+  }
+}
+
+// The precondition holds in every build type, NDEBUG included.
+TEST(NasWorkloadDeathTest, SecondSetupAborts) {
+  Topology topo = Topology::Flat(1, 2, 1);
+  Simulator sim(topo, Fixed());
+  NasConfig config;
+  config.app = NasApp::kEp;
+  config.threads = 2;
+  NasWorkload wl(&sim, config);
+  wl.Setup();
+  EXPECT_DEATH(wl.Setup(), "WC_CHECK failed: Setup called twice");
+}
+
+// cg's thread: compute, lock, critical section, unlock per iteration, then
+// ExitAction on every call after the last unlock.
+TEST(LockComputeBehaviorTest, ExitsAfterTheLastUnlock) {
+  Rng rng(1);
+  BehaviorContext ctx;
+  ctx.rng = &rng;
+  const SyncId lock = 3;
+  LockComputeBehavior behavior(lock, Milliseconds(1), Microseconds(50), /*iterations=*/2);
+  for (int i = 0; i < 2; ++i) {
+    Action compute = behavior.Next(ctx);
+    ASSERT_TRUE(std::holds_alternative<ComputeAction>(compute)) << i;
+    EXPECT_GE(std::get<ComputeAction>(compute).duration, Microseconds(700)) << i;
+    EXPECT_LE(std::get<ComputeAction>(compute).duration, Microseconds(1300)) << i;
+    Action acquire = behavior.Next(ctx);
+    ASSERT_TRUE(std::holds_alternative<SpinLockAction>(acquire)) << i;
+    EXPECT_EQ(std::get<SpinLockAction>(acquire).lock, lock) << i;
+    Action critical = behavior.Next(ctx);
+    ASSERT_TRUE(std::holds_alternative<ComputeAction>(critical)) << i;
+    EXPECT_EQ(std::get<ComputeAction>(critical).duration, Microseconds(50)) << i;
+    Action release = behavior.Next(ctx);
+    ASSERT_TRUE(std::holds_alternative<SpinUnlockAction>(release)) << i;
+    EXPECT_EQ(std::get<SpinUnlockAction>(release).lock, lock) << i;
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::holds_alternative<ExitAction>(behavior.Next(ctx))) << i;
   }
 }
 
