@@ -1,31 +1,27 @@
 #!/usr/bin/env bash
 # CI gate, staged:
 #
-#   1. analyze - build wc-analyze and run its token rules (D1-D4) over every
-#                file of src/ and bench/. Any unsuppressed finding, or a
-#                reason-less or unknown-rule suppression, fails the gate
-#                before we spend time on the build matrix. The run is
-#                budgeted at <5s wall so it stays a pre-matrix gate, not a
-#                build-matrix peer. (ctest runs the same pass as
-#                lint.tree_is_clean.)
-#   2. matrix  - build and test the Release and ASan+UBSan configurations.
+#   1. matrix  - build and test the Release and ASan+UBSan configurations.
 #                The sanitizer run is what gives the determinism goldens and
 #                the randomized invariant fuzzer their teeth: an optimization
 #                that corrupts memory or relies on UB fails here even if its
 #                output happens to look right.
 #                ctest includes every examples/ binary as a smoke test and
-#                scheduler_lab's bad-option cases, so they run sanitized too.
+#                scheduler_lab's bad-option cases, so they run sanitized too,
+#                and the determinism symbol check (symbols.tree_is_clean, D1-D3
+#                on every src/ and bench/ object) with its canary; every
+#                target builds under -Werror=float-equal (D4).
 #                The invariant fuzzer (the conformance suite's gate 1, every
 #                policy under hotplug churn), the allocation budget (no heap
 #                allocation per event, measured by a counting operator new)
 #                and the RqLoad memo's fold-order test run sanitized even
 #                when the caller passes an -R filter; gate 1 then runs again
 #                sanitized under WC_FUZZ_SEED=1, 2 and 3.
-#   3. tsan    - build the TSan configuration and run the determinism layer
+#   2. tsan    - build the TSan configuration and run the determinism layer
 #                (golden hashes + sweep thread-count invariance) under it, so
 #                the parallel sweep runner's "same report at -j1/-j2/-j4"
 #                claim is also a "no data races" claim.
-#   4. bench   - smoke-run the Release bench binaries with a tiny budget:
+#   3. bench   - smoke-run the Release bench binaries with a tiny budget:
 #                the google-benchmark component diagnostics (one repetition,
 #                stock --benchmark_out JSON, grepped for the diagnostics that
 #                must stay registered) and a scaled-down sweep, which must
@@ -38,7 +34,7 @@
 #                must parse as an array of records, and the records of the
 #                last commit and of its parent must be an unchanged prefix of
 #                it: the trajectory only grows.
-#   5. stream  - the streaming-telemetry soak: one >=10M-event random mix in
+#   4. stream  - the streaming-telemetry soak: one >=10M-event random mix in
 #                a single pass with the bounded-memory pipeline attached.
 #                The binary's own WC_CHECKs enforce the contract (every
 #                event analyzed, peak aggregator memory within the
@@ -46,14 +42,14 @@
 #                stream stops being one-pass-bounded. Also runs the streamed
 #                sweep matrix (--telemetry), whose pure-observer cross-check
 #                re-runs the scenarios bare and compares combined hashes.
-#   6. arena   - the policy-arena gate: the cross-policy conformance suite
+#   5. arena   - the policy-arena gate: the cross-policy conformance suite
 #                (invariant fuzzing, recorder-vs-stream differential fold,
 #                per-policy goldens, the paper-bug expectation matrix, CFS
 #                bit-exactness) in Release AND ASan+UBSan — run explicitly so
 #                a caller's -R filter on the matrix can't skip it — plus a
 #                sweep_driver --policy=all smoke that must print its
 #                leaderboard.
-#   7. fleet   - the sharded-sweep kill/resume drill: name a small grid
+#   6. fleet   - the sharded-sweep kill/resume drill: name a small grid
 #                by its --grid spec, run a single-process reference, then run
 #                two concurrent shard processes into one results store —
 #                SIGKILLing one mid-run and resuming it — and require the
@@ -61,7 +57,7 @@
 #                (cmp) to the reference merge. This is the fleet service's
 #                whole contract in one stage: claims survive death, receipts
 #                resume exactly, and sharding never changes a hash.
-#   8. simbench - the outside-in benchmark's own tests: build simbench from
+#   7. simbench - the outside-in benchmark's own tests: build simbench from
 #                this checkout and run `python3 simbench/run.py --selftest`,
 #                which must report 0 failed. A src/ change that breaks the
 #                benchmark's build or its pinned simbench/outcomes.tsv fails
@@ -73,19 +69,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-
-echo "==== [analyze] build wc-analyze ===="
-cmake --preset release
-cmake --build --preset release -j "$JOBS" --target wc-analyze
-echo "==== [analyze] wc-analyze src bench (D1-D4) ===="
-ANALYZE_T0="$(date +%s%3N)"
-./build-release/src/tools/wc-analyze src bench
-ANALYZE_T1="$(date +%s%3N)"
-ANALYZE_MS="$((ANALYZE_T1 - ANALYZE_T0))"
-echo "wc-analyze wall time: ${ANALYZE_MS}ms"
-# The analyzer earns its pre-matrix slot by being effectively free; if the
-# whole-tree pass ever crosses 5s the gate itself has regressed.
-test "$ANALYZE_MS" -lt 5000
 
 for preset in release asan-ubsan; do
   echo "==== [$preset] configure ===="
@@ -269,4 +252,4 @@ SIMBENCH_LOG="$SMOKE_OUT/simbench_selftest.log"
 python3 simbench/run.py --selftest | tee "$SIMBENCH_LOG"
 grep -Eq '^selftest: [0-9]+ checks, 0 failed$' "$SIMBENCH_LOG"
 
-echo "CI OK: analyze + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill + simbench selftest all green."
+echo "CI OK: release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill + simbench selftest all green."

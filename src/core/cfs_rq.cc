@@ -183,11 +183,10 @@ bool CfsRunqueue::CheckPreemptTick() const {
          curr_->vruntime - left->vruntime > TimesliceFor(*curr_);
 }
 
-bool CfsRunqueue::CheckPreemptWakeup(const SchedEntity& woken, Time now) const {
+bool CfsRunqueue::CheckPreemptWakeup(const SchedEntity& woken) const {
   if (curr_ == nullptr) {
     return true;  // Idle cpu: anything "preempts".
   }
-  (void)now;
   // Preempt if the woken thread is behind curr by more than the wakeup
   // granularity (kernel wakeup_preempt_entity).
   return curr_->vruntime > woken.vruntime &&

@@ -126,7 +126,7 @@ class CfsRunqueue {
   bool CheckPreemptTick() const;
 
   // Preemption test on wakeup of `woken` onto this queue.
-  bool CheckPreemptWakeup(const SchedEntity& woken, Time now) const;
+  bool CheckPreemptWakeup(const SchedEntity& woken) const;
 
   // Total raw weight of all runnable entities (used for timeslices).
   uint64_t total_weight() const { return total_weight_; }

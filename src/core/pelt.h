@@ -18,6 +18,7 @@
 
 #include <cmath>
 
+#include "src/simkit/exact.h"
 #include "src/simkit/time.h"
 
 namespace wcores {
@@ -71,8 +72,7 @@ class LoadTracker {
     //  - blocked, avg_ == 0.0: fl(0.0 * k + 0.0 * (1 - k)) is exactly 0.0.
     // The equality test is deliberate: it probes for the exact saturated
     // values, not for approximate convergence.
-    // wc-lint: allow(D4 exact-saturation probe; fixed points of ValueAt, see above)
-    if (runnable_ ? avg_ == 1.0 : avg_ == 0.0) {
+    if (runnable_ ? ExactlyEqual(avg_, 1.0) : ExactlyEqual(avg_, 0.0)) {
       return avg_;
     }
     double k = Decay(now - last_update_);

@@ -29,7 +29,8 @@ bool SchedPolicy::TickPreempt(Time now, CpuId cpu) {
 }
 
 bool SchedPolicy::WakeupPreempts(Time now, CpuId cpu, const SchedEntity& woken) {
-  return sched_->CfsWakeupPreempts(now, cpu, woken);
+  (void)now;
+  return sched_->CfsWakeupPreempts(cpu, woken);
 }
 
 void SchedPolicy::PeriodicBalance(Time now, CpuId cpu) { sched_->CfsPeriodicBalance(now, cpu); }

@@ -36,9 +36,10 @@
 //
 // Determinism contract: a policy must be a pure function of scheduler state
 // and its own deterministically-updated state — no wall clock, no
-// unseeded randomness, no pointer-keyed iteration (wc-analyze's rules apply
-// to policy code like any other scheduler code). The per-policy golden trace
-// hashes in tests/modsched/ enforce this the same way the CFS goldens do.
+// unseeded randomness, no pointer-keyed iteration (the symbol check and
+// -Werror=float-equal apply to policy code like any other scheduler code).
+// The per-policy golden trace hashes in tests/modsched/ enforce this the
+// same way the CFS goldens do.
 #ifndef SRC_CORE_SCHED_POLICY_H_
 #define SRC_CORE_SCHED_POLICY_H_
 

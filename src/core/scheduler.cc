@@ -2,6 +2,7 @@
 
 #include "src/core/sched_policy.h"
 #include "src/simkit/check.h"
+#include "src/simkit/exact.h"
 
 namespace wcores {
 
@@ -137,7 +138,8 @@ void Scheduler::NotifyNrRunning(Time now, CpuId cpu) {
 void Scheduler::NotifyLoad(Time now, CpuId cpu) {
   Cpu& c = cpus_[cpu];
   double load = RqLoad(now, cpu);
-  if (load != c.last_load_reported) {
+  // Value semantics: a load that moved from +0.0 to -0.0 is not news.
+  if (!ExactlyEqual(load, c.last_load_reported)) {
     c.last_load_reported = load;
     trace_->OnLoad(now, cpu, load);
   }

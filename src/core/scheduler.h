@@ -246,8 +246,8 @@ class Scheduler {
   CpuId CfsForkCpu(const SchedEntity& se, CpuId parent_cpu) const;
   SchedEntity* QueuedLeftmost(CpuId cpu) { return cpus_[cpu].rq.PeekLeftmost(); }
   bool CfsTickPreempt(CpuId cpu) const { return cpus_[cpu].rq.CheckPreemptTick(); }
-  bool CfsWakeupPreempts(Time now, CpuId cpu, const SchedEntity& woken) const {
-    return cpus_[cpu].rq.CheckPreemptWakeup(woken, now);
+  bool CfsWakeupPreempts(CpuId cpu, const SchedEntity& woken) const {
+    return cpus_[cpu].rq.CheckPreemptWakeup(woken);
   }
   void CfsPeriodicBalance(Time now, CpuId cpu);
   void CfsIdleBalance(Time now, CpuId cpu) { IdleBalance(now, cpu); }

@@ -89,11 +89,12 @@ bool ParseReceiptLine(const std::string& line, Receipt* out, std::string* error)
   // Counts are written with std::to_string and read back through a double,
   // which holds every whole number below 2^53 exactly. A fraction, or a
   // value at or above 2^53, cannot have come from the writer (and a cast
-  // from past 2^64 would be undefined).
+  // from past 2^64 would be undefined). With the number non-negative, a
+  // fraction is one whose truncation lies below it.
   auto count_field = [&](const char* key, uint64_t* value) {
     const JsonValue* v = root.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kNumber || !(v->number >= 0) ||
-        !(v->number < 0x1p53) || std::trunc(v->number) != v->number) {
+        !(v->number < 0x1p53) || std::trunc(v->number) < v->number) {
       return false;
     }
     *value = static_cast<uint64_t>(v->number);

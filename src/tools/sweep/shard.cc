@@ -96,11 +96,10 @@ ShardReport RunShard(const std::vector<Scenario>& scenarios, const ShardOptions&
   // Names key receipts and fingerprints key claims, so both must be unique
   // across the scenarios (ParseGridSpec rejects the repeated axis values
   // that would break this; this guards direct callers).
+  CheckUniqueScenarioNames(scenarios);
   {
-    std::set<std::string> names;
     std::set<uint64_t> fingerprints;
     for (const Scenario& s : scenarios) {
-      WC_CHECK(names.insert(s.name).second, "duplicate scenario name in shard run");
       WC_CHECK(fingerprints.insert(ScenarioFingerprint(s)).second,
                "fingerprint collision in shard run");
     }

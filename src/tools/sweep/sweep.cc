@@ -30,21 +30,20 @@ uint64_t SweepReport::TotalSimEvents() const {
   return total;
 }
 
-SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions& options) {
-  // Scenario::name is documented "unique within a sweep" and everything
-  // downstream — result rows, golden tables, receipt/resume keying in the
-  // fleet service — relies on it. Enforce instead of trusting.
-  {
-    std::set<std::string> names;
-    for (const Scenario& s : scenarios) {
-      WC_CHECK(names.insert(s.name).second, "duplicate scenario name in sweep");
-    }
+void CheckUniqueScenarioNames(const std::vector<Scenario>& scenarios) {
+  std::set<std::string> names;
+  for (const Scenario& s : scenarios) {
+    WC_CHECK(names.insert(s.name).second, "duplicate scenario name");
   }
+}
+
+SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions& options) {
+  CheckUniqueScenarioNames(scenarios);
 
   SweepReport report;
   report.results.resize(scenarios.size());
 
-  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
+  // Host time, for wall_ms only: it never reaches a result hash.
   auto wall_start = std::chrono::steady_clock::now();
 
   // Results land in per-scenario slots, so the report does not depend on
@@ -52,7 +51,6 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
   report.threads = ParallelFor(scenarios.size(), options.threads,
                                [&](size_t i) { report.results[i] = RunScenario(scenarios[i]); });
 
-  // wc-lint: allow(D3 sweep wall_ms is a host-side timing, not part of any result hash)
   auto wall_end = std::chrono::steady_clock::now();
   report.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)

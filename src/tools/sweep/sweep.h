@@ -36,6 +36,12 @@ struct SweepReport {
 
 SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions& options);
 
+// Scenario::name is documented "unique within a sweep" and everything
+// downstream relies on it: result rows, golden tables, and the fleet
+// service's receipt/resume keying. RunSweep and RunShard both enforce it
+// here, aborting on the first repeated name.
+void CheckUniqueScenarioNames(const std::vector<Scenario>& scenarios);
+
 // The fan-out under RunSweep and RunShard: calls body(i) once for each i in
 // [0, n) on `threads` host threads, clamped to [1, n]. Work stealing by
 // atomic cursor: whichever worker is free takes the next index. A single

@@ -2,14 +2,15 @@
 
 #include <bit>
 
+#include "src/simkit/exact.h"
+
 namespace wcores {
 
 void Fnv1a::MixDouble(double value) {
   // Bit pattern, not numeric value: the digest must notice a 1-ulp change
   // in a recorded load, because a 1-ulp change can flip a balance decision
   // later. Normalize the one double with two encodings.
-  // wc-lint: allow(D4 exact compare is the point: fold -0.0 and +0.0 into one bit pattern)
-  if (value == 0.0) {
+  if (ExactlyEqual(value, 0.0)) {
     value = 0.0;  // Collapses -0.0.
   }
   Mix(std::bit_cast<uint64_t>(value));

@@ -6,7 +6,7 @@
 // corruption — and emits one canonical line per scenario in grid order.
 // Because canonical receipt lines are byte-stable (receipts.h), the merged
 // output of any sharding of a grid equals the merged output of a
-// single-process run `cmp`-bit-for-bit; ci.sh stage 7 enforces exactly
+// single-process run `cmp`-bit-for-bit; ci.sh stage 6 enforces exactly
 // that, with a kill/resume in the middle.
 //
 // DIFF compares two merged stores across commits: scenarios added or

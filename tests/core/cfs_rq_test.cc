@@ -183,16 +183,16 @@ TEST_F(CfsRqTest, CheckPreemptWakeupNeedsMargin) {
   woken.tid = 99;
   woken.SetNice(0);
   woken.vruntime = curr->vruntime;  // Equal: no preemption.
-  EXPECT_FALSE(rq_.CheckPreemptWakeup(woken, Milliseconds(2)));
+  EXPECT_FALSE(rq_.CheckPreemptWakeup(woken));
   woken.vruntime = 0;
   rq_.UpdateCurr(tunables_.wakeup_granularity * 2);
-  EXPECT_TRUE(rq_.CheckPreemptWakeup(woken, tunables_.wakeup_granularity * 2));
+  EXPECT_TRUE(rq_.CheckPreemptWakeup(woken));
 }
 
 TEST_F(CfsRqTest, PreemptWakeupOnIdleCpu) {
   SchedEntity woken;
   woken.tid = 99;
-  EXPECT_TRUE(rq_.CheckPreemptWakeup(woken, 0));
+  EXPECT_TRUE(rq_.CheckPreemptWakeup(woken));
 }
 
 TEST_F(CfsRqTest, LoadSumsEntities) {

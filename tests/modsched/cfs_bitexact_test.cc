@@ -22,6 +22,7 @@
 
 #include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
+#include "src/simkit/exact.h"
 #include "src/simkit/rng.h"
 #include "src/tools/recorder.h"
 #include "src/tools/sweep/scenario.h"
@@ -103,7 +104,7 @@ std::string Describe(size_t i, const TraceEvent& e) {
 // The same trace event, field by field.
 bool SameEvent(const TraceEvent& a, const TraceEvent& b) {
   return a.when == b.when && a.kind == b.kind && a.sub == b.sub && a.cpu == b.cpu &&
-         a.cpu2 == b.cpu2 && a.tid == b.tid && a.value == b.value && a.considered == b.considered;
+         a.cpu2 == b.cpu2 && a.tid == b.tid && ExactlyEqual(a.value, b.value) && a.considered == b.considered;
 }
 
 // Event-level differential between the two CFS ownership paths. A hash
