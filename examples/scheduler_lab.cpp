@@ -4,7 +4,8 @@
 //         --pin=1,2 --fix=none --duration=30 --heatmap --checker
 //
 // Options:
-//   --machine=bulldozer | example32 | flat:<nodes>x<cores>   (default bulldozer)
+//   --machine=bulldozer | example32 | flat:<nodes>x<cores>   (default bulldozer;
+//                                nodes*cores <= 64, cores even)
 //   --workload=nas:<app>:<threads> | make_r | tpch | hogs:<n>  (default hogs:64)
 //   --pin=<node>,<node>,...      taskset the workload to these nodes
 //   --fix=none|all|gi,gc,ow,md   which bug fixes to apply (default none)
@@ -16,7 +17,7 @@
 //   --no-autogroup               disable autogroups
 //
 // A malformed or out-of-range option value (a non-number, a node or cpu the
-// machine does not have, a machine wider than kMaxCpus, a duration that is
+// machine does not have, a machine wider than kMaxCpus = 64, a duration that is
 // not positive) prints "bad --<option> ..." to stderr and exits 2.
 #include <cerrno>
 #include <cmath>

@@ -44,6 +44,7 @@ void CfsRunqueue::Enqueue(SchedEntity* se, Time now, EnqueueKind kind) {
   total_weight_ += se->weight;
   BumpLoadVersion();
   SyncNr();
+  SyncQueued();
   UpdateMinVruntime();
   if (observer_ != nullptr) {
     observer_->OnRqEnqueue(now, cpu_, se, kind);
@@ -57,6 +58,7 @@ void CfsRunqueue::DequeueQueued(SchedEntity* se, Time now) {
   total_weight_ -= se->weight;
   BumpLoadVersion();
   SyncNr();
+  SyncQueued();
   se->on_rq = false;
   se->last_dequeued = now;
   UpdateMinVruntime();
@@ -100,6 +102,7 @@ SchedEntity* CfsRunqueue::PickSpecific(SchedEntity* se, Time now) {
     BumpLoadVersion();
   }
   tree_.Erase(se);
+  SyncQueued();
   curr_ = se;
   se->running = true;
   se->exec_start = now;

@@ -148,16 +148,20 @@ class CfsRunqueue {
   // mirrors (the scheduler's balance folds stream over dense per-cpu arrays
   // instead of pointer-chasing runqueues). After this call, every mutation
   // of nr_running() writes `nr_slot` (adjusting `overloaded_counter` on
-  // 1<->2 crossings) and every BumpLoadVersion writes `version_slot`, in
-  // the same statement as the source of truth — the mirrors are exact by
-  // construction, not eventually consistent. All three must outlive the
-  // runqueue. Call before any entity is enqueued.
-  void set_stat_slots(int* nr_slot, uint64_t* version_slot, int* overloaded_counter) {
+  // 1<->2 crossings), every BumpLoadVersion writes `version_slot`, and
+  // every change of the queued set writes this cpu's bit of `queued_mask`
+  // (set iff queued() >= 1), in the same statement as the source of truth —
+  // the mirrors are exact by construction, not eventually consistent. All
+  // four must outlive the runqueue. Call before any entity is enqueued.
+  void set_stat_slots(int* nr_slot, uint64_t* version_slot, int* overloaded_counter,
+                      CpuSet* queued_mask) {
     nr_slot_ = nr_slot;
     version_slot_ = version_slot;
     overloaded_counter_ = overloaded_counter;
+    queued_mask_ = queued_mask;
     *nr_slot_ = nr_running();
     *version_slot_ = load_version_;
+    SyncQueued();
   }
 
  private:
@@ -174,6 +178,15 @@ class CfsRunqueue {
     *nr_slot_ = nr;
   }
 
+  // Syncs this cpu's bit of the queued mirror after the tree changes.
+  void SyncQueued() {
+    if (tree_.Empty()) {
+      queued_mask_->Clear(cpu_);
+    } else {
+      queued_mask_->Set(cpu_);
+    }
+  }
+
   CpuId cpu_;
   const SchedTunables* tunables_;
   RbTree<SchedEntity, &SchedEntity::rb, EntityByVruntime> tree_;
@@ -188,9 +201,11 @@ class CfsRunqueue {
   int nr_dummy_ = 0;
   uint64_t version_dummy_ = 0;
   int overloaded_dummy_ = 0;
+  CpuSet queued_dummy_;
   int* nr_slot_ = &nr_dummy_;
   uint64_t* version_slot_ = &version_dummy_;
   int* overloaded_counter_ = &overloaded_dummy_;
+  CpuSet* queued_mask_ = &queued_dummy_;
 
   void BumpLoadVersion() {
     load_version_ += 1;

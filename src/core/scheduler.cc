@@ -38,7 +38,7 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   load_cache_value_.assign(n, 0.0);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
     cpus_.emplace_back(c, &tunables_);
-    cpus_[c].rq.set_stat_slots(&nr_running_[c], &load_version_[c], &overloaded_cpus_);
+    cpus_[c].rq.set_stat_slots(&nr_running_[c], &load_version_[c], &overloaded_cpus_, &queued_);
     online_.Set(c);
     tickless_.Set(c);  // All cpus boot idle since t=0.
   }
@@ -176,7 +176,8 @@ bool Scheduler::ValidateStatMirrors() const {
   int overloaded = 0;
   for (CpuId c = 0; c < static_cast<CpuId>(cpus_.size()); ++c) {
     if (nr_running_[c] != cpus_[c].rq.nr_running() ||
-        load_version_[c] != cpus_[c].rq.load_version()) {
+        load_version_[c] != cpus_[c].rq.load_version() ||
+        queued_.Test(c) != (cpus_[c].rq.queued() >= 1)) {
       return false;
     }
     if (nr_running_[c] >= 2) {

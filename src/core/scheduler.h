@@ -151,11 +151,12 @@ class Scheduler {
   // cross-checks the cached value against it.
   double RqLoadRecomputed(Time now, CpuId cpu) const;
   // The per-cpu stat mirrors match their sources: the write-through
-  // nr_running/load_version mirrors, the overloaded-cpu count, and the
-  // tickless mask — set on an online cpu exactly when its runqueue is empty,
-  // which the group census, the steal scan, DesignatedCpu, LongestIdleCpu
-  // and NohzKickTarget rely on. Fuzzer cross-check, like RqLoadRecomputed
-  // for the RqLoad memo.
+  // nr_running/load_version mirrors, the overloaded-cpu count, the queued
+  // mask — set exactly when a runqueue holds a queued entity, which the
+  // steal scan relies on — and the tickless mask — set on an online cpu
+  // exactly when its runqueue is empty, which the group census,
+  // DesignatedCpu, LongestIdleCpu and NohzKickTarget rely on. Fuzzer
+  // cross-check, like RqLoadRecomputed for the RqLoad memo.
   bool ValidateStatMirrors() const;
   Time MinVruntime(CpuId cpu) const { return cpus_[cpu].rq.min_vruntime(); }
   // Runqueue structural invariants (test support; see CfsRunqueue).
@@ -204,18 +205,21 @@ class Scheduler {
     }
   };
 
-  // The stats of the online members of `cpus` under the active metric. The
-  // integer census comes from word-wide masks: tickless_ is the idle set, so
-  // only busy members are visited. Loads come off the RqLoad memo and only
+  // The stats of the online members of `group` under the active metric.
+  // n_cpus is the group's build-time weight (its members are online: every
+  // online change rebuilds the domains), and the rest of the integer census
+  // comes from word-wide masks: tickless_ is the idle set, so only busy
+  // members are visited. Loads come off the RqLoad memo and only
   // where the metric compares them: the busy members' loads in ascending
   // order under stock (an idle member's load is exactly +0.0), and under the
   // fix none at all when the group holds an idle member (its minimum is
   // 0.0). The only sanctioned way for balancing code to aggregate
   // per-entity loads: a fold in any other order can round differently.
-  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
-  // The specification ComputeGroupStats must match bit for bit: every online
-  // member folded in ascending order with no skip, off the runqueues and
-  // RqLoadRecomputed. The conformance harness cross-checks the two.
+  GroupLoadStats ComputeGroupStats(Time now, const SchedGroup& group) const;
+  // The specification ComputeGroupStats must match bit for bit over
+  // group.cpus: every online member counted and folded in ascending order
+  // with no skip, off the runqueues and RqLoadRecomputed. The conformance
+  // harness cross-checks the two.
   GroupLoadStats GroupStatsRecomputed(Time now, const CpuSet& cpus) const;
 
   // Re-resolves the autogroup divisor for load computations.
@@ -363,6 +367,10 @@ class Scheduler {
   // exactly when nr_running_ is 0 (ValidateStatMirrors). Offline cpus may
   // keep a stale bit, so every reader masks with online_.
   CpuSet tickless_;
+  // Runqueues holding at least one queued (not running) entity: the cpus a
+  // steal can take from. A write-through mirror owned by the runqueues
+  // (CfsRunqueue::set_stat_slots); an offline cpu's is clear (evacuated).
+  CpuSet queued_;
   // A steal from this rq failed on affinity; cleared by a successful steal.
   CpuSet imbalanced_;
 

@@ -8,14 +8,16 @@
 
 namespace wcores {
 
-Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& cpus) const {
+Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const SchedGroup& group) const {
   // The metric that compares groups. Stock kernels compare *average* loads,
   // which lets one high-load thread conceal idle cores on its node — the
   // Group Imbalance bug. The fix compares the *minimum* loads: if some core
   // in another group is busier than every core in ours is idle-ish, steal.
   //
-  // tickless_ is exactly the idle set on online cpus (ValidateStatMirrors),
-  // so the census is word-wide and only busy members are visited. An idle
+  // n_cpus is the group's build-time weight: BuildDomains builds every group
+  // inside online & span and every online change rebuilds the domains. The
+  // rest of the census is word-wide: tickless_ is exactly the idle set on
+  // online cpus (ValidateStatMirrors), so only busy members are visited. An idle
   // member's nr_running is 0 and its load exactly +0.0 (LoadAt's empty
   // fold), and no member load is negative, so skipping it leaves the sum
   // unchanged (x + 0.0 == x for x >= +0) and pins the minimum at 0.0
@@ -23,9 +25,9 @@ Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& c
   // member reads no load at all. GroupStatsRecomputed is the unskipped fold.
   const bool by_min = features_.fix_group_imbalance;
   GroupLoadStats gs;
-  const CpuSet members = cpus & online_;
+  const CpuSet members = group.cpus & online_;
   const CpuSet busy = members & ~tickless_;
-  gs.n_cpus = members.Count();
+  gs.n_cpus = group.weight;
   if (gs.n_cpus == 0) {
     return gs;
   }
@@ -95,7 +97,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
   std::vector<GroupLoadStats>& stats = balance_stats_scratch_;
   stats.assign(sd.groups().size(), GroupLoadStats{});
   for (size_t g = 0; g < sd.groups().size(); ++g) {
-    stats[g] = ComputeGroupStats(now, sd.groups()[g].cpus);
+    stats[g] = ComputeGroupStats(now, sd.groups()[g]);
   }
   // The cores examined: every online member of every group, which is the
   // span itself — BuildDomains restricts each group to online & span and
@@ -104,7 +106,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
   trace_->OnConsidered(now, cpu, sd.span, kind);
 
   for (;;) {
-    int excluded_at_pass_start = excluded.Count();
+    const CpuSet excluded_at_pass_start = excluded;
 
     // Line 13: the busiest group, preferring overloaded then imbalanced ones.
     int local = sd.local_group;
@@ -138,17 +140,12 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
     for (;;) {
       CpuId src = kInvalidCpu;
       double src_load = 0;
-      // Busy candidates only (tickless_ is the idle set on online cpus), so
-      // every candidate has nr_running >= 1.
-      CpuSet candidates = sd.groups()[busiest].cpus & online_ & ~tickless_ & ~excluded;
+      // Only cpus with a queued entity (queued_, ValidateStatMirrors): curr
+      // cannot be migrated, so a cpu whose one thread is running has nothing
+      // to steal.
+      CpuSet candidates = sd.groups()[busiest].cpus & online_ & queued_ & ~excluded;
       candidates.Clear(cpu);
       for (CpuId c : candidates) {
-        // Nothing stealable (curr cannot be migrated). nr >= 2 guarantees a
-        // queued entity (at most one curr), so only nr == 1 — where
-        // curr-only and one-queued look alike — dereferences the runqueue.
-        if (nr_running_[c] == 1 && cpus_[c].rq.queued() < 1) {
-          continue;
-        }
         double load = RqLoad(now, c);
         if (src == kInvalidCpu || load > src_load) {
           src = c;
@@ -177,7 +174,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
       // Lines 20-22: the busiest cpu's threads are pinned elsewhere; mark
       // the source imbalanced (so its group is favoured by cores that *can*
       // help) and retry with the next busiest cpu.
-      if (cpus_[src].rq.queued() >= 1 && !cpus_[src].rq.HasStealableFor(cpu)) {
+      if (!cpus_[src].rq.HasStealableFor(cpu)) {
         imbalanced_.Set(src);
       }
       stats_.balance_affinity_retries += 1;
@@ -189,8 +186,10 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, const SchedDomain& sd, Conside
       // every cpu excluded has n_cpus == 0 and is never selected again.
       excluded |= sd.groups()[busiest].cpus & online_;
       excluded.Clear(cpu);
-      if (excluded.Count() == excluded_at_pass_start) {
-        // Sterile pass: nothing new to exclude, nothing movable.
+      if (excluded == excluded_at_pass_start) {
+        // Sterile pass: nothing movable, and nothing excluded since the pass
+        // began (excluded only grows). A pass whose affinity retries did
+        // exclude cpus redoes, even if the group then adds none.
         stats_.balance_failures += 1;
         return 0;
       }

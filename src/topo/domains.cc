@@ -10,6 +10,10 @@ namespace {
 
 using SharedGroups = std::shared_ptr<const SchedGroupList>;
 
+SchedGroup MakeGroup(const CpuSet& cpus, NodeId seed_node = kInvalidNode) {
+  return SchedGroup{cpus, seed_node, cpus.Count()};
+}
+
 // Greedy group covering for a multi-node domain at hop distance `dist`:
 // the first group is seeded from `seed_node` and contains all nodes within
 // dist-1 hops of it; each following group is seeded from the lowest-numbered
@@ -30,7 +34,7 @@ SharedGroups BuildNumaGroups(const Topology& topo, const CpuSet& span, int dist,
   groups.reserve(uncovered.Count() / topo.cores_per_node());
   for (NodeId seed = seed_node;;) {
     const CpuSet& reach = topo.CpusWithin(seed, dist - 1);
-    groups.push_back(SchedGroup{reach & span, seed});
+    groups.push_back(MakeGroup(reach & span, seed));
     uncovered &= ~reach;
     CpuId next = uncovered.First();
     if (next == kInvalidCpu) {
@@ -46,7 +50,7 @@ SharedGroups BuildSingletonGroups(const CpuSet& span) {
   SchedGroupList groups;
   groups.reserve(span.Count());
   for (CpuId c : span) {
-    groups.push_back(SchedGroup{CpuSet::Single(c)});
+    groups.push_back(MakeGroup(CpuSet::Single(c)));
   }
   return std::make_shared<const SchedGroupList>(std::move(groups));
 }
@@ -62,7 +66,7 @@ SharedGroups BuildSmtGroups(const Topology& topo, const CpuSet& span) {
     }
     CpuSet pair = topo.SmtSiblings(c) & span;
     seen |= pair;
-    groups.push_back(SchedGroup{pair});
+    groups.push_back(MakeGroup(pair));
   }
   return std::make_shared<const SchedGroupList>(std::move(groups));
 }

@@ -36,6 +36,10 @@ struct SchedGroup {
   // that node's cores (the kernel's group_balance_mask) — "the core
   // responsible for load balancing on each node" in the paper's fix.
   NodeId seed_node = kInvalidNode;
+  // cpus.Count(), counted once when the group is built, like Linux's
+  // sg->group_weight. Groups are built inside online & span and every
+  // online change rebuilds them, so this is the group's online member count.
+  int weight = 0;
 };
 
 // One domain's groups. BuildDomains builds each distinct list once and every

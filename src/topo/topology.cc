@@ -8,8 +8,8 @@ namespace wcores {
 
 namespace {
 
-// Validates the machine shape before anything is sized from it: CpuSet holds
-// kMaxCpus bits, so a larger machine would write past its words.
+// Validates the machine shape before anything is sized from it: CpuSet is
+// one word of kMaxCpus bits, so a larger machine would shift past it.
 int CheckedCoreCount(int n_nodes, int cores_per_node, int smt_width) {
   WC_CHECK(n_nodes >= 1, "topology: need at least one node");
   WC_CHECK(cores_per_node >= 1, "topology: need at least one core per node");

@@ -21,8 +21,9 @@
 //    exactly +0.0 (the premise the group fold relies on to skip its reads).
 //  * Group-fold twin — ComputeGroupStats equals GroupStatsRecomputed (census
 //    equal, metric bit-equal) for every group of every level of every online
-//    cpu, and for the whole machine's mask, which under churn holds offline
-//    cpus that no group does.
+//    cpu, so each group's build-time weight is its online member count, and
+//    for the whole machine's mask, which under churn holds offline cpus that
+//    no group does.
 //  * Runqueue structure (red-black invariants, weight accounting), the
 //    stat mirrors (ValidateStatMirrors), and LongestIdleCpu and
 //    NohzKickTarget vs. linear-scan oracles.
@@ -162,9 +163,10 @@ inline CpuId ScanKickTarget(const Scheduler& sched, int n_cores) {
   return kInvalidCpu;
 }
 
-// ComputeGroupStats against its from-scratch twin over `cpus`.
-inline void ExpectGroupStatsMatchTwin(const Scheduler& sched, Time now, const CpuSet& cpus) {
-  Scheduler::GroupLoadStats fast = sched.ComputeGroupStats(now, cpus);
+// ComputeGroupStats against its from-scratch twin over `group.cpus`.
+inline void ExpectGroupStatsMatchTwin(const Scheduler& sched, Time now, const SchedGroup& group) {
+  const CpuSet& cpus = group.cpus;
+  Scheduler::GroupLoadStats fast = sched.ComputeGroupStats(now, group);
   Scheduler::GroupLoadStats twin = sched.GroupStatsRecomputed(now, cpus);
   ASSERT_EQ(fast.n_cpus, twin.n_cpus) << "group " << cpus << " at t=" << now;
   ASSERT_EQ(fast.nr_running, twin.nr_running) << "group " << cpus << " at t=" << now;
@@ -237,11 +239,13 @@ class InvariantChecker {
     for (CpuId cpu : sched.OnlineCpus()) {
       for (const SchedDomain& sd : sched.Domains(cpu).domains) {
         for (const SchedGroup& group : sd.groups()) {
-          ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, group.cpus));
+          ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, group));
         }
       }
     }
-    ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, sim_->topo().AllCpus()));
+    // Weighted as BuildDomains weighs a group: its online members.
+    const SchedGroup machine{sim_->topo().AllCpus(), kInvalidNode, sched.OnlineCpus().Count()};
+    ASSERT_NO_FATAL_FAILURE(ExpectGroupStatsMatchTwin(sched, now, machine));
     ASSERT_EQ(sched.LongestIdleCpu(sim_->topo().AllCpus()), ScanLongestIdle(sched, n_cores))
         << "LongestIdleCpu disagrees with linear scan at t=" << now;
     ASSERT_EQ(sched.NohzKickTarget(), ScanKickTarget(sched, n_cores))

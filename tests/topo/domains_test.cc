@@ -142,7 +142,8 @@ TEST(DomainsTest, NodeDomainGroupsAreSmtPairs) {
 }
 
 // The balancer reports a domain's span as the set of cores a pass examined,
-// which is right only if the online groups cover exactly the span. Checked
+// which is right only if the online groups cover exactly the span, and reads
+// a group's weight as its online member count. Checked
 // on every machine shape, both group perspectives, with and without the
 // cross-node levels, under seeded random online masks.
 TEST(DomainsTest, GroupsCoverSpan) {
@@ -172,6 +173,8 @@ TEST(DomainsTest, GroupsCoverSpan) {
               CpuSet covered;
               for (const SchedGroup& g : sd.groups()) {
                 covered |= g.cpus;
+                EXPECT_EQ(g.weight, (g.cpus & online).Count()) << "cpu " << c << " domain "
+                                                                << sd.name;
               }
               EXPECT_EQ(covered, sd.span) << "cpu " << c << " domain " << sd.name << " online "
                                           << online.ToString();

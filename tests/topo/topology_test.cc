@@ -164,9 +164,10 @@ TEST(Example32Test, DomainLevelsMatchFigure1) {
 }
 
 // Shape checks survive Release builds: a machine wider than kMaxCpus would
-// otherwise write past CpuSet's words.
+// otherwise shift past CpuSet's one word.
 TEST(TopologyDeathTest, MoreCoresThanKMaxCpusAborts) {
   EXPECT_DEATH(Topology::Flat(64, 8), "more cores than kMaxCpus");
+  EXPECT_DEATH(Topology::Flat(3, 22), "more cores than kMaxCpus");
 }
 
 TEST(TopologyDeathTest, ZeroNodesAborts) {
