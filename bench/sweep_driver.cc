@@ -102,8 +102,8 @@ int RunPolicyArena(const std::string& policy_arg, double scale, int random_count
     SweepReport replay = RunSweep(matrix, serial);
     WC_CHECK(run.CombinedHash() == replay.CombinedHash(),
              "policy sweep hash differs on replay");
-    std::printf("policy %-10s combined_hash=%016llx  wall=%8.1f ms\n", policy.c_str(),
-                static_cast<unsigned long long>(run.CombinedHash()), run.wall_ms);
+    std::printf("policy %-10s combined_hash=%016llx\n", policy.c_str(),
+                static_cast<unsigned long long>(run.CombinedHash()));
     results.push_back(std::move(run.results));
   }
 
@@ -161,10 +161,10 @@ int RunBigMix(uint64_t min_events, uint64_t seed) {
               s.mix_threads, s.scale, ToSeconds(s.horizon));
   ScenarioResult r = RunScenario(s);
 
-  std::printf("trace_events=%llu  switches=%llu  migrations=%llu  wall=%.1f ms\n",
+  std::printf("trace_events=%llu  switches=%llu  migrations=%llu\n",
               static_cast<unsigned long long>(r.trace_events),
               static_cast<unsigned long long>(r.context_switches),
-              static_cast<unsigned long long>(r.migrations), r.wall_ms);
+              static_cast<unsigned long long>(r.migrations));
   std::printf("STREAM %s %s\n", r.name.c_str(), r.stream_summary.c_str());
   std::printf("memory: peak=%llu budget=%llu (%.1f%% used)\n",
               static_cast<unsigned long long>(r.stream_agg_bytes_peak),
@@ -203,10 +203,8 @@ int RunShardMode(const std::string& grid_spec, int shard_index, int shard_count,
   shard_opts.shard_count = shard_count;
   shard_opts.threads = threads;
   ShardReport report = RunShard(scenarios, shard_opts);
-  std::printf("shard %d/%d done: ran=%d skipped=%d contended=%d requeued=%d"
-              " (scenario wall %.1f ms)\n",
-              shard_index, shard_count, report.ran, report.skipped, report.contended,
-              report.requeued, report.wall_ms_total);
+  std::printf("shard %d/%d done: ran=%d skipped=%d contended=%d requeued=%d\n", shard_index,
+              shard_count, report.ran, report.skipped, report.contended, report.requeued);
   std::printf("receipts: %s\n", report.receipts_path.c_str());
   return 0;
 }
@@ -283,17 +281,17 @@ int Main(int argc, char** argv) {
   SweepOptions sweep_opts;
   sweep_opts.threads = threads;
   SweepReport sweep = RunSweep(scenarios, sweep_opts);
-  std::printf("%zu scenarios  threads=%d  wall=%.1f ms  events=%llu  hash=%016llx\n\n",
-              scenarios.size(), sweep.threads, sweep.wall_ms,
+  std::printf("%zu scenarios  threads=%d  events=%llu  hash=%016llx\n\n", scenarios.size(),
+              sweep.threads,
               static_cast<unsigned long long>(sweep.TotalSimEvents()),
               static_cast<unsigned long long>(sweep.CombinedHash()));
   std::printf("per-scenario results:\n");
   for (const ScenarioResult& r : sweep.results) {
-    std::printf("  %-28s hash=%016llx events=%8llu switches=%7llu migr=%6llu %6.1f ms\n",
+    std::printf("  %-28s hash=%016llx events=%8llu switches=%7llu migr=%6llu\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.trace_hash),
                 static_cast<unsigned long long>(r.sim_events),
                 static_cast<unsigned long long>(r.context_switches),
-                static_cast<unsigned long long>(r.migrations), r.wall_ms);
+                static_cast<unsigned long long>(r.migrations));
   }
 
   if (stream) {

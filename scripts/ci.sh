@@ -112,13 +112,13 @@ trap 'rm -rf "$SMOKE_OUT"' EXIT
 # bare double.
 ./build-release/bench/micro_sched_ops --benchmark_min_time=0.001 \
   --benchmark_out="$SMOKE_OUT/micro.json" --benchmark_out_format=json
-# The per-policy setup diagnostic and the balance-pass member-loop
-# diagnostics must stay registered.
-grep -q 'BM_SimulatorSetup' "$SMOKE_OUT/micro.json"
-grep -q 'BM_CpuSetIterate/64' "$SMOKE_OUT/micro.json"
-grep -q 'BM_TraceHashConsidered/64' "$SMOKE_OUT/micro.json"
-# The event-engine diagnostic at nas_spin's pending depth.
+# micro_sched_ops keeps only the queue and runqueue mechanism, which the
+# simbench ledger folds into engine.residual; each survivor must stay
+# registered until a ledger row covers it: the event engine at nas_spin's
+# pending depth, the rb-tree's boundary-hint insert and the runqueue.
 grep -q 'BM_EventDispatch/44' "$SMOKE_OUT/micro.json"
+grep -q 'BM_RbTreeInsertEraseBoundary/1024' "$SMOKE_OUT/micro.json"
+grep -q 'BM_RunqueueEnqueueDequeue/128' "$SMOKE_OUT/micro.json"
 ./build-release/bench/sweep_driver --out="$SMOKE_OUT" --scale=0.02 --random=1
 echo "==== [bench] ab_bench.sh harness smoke (self-vs-self, one pair) ===="
 scripts/ab_bench.sh --smoke

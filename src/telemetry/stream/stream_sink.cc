@@ -13,6 +13,9 @@ namespace {
 
 const TelemetryStream::TaskStats kEmptyTask;
 
+// Findings kept with their detail; findings_total() counts every one.
+constexpr size_t kMaxStoredFindings = 32;
+
 }  // namespace
 
 TelemetryStream::Options TelemetryStream::ForTopology(const Topology& topo,
@@ -28,7 +31,7 @@ TelemetryStream::TelemetryStream(Options opts) : opts_(std::move(opts)) {
   // The window's capacity is reserved (and charged to the budget) either
   // way, but spans are only written into it when someone reads them.
   spans_.reserve(SpanWindow());
-  findings_.reserve(opts_.max_stored_findings);
+  findings_.reserve(kMaxStoredFindings);
   heap_.reserve(64);
   UpdatePeak();
 }
@@ -175,7 +178,7 @@ void TelemetryStream::RaiseFinding(ThreadId tid, Time since, Time detected_at, T
                                   bool retroactive) {
   ++findings_total_;
   worst_wait_ = std::max(worst_wait_, waited);
-  if (findings_.size() < opts_.max_stored_findings) {
+  if (findings_.size() < kMaxStoredFindings) {
     StreamFinding f;
     f.tid = tid;
     f.since = since;
@@ -236,7 +239,7 @@ uint64_t TelemetryStream::BudgetBytes() const {
   return 256 * 1024 + sizeof(MachineStats) + tasks_.size() * per_task +
          open_.size() * 2 * sizeof(OpenSpan) +
          spans_.capacity() * sizeof(Span) +
-         opts_.max_stored_findings * (sizeof(StreamFinding) + 512);
+         kMaxStoredFindings * (sizeof(StreamFinding) + 512);
 }
 
 void TelemetryStream::UpdatePeak() {

@@ -70,7 +70,6 @@ class TelemetryStream : public TraceSink {
     // fills; null counts them without buffering them.
     std::ostream* span_out = nullptr;
     size_t span_capacity = 4096;
-    size_t max_stored_findings = 32;
   };
 
   struct TaskStats {

@@ -23,13 +23,10 @@ Receipt ReceiptFromResult(const ScenarioResult& result, uint64_t fingerprint) {
   r.virtual_s = result.virtual_seconds;
   r.all_exited = result.all_exited;
   r.metrics = result.metrics;
-  r.wall_ms = result.wall_ms;
   return r;
 }
 
-namespace {
-
-std::string ReceiptBody(const Receipt& r, bool with_wall) {
+std::string ReceiptLine(const Receipt& r) {
   std::string out = "{";
   out += "\"name\": " + QuoteJson(r.name);
   out += ", \"fingerprint\": " + HexJson(r.fingerprint);
@@ -47,19 +44,9 @@ std::string ReceiptBody(const Receipt& r, bool with_wall) {
     out += QuoteJson(key) + ": " + NumberJson(value);
     first = false;
   }
-  out += "}";
-  if (with_wall) {
-    out += ", \"wall_ms\": " + NumberJson(r.wall_ms);
-  }
-  out += "}";
+  out += "}}";
   return out;
 }
-
-}  // namespace
-
-std::string ReceiptLine(const Receipt& r) { return ReceiptBody(r, /*with_wall=*/true); }
-
-std::string ReceiptCanonical(const Receipt& r) { return ReceiptBody(r, /*with_wall=*/false); }
 
 bool ParseReceiptLine(const std::string& line, Receipt* out, std::string* error) {
   auto fail = [&](const std::string& msg) {
@@ -131,10 +118,6 @@ bool ParseReceiptLine(const std::string& line, Receipt* out, std::string* error)
       return fail("receipt '" + r.name + "': non-numeric metric '" + key + "'");
     }
     r.metrics[key] = value.number;
-  }
-  const JsonValue* wall = root.Find("wall_ms");  // Absent in canonical form.
-  if (wall != nullptr && wall->type == JsonValue::Type::kNumber) {
-    r.wall_ms = wall->number;
   }
   *out = std::move(r);
   return true;

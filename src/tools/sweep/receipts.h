@@ -1,8 +1,10 @@
 // Receipts: the verifiable, resumable result records of the fleet sweep.
 //
 // Every completed scenario reduces to one JSON line — name, canonical
-// parameter fingerprint (grid.h), trace hash, event counts, metrics, wall
-// time — appended to a per-shard `<results_dir>/shard-K.jsonl` file. The
+// parameter fingerprint (grid.h), trace hash, event counts, metrics —
+// appended to a per-shard `<results_dir>/shard-K.jsonl` file. A receipt
+// holds nothing host-volatile, so the line as written is canonical: two
+// runs of the same scenario on any hosts write byte-identical lines. The
 // pair (fingerprint, trace_hash) is the paper's determinism contract made
 // portable: any process, on any host, that runs the same parameterization
 // must reproduce the same hash, so a results store doubles as a
@@ -48,20 +50,16 @@ struct Receipt {
   double virtual_s = 0;
   bool all_exited = false;
   std::map<std::string, double> metrics;  // Workload scalars, sorted by key.
-  double wall_ms = 0;                     // Host-volatile; see CanonicalLine.
 };
 
 Receipt ReceiptFromResult(const ScenarioResult& result, uint64_t fingerprint);
 
-// Full store line, including the host-volatile wall_ms (no newline).
+// The one serialization (no newline). The merge tool's "sharded ==
+// single-process" equality check compares these lines.
 std::string ReceiptLine(const Receipt& r);
 
-// Canonical form: the full line minus wall_ms. Two runs of the same
-// scenario on different hosts produce byte-identical canonical lines; the
-// merge tool's "sharded == single-process" equality check compares these.
-std::string ReceiptCanonical(const Receipt& r);
-
-// Parses either form. Returns false and fills *error on malformed input.
+// Returns false and fills *error on malformed input. Unknown keys are
+// ignored, so a line carrying a retired field still loads.
 bool ParseReceiptLine(const std::string& line, Receipt* out, std::string* error);
 
 struct ResultsStore {

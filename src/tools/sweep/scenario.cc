@@ -1,6 +1,5 @@
 #include "src/tools/sweep/scenario.h"
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -108,9 +107,6 @@ MetricsFn SetupRandomMix(Simulator& sim, const Scenario& s) {
 }  // namespace
 
 ScenarioResult RunScenario(const Scenario& scenario) {
-  // Host time, for wall_ms only: it never reaches the trace hash.
-  auto wall_start = std::chrono::steady_clock::now();
-
   Topology topo = MakeTopo(scenario.topo);
   TraceHashSink hash;
   // Optional streaming pipeline, fanned out behind the hash so the digest is
@@ -175,11 +171,6 @@ ScenarioResult RunScenario(const Scenario& scenario) {
     result.stream_budget_bytes = stream->BudgetBytes();
     result.stream_within_budget = stream->WithinBudget();
   }
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)
-          .count();
   return result;
 }
 

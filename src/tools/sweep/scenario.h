@@ -67,7 +67,6 @@ struct ScenarioResult {
   uint64_t context_switches = 0;
   uint64_t migrations = 0;
   double virtual_seconds = 0;
-  double wall_ms = 0;        // Host time for this scenario alone.
   bool all_exited = false;
   // Workload-specific scalars, e.g. "make_s", "q18_s", "completion_s".
   std::map<std::string, double> metrics;

@@ -204,7 +204,6 @@ ShardReport RunShard(const std::vector<Scenario>& scenarios, const ShardOptions&
       if (had_receipts) {
         report.requeued++;  // Stale fingerprint or conflicting receipts.
       }
-      report.wall_ms_total += result.wall_ms;
     }
     ReleaseClaim(claim_fd);
   });

@@ -53,7 +53,6 @@ struct ShardReport {
   int skipped = 0;    // Already DONE in the store at startup.
   int contended = 0;  // Claim held by a live process; left to them.
   int requeued = 0;   // Stale fingerprint or conflicting receipts: re-ran.
-  double wall_ms_total = 0;  // Sum of per-scenario host times (fresh runs).
   std::string receipts_path;
 };
 

@@ -1,7 +1,6 @@
 #include "src/tools/sweep/sweep.h"
 
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <thread>
 
@@ -43,18 +42,10 @@ SweepReport RunSweep(const std::vector<Scenario>& scenarios, const SweepOptions&
   SweepReport report;
   report.results.resize(scenarios.size());
 
-  // Host time, for wall_ms only: it never reaches a result hash.
-  auto wall_start = std::chrono::steady_clock::now();
-
   // Results land in per-scenario slots, so the report does not depend on
   // which worker ran what.
   report.threads = ParallelFor(scenarios.size(), options.threads,
                                [&](size_t i) { report.results[i] = RunScenario(scenarios[i]); });
-
-  auto wall_end = std::chrono::steady_clock::now();
-  report.wall_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(wall_end - wall_start)
-          .count();
   return report;
 }
 

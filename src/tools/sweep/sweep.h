@@ -25,7 +25,6 @@ struct SweepOptions {
 
 struct SweepReport {
   std::vector<ScenarioResult> results;  // Same order as the input scenarios.
-  double wall_ms = 0;                   // End-to-end host time for the batch.
   int threads = 1;                      // Worker count actually used.
 
   // Order-sensitive FNV-1a over (name, trace_hash, trace_events) of every

@@ -21,8 +21,8 @@ MergeReport MergeResults(const std::vector<Scenario>& scenarios, const ResultsSt
     expected[s.name] = ScenarioFingerprint(s);
   }
 
-  // Bucket fingerprint-current receipts by name, in canonical form so
-  // byte-identical re-runs (benign claim races) collapse to one copy.
+  // Bucket fingerprint-current receipts by name, so byte-identical re-runs
+  // (benign claim races) collapse to one copy.
   std::map<std::string, std::vector<const Receipt*>> current;
   std::set<std::string> orphan_names;
   for (const Receipt& r : store.receipts) {
@@ -47,10 +47,10 @@ MergeReport MergeResults(const std::vector<Scenario>& scenarios, const ResultsSt
       continue;
     }
     const std::vector<const Receipt*>& candidates = it->second;
-    std::string canonical = ReceiptCanonical(*candidates[0]);
+    std::string canonical = ReceiptLine(*candidates[0]);
     bool conflict = false;
     for (size_t i = 1; i < candidates.size(); ++i) {
-      if (ReceiptCanonical(*candidates[i]) != canonical) {
+      if (ReceiptLine(*candidates[i]) != canonical) {
         conflict = true;
       } else {
         report.duplicates++;

@@ -3,8 +3,8 @@
 // MERGE unions every shard's receipt file under a results directory,
 // verifies the store against the grid's scenarios — every scenario
 // receipted, all fingerprints current, no conflicting receipts, no interior
-// corruption — and emits one canonical line per scenario in grid order.
-// Because canonical receipt lines are byte-stable (receipts.h), the merged
+// corruption — and emits one receipt line per scenario in grid order.
+// Because receipt lines are byte-stable (receipts.h), the merged
 // output of any sharding of a grid equals the merged output of a
 // single-process run `cmp`-bit-for-bit; ci.sh stage 6 enforces exactly
 // that, with a kill/resume in the middle.
@@ -29,7 +29,7 @@ namespace wcores {
 struct MergeReport {
   int receipts = 0;    // Parsed receipt lines across all shard files.
   int unique = 0;      // Scenarios with a usable receipt.
-  int duplicates = 0;  // Extra byte-identical canonical copies (benign
+  int duplicates = 0;  // Extra byte-identical receipt copies (benign
                        // claim races; dropped).
   int stale = 0;       // Fingerprint-mismatched receipts (ignored).
   int dropped_trailing = 0;   // Tolerated killed-mid-append tails.

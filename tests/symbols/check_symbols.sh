@@ -12,7 +12,8 @@
 #       the library version.
 #   D3  a host source of nondeterminism: libc randomness, the host clocks,
 #       the environment, std::random_device. Simulation code uses the
-#       virtual clock and the seeded Rng.
+#       virtual clock and the seeded Rng. There is no allowed exception:
+#       host time is read only by simbench and scripts/ab_bench.sh.
 #
 # A container instantiation leaves template symbols in the object and a call
 # into libc or libstdc++ leaves an undefined one, so no parser is needed.
@@ -20,25 +21,16 @@
 # known gaps.
 set -euo pipefail
 
-# Findings allowed in one object each: object, symbol substring, reason.
-ALLOW='scenario.cc.o steady_clock::now wall_ms is host time and reaches no hash
-sweep.cc.o steady_clock::now wall_ms is host time and reaches no hash'
-
 # nm -A prefixes each symbol with its file ("archive:member" in an archive).
 # Keep the object's base name, the symbol's type and its demangled name.
 table="$(nm -C -A "$@" |
   sed -nE 's/^([^ ]*\/)?([^ /:]*:)?([^ /:]+):([0-9a-f]+| +) ([A-Za-z]) (.*)$/\3 \5 \6/p' |
   sort -u)"
 
-allowed=()
-while read -r object symbol _; do
-  allowed+=(-e "^${object//./\\.} [A-Za-z] .*${symbol}")
-done <<<"$ALLOW"
-
 findings=0
 check() {  # check RULE ERE
   local hits
-  hits="$(grep -E -e "$2" <<<"$table" | grep -v -E "${allowed[@]}" |
+  hits="$(grep -E -e "$2" <<<"$table" |
     sed "s/^\([^ ]*\) [A-Za-z] /$1: \1: /" | sort -u || true)"
   if [ -n "$hits" ]; then
     echo "$hits"

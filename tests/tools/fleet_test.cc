@@ -166,28 +166,33 @@ Receipt MakeReceipt(const std::string& name, uint64_t fp, uint64_t hash) {
   r.virtual_s = 0.02;
   r.all_exited = true;
   r.metrics["make_span_s"] = 1.5;
-  r.wall_ms = 12.25;
   return r;
 }
 
 TEST(FleetReceipts, RoundTrip) {
   Receipt r = MakeReceipt("grid/a", 0xdeadbeefcafef00dull, 0x1122334455667788ull);
+  const std::string line = ReceiptLine(r);
   Receipt back;
   std::string error;
-  ASSERT_TRUE(ParseReceiptLine(ReceiptLine(r), &back, &error)) << error;
+  ASSERT_TRUE(ParseReceiptLine(line, &back, &error)) << error;
   EXPECT_EQ(back.name, r.name);
   EXPECT_EQ(back.fingerprint, r.fingerprint);
   EXPECT_EQ(back.trace_hash, r.trace_hash);
   EXPECT_EQ(back.trace_events, r.trace_events);
   EXPECT_EQ(back.metrics, r.metrics);
-  EXPECT_EQ(back.wall_ms, r.wall_ms);
+  // One format: parse then write gives back the same bytes.
+  EXPECT_EQ(ReceiptLine(back), line);
 
-  // Canonical form drops only wall_ms: re-serializing the parsed canonical
-  // line must be byte-stable.
-  Receipt canon;
-  ASSERT_TRUE(ParseReceiptLine(ReceiptCanonical(r), &canon, &error)) << error;
-  EXPECT_EQ(ReceiptCanonical(canon), ReceiptCanonical(r));
-  EXPECT_EQ(canon.wall_ms, 0);
+  // A store written when receipts carried a host wall time still loads,
+  // and the key is gone once the line is written again.
+  const std::string old_line =
+      R"({"name": "grid/a", "fingerprint": "deadbeefcafef00d", )"
+      R"("trace_hash": "1122334455667788", "trace_events": 42, "sim_events": 7, )"
+      R"("context_switches": 3, "migrations": 1, "virtual_s": 0.02, "all_exited": 1, )"
+      R"("metrics": {"make_span_s": 1.5}, "wall_ms": 12.25})";
+  Receipt old;
+  ASSERT_TRUE(ParseReceiptLine(old_line, &old, &error)) << error;
+  EXPECT_EQ(ReceiptLine(old), line);
 }
 
 // Counts round-trip through the parser's double, so only whole numbers
@@ -457,11 +462,8 @@ TEST(FleetTrend, MergeDedupsByteIdenticalDuplicates) {
   ResultsStore store;
   std::string error;
   ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
-  // A benign claim race: the same scenario receipted twice, same payload
-  // (different wall_ms is still canonical-identical).
-  Receipt dup = store.receipts[0];
-  dup.wall_ms += 5;
-  store.receipts.push_back(dup);
+  // A benign claim race: the same scenario receipted twice, same bytes.
+  store.receipts.push_back(store.receipts[0]);
 
   MergeReport merge = MergeResults(scenarios, store);
   EXPECT_TRUE(merge.ok());
